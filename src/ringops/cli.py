@@ -1,4 +1,10 @@
-"""Command-line dispatch: polynomials, category queries, checkers, terms, wreath."""
+"""Command-line dispatch: polynomials, category queries, checkers, terms, wreath.
+
+Exit codes:
+  0  ok
+  1  a check failed (a verdict, printed on stdout)
+  2  usage, parse, budget or cap error (one `error:` line on stderr)
+"""
 from __future__ import annotations
 
 import argparse

@@ -25,6 +25,8 @@ from .polynomials import (
     IntPoly,
     Monomial,
     RPoly,
+    _block_offsets,
+    _image_key,
     enumerate_R,
     gamma_of,
     is_member as is_member_int,
@@ -349,15 +351,13 @@ def block_sum(maps: Sequence[ExtMap], target_arities: Union[Sequence[int], None]
         actual = [phi.target_size for phi in maps]
         if declared != actual:
             raise ArityMismatch(f"target arities {declared} do not match maps {actual}")
-    source = sum(phi.source_size for phi in maps)
-    target = sum(phi.target_size for phi in maps)
-    images = []
-    offset = 0
-    for phi in maps:
-        for v in phi.images:
-            images.append(v if v in (0, E) else v + offset)
-        offset += phi.target_size
-    return ExtMap(source, target, tuple(images))
+    offsets, target = _block_offsets(phi.target_size for phi in maps)
+    images = tuple(
+        v if v in (0, E) else v + offset
+        for phi, offset in zip(maps, offsets)
+        for v in phi.images
+    )
+    return ExtMap(len(images), target, images)
 
 
 def psi_tilde(psi: ExtMap, arities: Sequence[int]) -> ExtMap:
@@ -373,22 +373,7 @@ def psi_tilde(psi: ExtMap, arities: Sequence[int]) -> ExtMap:
         raise PreconditionViolation("psi must not collapse to 0")
     if len(arities) != psi.target_size:
         raise ArityMismatch("arities must list one width per target index")
-    widths = [1 if v == E else arities[v - 1] for v in psi.images]
-    total_src = sum(widths)
-    total_tgt = sum(arities)
-    images = [0] * total_src
-    pos = 0
-    next_target = 1
-    for t, v in enumerate(psi.images, start=1):
-        w = widths[t - 1]
-        if v == E:
-            images[pos] = E
-        else:
-            for q in range(w):
-                images[pos + q] = next_target
-                next_target += 1
-        pos += w
-    return ExtMap(total_src, total_tgt, tuple(images))
+    return _block_images(psi, arities)
 
 
 def argument_collation(psi: ExtMap, arities: Sequence[int]) -> ExtMap:
@@ -403,14 +388,20 @@ def argument_collation(psi: ExtMap, arities: Sequence[int]) -> ExtMap:
         raise PreconditionViolation("collation expects no collapse onto e")
     if len(arities) != psi.target_size:
         raise ArityMismatch("arities must list one width per target index")
-    offsets = [sum(arities[:j]) for j in range(len(arities))]
+    return _block_images(psi, arities)
+
+
+def _block_images(psi: ExtMap, arities: Sequence[int]) -> ExtMap:
+    """Send slot t onto target block psi(t); an e-slot is one position sent
+    to e, and a 0-slot has no positions."""
+    offsets, total = _block_offsets(arities)
     images = []
     for v in psi.images:
-        if v == 0:
-            continue
-        base = offsets[v - 1]
-        images.extend(range(base + 1, base + arities[v - 1] + 1))
-    return ExtMap(len(images), sum(arities), tuple(images))
+        if v == E:
+            images.append(E)
+        elif v != 0:
+            images.extend(range(offsets[v - 1] + 1, offsets[v - 1] + arities[v - 1] + 1))
+    return ExtMap(len(images), total, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +428,10 @@ def induced_lambda_maps(mor: RMorphism) -> LambdaMaps:
     phi_prime: dict[Monomial, Monomial] = {}
     per_monomial: dict[Monomial, dict[int, int]] = {}
     for source_mono in mor.source.monomials:
-        hit = []
-        dead = False
-        for i in source_mono.support:
-            v = phi(i)
-            if v == 0:
-                dead = True
-                break
-            if v == E:
-                continue
-            hit.append(v)
-        if dead:
+        key = _image_key(phi.images, source_mono.support)
+        if key is None:
             continue
-        target_mono = Monomial(mor.target.arity, tuple(sorted(hit)))
+        target_mono = Monomial(mor.target.arity, key)
         if target_mono in phi_prime:
             raise NotAMorphism("two source monomials map onto one target monomial")
         phi_prime[target_mono] = source_mono
@@ -547,7 +529,7 @@ def component_objects(f: RPoly, arity: int) -> list[RPoly]:
             continue
         if type_of(g) != type_of(special):
             continue
-        if next(iter(_effective_maps_onto(special, g)), None) is not None:
+        if has_effective_hom(special, g):
             out.append(g)
     return out
 

@@ -11,13 +11,14 @@ order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArityMismatch, PreconditionViolation
 from .indexcat import RMorphism, induced_lambda_maps
 from .operads import DiscreteRingOperad
-from .polynomials import Monomial, RPoly, compose, gamma_of, lambda_of
+from .polynomials import RPoly, _block_offsets, _expand, compose, gamma_of, lambda_of
 
 
 class FiniteOperad:
@@ -90,11 +91,7 @@ class PermutationOperad(FiniteOperad):
         return tuple(sigma[letter - 1] for letter in elt)
 
     def gamma(self, elt, args):
-        offsets = []
-        start = 0
-        for j, _ in args:
-            offsets.append(start)
-            start += j
+        offsets, _ = _block_offsets(j for j, _ in args)
         word = []
         for letter in elt:
             j, inner = args[letter - 1]
@@ -259,18 +256,10 @@ class PairRingOperad(DiscreteRingOperad):
 
     def _gamma(self, f, elt, args):
         c, gs = elt
-        lam_f = lambda_of(f)
         arg_polys = [p for p, _ in args]
         arg_elts = [x for _, x in args]
-        arg_lams = [lambda_of(p) for p in arg_polys]
-        offsets = []
-        start = 0
-        for p in arg_polys:
-            offsets.append(start)
-            start += p.arity
-        composite = compose(f, arg_polys)
-        composite_order = lambda_of(composite)
-        rank = {m: i for i, m in enumerate(composite_order)}
+        lam_f, arg_lams, composite, generated = _pair_expansion(f, arg_polys)
+        rank = {m.support: i for i, m in enumerate(lambda_of(composite))}
 
         # additive layer: lam per monomial of f, then the structure map
         blocks = []
@@ -278,39 +267,42 @@ class PairRingOperad(DiscreteRingOperad):
             lam_args = [
                 (len(arg_lams[i - 1]), arg_elts[i - 1][0]) for i in mono.support
             ]
-            width = 1
-            for j, _ in lam_args:
-                width *= j
+            width = math.prod(j for j, _ in lam_args)
             blocks.append((width, self.pair.lam(gs[idx], lam_args)))
         raw_c = self.pair.additive.gamma(c, blocks)
         total = sum(width for width, _ in blocks)
 
         # multiplicative layer per generated composite monomial
-        generated: list[tuple[Monomial, object]] = []
-        for idx, mono in enumerate(lam_f):
-            pools = [arg_lams[i - 1] for i in mono.support]
-            for choice in itertools.product(*pools):
-                support = []
-                g_args = []
-                for i, inner in zip(mono.support, choice):
-                    support.extend(v + offsets[i - 1] for v in inner.support)
-                    g_args.append(
-                        (len(inner.support), arg_elts[i - 1][1][arg_lams[i - 1].index(inner)])
-                    )
-                key = Monomial(composite.arity, tuple(sorted(support)))
-                generated.append(
-                    (key, self.pair.multiplicative.gamma(gs[idx], g_args))
-                )
-        if len(generated) != len(composite_order):
-            raise ArityMismatch("composite monomial bookkeeping out of step")
+        new_gs: list = [None] * len(rank)
+        for idx, choice, key in generated:
+            g_args = [
+                (len(arg_lams[i - 1][t].support), arg_elts[i - 1][1][t])
+                for i, t in zip(lam_f[idx].support, choice)
+            ]
+            new_gs[rank[key]] = self.pair.multiplicative.gamma(gs[idx], g_args)
 
         # shuffle the additive slots from generated order onto lambda order
-        sigma = tuple(rank[key] + 1 for key, _ in generated)
+        sigma = tuple(rank[key] + 1 for _, _, key in generated)
         new_c = self.pair.additive.act(total, raw_c, sigma) if total else raw_c
-        new_gs: list = [None] * len(composite_order)
-        for key, g_elt in generated:
-            new_gs[rank[key]] = g_elt
         return (new_c, tuple(new_gs))
+
+
+def _pair_expansion(f: RPoly, arg_polys: Sequence[RPoly]):
+    """Lambda orders of f and its arguments, the composite, and the composite
+    monomials as generated: outer monomial by outer monomial in lambda order,
+    then one argument monomial per slot, each in lambda order."""
+    lam_f = lambda_of(f)
+    arg_lams = [lambda_of(p) for p in arg_polys]
+    offsets, _ = _block_offsets(p.arity for p in arg_polys)
+    slots = [
+        [tuple(v + offset for v in m.support) for m in lam]
+        for lam, offset in zip(arg_lams, offsets)
+    ]
+    composite = compose(f, arg_polys)
+    generated = list(_expand([m.support for m in lam_f], slots))
+    if len(generated) != len(composite.monomials):
+        raise ArityMismatch("composite monomial bookkeeping out of step")
+    return lam_f, arg_lams, composite, generated
 
 
 def build_RCG(pair: OperadPairData, name: str = "rcg") -> PairRingOperad:
@@ -330,39 +322,22 @@ def composition_plan(f: RPoly, arg_polys: Sequence[RPoly]) -> dict:
     Returns the multiplicative rows (one per composite monomial, in the
     composite's lambda order) and the additive row.
     """
-    lam_f = lambda_of(f)
-    arg_lams = [lambda_of(p) for p in arg_polys]
-    offsets = []
-    start = 0
-    for p in arg_polys:
-        offsets.append(start)
-        start += p.arity
-    composite = compose(f, arg_polys)
-    rows = []
-    for mono in lam_f:
-        pools = [arg_lams[i - 1] for i in mono.support]
-        for choice in itertools.product(*pools):
-            support = []
-            sizes = [len(mono.support)]
-            for i, inner in zip(mono.support, choice):
-                support.extend(v + offsets[i - 1] for v in inner.support)
-                sizes.append(len(inner.support))
-            key = Monomial(composite.arity, tuple(sorted(support)))
-            rows.append((key, sizes))
-    order = {m: i for i, m in enumerate(lambda_of(composite))}
-    rows.sort(key=lambda item: order[item[0]])
-    g_rows = [
-        "G(" + ") x G(".join(str(s) for s in sizes) + f") -> G({sum(sizes[1:])})"
-        for _key, sizes in rows
-    ]
+    lam_f, arg_lams, composite, generated = _pair_expansion(f, arg_polys)
+    order = {m.support: i for i, m in enumerate(lambda_of(composite))}
+    g_rows = []
+    for idx, choice, _key in sorted(generated, key=lambda row: order[row[2]]):
+        support = lam_f[idx].support
+        sizes = [len(support)] + [
+            len(arg_lams[i - 1][t].support) for i, t in zip(support, choice)
+        ]
+        g_rows.append(
+            "G(" + ") x G(".join(str(s) for s in sizes) + f") -> G({sum(sizes[1:])})"
+        )
     lam_rows = []
     widths = []
     for mono in lam_f:
-        width = 1
-        factors = []
-        for i in mono.support:
-            factors.append(len(arg_lams[i - 1]))
-            width *= len(arg_lams[i - 1])
+        factors = [len(arg_lams[i - 1]) for i in mono.support]
+        width = math.prod(factors)
         widths.append(width)
         lam_rows.append(
             f"G({len(mono.support)})"

@@ -13,11 +13,18 @@ from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import ArityCapExceeded, RingopsError, SearchBudgetExceeded
+from .errors import (
+    ArityCapExceeded,
+    ArityMismatch,
+    PreconditionViolation,
+    RingopsError,
+    SearchBudgetExceeded,
+)
 from .indexcat import (
     E,
     ExtMap,
     RMorphism,
+    _all_maps,
     argument_collation,
     block_sum,
     component_objects,
@@ -30,6 +37,7 @@ from .indexcat import (
 )
 from .polynomials import (
     RPoly,
+    _block_offsets,
     compose,
     enumerate_R,
     is_nondegenerate,
@@ -83,7 +91,7 @@ class DiscreteRingOperad:
 
     def gamma(self, g: RPoly, g_elt, args: Sequence[tuple[RPoly, object]]):
         if len(args) != g.arity:
-            raise ArityCapExceeded(
+            raise ArityMismatch(
                 f"gamma over {g.arity}-ary polynomial got {len(args)} arguments"
             )
         if not args:
@@ -269,15 +277,24 @@ def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...]]]:
                 yield g, args
 
 
+def _blocks(fs: Sequence[RPoly]) -> tuple[list[tuple[int, int]], int]:
+    """The (start, end) variable range of each argument's block, and the total."""
+    offsets, total = _block_offsets(f.arity for f in fs)
+    return [(a, a + f.arity) for a, f in zip(offsets, fs)], total
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise PreconditionViolation(f"cap must be non-negative, got {cap}")
+
+
 @lru_cache(maxsize=8)
 def _all_morphisms(cap: int) -> tuple[RMorphism, ...]:
     out = []
     for m in range(cap + 1):
         for f in enumerate_R(m):
             for n in range(cap + 1):
-                values = [0, E] + list(range(1, n + 1))
-                for images in itertools.product(values, repeat=m):
-                    phi = ExtMap(m, n, images)
+                for phi in _all_maps(m, n):
                     image = substitute(phi, f)
                     try:
                         g = to_rpoly(image)
@@ -316,6 +333,7 @@ def check_axioms(
     diagrams, associativity, and the three equivariance diagrams.  Reports
     the first violation, or success with instance counts.
     """
+    _check_cap(cap)
     budget = budget or Budget()
     report = CheckReport(f"axioms:{operad.name}@cap{cap}", True, 0, 0, None)
 
@@ -418,13 +436,8 @@ def _check_associativity(operad, cap, report):
         return elements
 
     for g, fs in _composition_shapes(cap):
-        total = sum(f.arity for f in fs)
         composite = compose(g, fs)
-        blocks = []
-        start = 0
-        for f in fs:
-            blocks.append((start, start + f.arity))
-            start += f.arity
+        blocks, total = _blocks(fs)
         f_pools = [pool(f) for f in fs]
         tops = []
         for g_elt in pool(g):
@@ -667,6 +680,7 @@ def check_einfty_set(
     actions on non-degenerate sources are free; (5) non-degenerate-class
     actions are injective.
     """
+    _check_cap(cap)
     budget = budget or Budget()
     conditions: dict[int, tuple[str, str]] = {
         1: ("not-applicable", "contractibility is out of scope at the set level")
@@ -727,7 +741,7 @@ def _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
         return False
     special = special_of_type(type_of(f1))
     if special.arity > 4:
-        raise SearchBudgetExceeded(
+        raise ArityCapExceeded(
             f"cover search bound {special.arity} exceeds the enumeration cap"
         )
     for arity in range(max(f1.arity, f2.arity), special.arity + 1):
@@ -856,6 +870,7 @@ def validate_algebra(
     budget: Union[Budget, None] = None,
 ) -> CheckReport:
     """Exhaustively check the algebra diagrams within the arity cap."""
+    _check_cap(cap)
     budget = budget or Budget()
     report = CheckReport(f"algebra over {operad.name}@cap{cap}", True, 0, 0, None)
 
@@ -873,13 +888,8 @@ def validate_algebra(
             return fail("unit", f"theta(unit)({x!r}) != {x!r}")
 
     for g, fs in _composition_shapes(cap):
-        total = sum(f.arity for f in fs)
         composite = compose(g, fs)
-        blocks = []
-        start = 0
-        for f in fs:
-            blocks.append((start, start + f.arity))
-            start += f.arity
+        blocks, total = _blocks(fs)
         for g_elt in operad.component(g):
             pools = [operad.component(f) for f in fs]
             for f_elts in itertools.product(*pools):

@@ -145,6 +145,8 @@ def print_map(phi: ExtMap) -> str:
 
 
 def parse_morphism(text: str) -> RMorphism:
+    if text.count("|") < 2:
+        raise ParseFailure("expected '<poly> |<map>| <poly>'", len(text))
     left, rest = text.split("|", 1)
     middle, right = rest.rsplit("|", 1)
     source = parse_poly(left.strip())
@@ -258,10 +260,10 @@ def parse_ff_morphism(text: str) -> FFMorphism:
         if key == "phi":
             mapping = _parse_int_map(body, source.n)
             phi = tuple(mapping[i] for i in range(1, source.n + 1))
-        elif key.startswith("d"):
+        elif key.startswith("d") and key[1:].isdigit():
             ds[int(key[1:])] = _parse_tuple_map(body)
         else:
-            raise ParseFailure(f"unknown section {key!r}", 0)
+            raise ParseFailure(f"unknown section {key!r}", text.find(piece))
     if phi is None:
         raise ParseFailure("missing phi section", 0)
     if sorted(ds) != list(range(1, target.n + 1)):
@@ -346,6 +348,16 @@ def parse_signature(text: str) -> TypeSignature:
 # Ring-operad fixtures
 
 
+def _parse_row(body: str) -> tuple[tuple[str, tuple[str, ...]], str]:
+    """Split a `<elt> (<elt>, ...) = <elt>` row into ((elt, args), result)."""
+    head, _, result = body.partition("=")
+    elt, _, arg_body = head.strip().partition("(")
+    args = tuple(
+        token.strip() for token in arg_body.rstrip(")").split(",") if token.strip()
+    )
+    return (elt.strip(), args), result.strip()
+
+
 def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
     """Read a table-backed ring operad from structured text.
 
@@ -370,15 +382,8 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
                 _, _, value = line.partition("=")
                 unit = value.strip()
             elif line.startswith("gamma "):
-                head, _, result = line[len("gamma "):].partition("=")
-                head = head.strip()
-                g_elt, _, arg_body = head.partition("(")
-                args = tuple(
-                    token.strip()
-                    for token in arg_body.rstrip(")").split(",")
-                    if token.strip()
-                )
-                gamma_rows[(g_elt.strip(), args)] = result.strip()
+                key, result = _parse_row(line[len("gamma "):])
+                gamma_rows[key] = result
             elif line.startswith("act "):
                 spec, _, motion = line[len("act "):].rpartition(":")
                 mor = parse_morphism(spec.strip())
@@ -428,33 +433,34 @@ def parse_pair_fixture(text: str, name: str = "pair"):
         sigma_rows: dict = {}
         gamma_rows: dict = {}
         for lineno, line in sections[section]:
-            if line.startswith("component "):
-                body, _, names = line[len("component "):].partition("=")
-                components[int(body.strip())] = names.split()
-            elif line.startswith("identity"):
-                _, _, value = line.partition("=")
-                identity = value.strip()
-            elif line.startswith("sigma "):
-                spec, _, motion = line[len("sigma "):].rpartition(":")
-                source_elt, _, target_elt = motion.partition("->")
-                scanner = _Scanner(spec)
-                scanner.integer()
-                scanner.expect("(")
-                perm = []
-                while not scanner.try_take(")"):
-                    perm.append(scanner.integer())
-                sigma_rows[(source_elt.strip(), tuple(perm))] = target_elt.strip()
-            elif line.startswith("gamma "):
-                head, _, result = line[len("gamma "):].partition("=")
-                g_elt, _, arg_body = head.strip().partition("(")
-                args = tuple(
-                    token.strip()
-                    for token in arg_body.rstrip(")").split(",")
-                    if token.strip()
-                )
-                gamma_rows[(g_elt.strip(), args)] = result.strip()
-            else:
-                raise FixtureError(f"line {lineno}: unrecognized row {line!r}")
+            try:
+                if line.startswith("component "):
+                    body, _, names = line[len("component "):].partition("=")
+                    scanner = _Scanner(body)
+                    arity = scanner.integer()
+                    if not scanner.done():
+                        raise ParseFailure("unexpected trailing input", scanner.pos)
+                    components[arity] = names.split()
+                elif line.startswith("identity"):
+                    _, _, value = line.partition("=")
+                    identity = value.strip()
+                elif line.startswith("sigma "):
+                    spec, _, motion = line[len("sigma "):].rpartition(":")
+                    source_elt, _, target_elt = motion.partition("->")
+                    scanner = _Scanner(spec)
+                    scanner.integer()
+                    scanner.expect("(")
+                    perm = []
+                    while not scanner.try_take(")"):
+                        perm.append(scanner.integer())
+                    sigma_rows[(source_elt.strip(), tuple(perm))] = target_elt.strip()
+                elif line.startswith("gamma "):
+                    key, result = _parse_row(line[len("gamma "):])
+                    gamma_rows[key] = result
+                else:
+                    raise FixtureError(f"line {lineno}: unrecognized row {line!r}")
+            except ParseFailure as err:
+                raise FixtureError(f"line {lineno}: {err}") from err
         if identity is None:
             raise FixtureError(f"[{section}] is missing the identity row")
         operads[section] = TableFiniteOperad(
@@ -464,14 +470,8 @@ def parse_pair_fixture(text: str, name: str = "pair"):
     for lineno, line in sections["lambda"]:
         if not line.startswith("lambda "):
             raise FixtureError(f"line {lineno}: unrecognized row {line!r}")
-        head, _, result = line[len("lambda "):].partition("=")
-        g_elt, _, arg_body = head.strip().partition("(")
-        args = tuple(
-            token.strip()
-            for token in arg_body.rstrip(")").split(",")
-            if token.strip()
-        )
-        lambda_rows[(g_elt.strip(), args)] = result.strip()
+        key, result = _parse_row(line[len("lambda "):])
+        lambda_rows[key] = result
 
     def lam(g_elt, tagged_args):
         key = (g_elt, tuple(x for _, x in tagged_args))

@@ -6,10 +6,20 @@ plus the zero polynomial 0_n.  R(n) is finite with exactly 2^(2^n - 1)
 elements.  RPoly values are the members of R(n); IntPoly is the larger
 integer-coefficient space in which substitutions and expansions are computed
 before membership is re-checked.
+
+Block convention: composing g with arguments f_1, ..., f_k writes argument t
+in its own block of fresh variables, shifted past the blocks of f_1..f_{t-1}
+(`_block_offsets`).  A based map acts on a monomial by substitution, where an
+image 0 kills the monomial and an image e (-1) drops the variable.  Two
+kernels are the only code that knows these rules: `_expand` multiplies out
+an outer polynomial over per-slot lists of shifted supports, and
+`_image_key` substitutes one monomial.  Every block expansion and every
+substitution of a polynomial along a based map goes through them.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -214,13 +224,6 @@ class IntPoly:
                 out[key] = out.get(key, 0) + c1 * c2
         return IntPoly.make(self.arity, out)
 
-    def embed(self, arity: int, offset: int) -> "IntPoly":
-        """Re-index into a wider variable space, shifting every index by offset."""
-        out = {}
-        for key, c in self.terms:
-            out[tuple(v + offset for v in key)] = c
-        return IntPoly.make(arity, out)
-
 
 def int_zero(arity: int) -> IntPoly:
     return IntPoly.make(arity, {})
@@ -299,6 +302,52 @@ def _canonical_sort_key(f: RPoly):
     return (len(f.monomials), tuple(m.exponents() for m in lambda_of(f)))
 
 
+def _block_offsets(widths: Iterable[int]) -> tuple[list[int], int]:
+    """Offsets of blocks of these widths placed side by side, and the total."""
+    offsets = []
+    total = 0
+    for width in widths:
+        offsets.append(total)
+        total += width
+    return offsets, total
+
+
+def _expand(outer: Sequence[tuple[int, ...]], slots: Sequence[Sequence[tuple[int, ...]]]):
+    """Multiply out outer supports over per-slot lists of shifted supports.
+
+    outer lists the outer monomials as supports over slot numbers 1..k, and
+    slots[t-1] the supports slot t contributes (already shifted into its
+    block; `()` is the constant 1, an empty list the zero polynomial).  For
+    each outer monomial, in the order given, and each choice of one entry per
+    slot it uses, yields (outer index, choice indices, sorted concatenated
+    key).  Keys may repeat and may contain squares; counting them gives the
+    integer expansion.
+    """
+    for idx, support in enumerate(outer):
+        pools = [slots[i - 1] for i in support]
+        for choice in itertools.product(*(range(len(pool)) for pool in pools)):
+            key: list[int] = []
+            for pool, c in zip(pools, choice):
+                key.extend(pool[c])
+            yield idx, choice, tuple(sorted(key))
+
+
+def _image_key(images: Sequence[int], support: Iterable[int]) -> Union[tuple[int, ...], None]:
+    """The sorted image of one monomial under a based map, or None if killed.
+
+    images[i-1] is the image of variable i: 0 kills the monomial, -1 (the e
+    marker) drops the variable, and a repeat leaves a square in the key.
+    """
+    hit = []
+    for i in support:
+        v = images[i - 1]
+        if v == 0:
+            return None
+        if v != -1:
+            hit.append(v)
+    return tuple(sorted(hit))
+
+
 def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
     """Operadic composition g(f_1, ..., f_k) with block re-indexing.
 
@@ -311,18 +360,15 @@ def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
 
 
 @lru_cache(maxsize=200000)
-def _compose_intpoly(g: RPoly, args: tuple[RPoly, ...]) -> IntPoly:
-    widths = [f.arity for f in args]
-    offsets = [sum(widths[:i]) for i in range(len(args))]
-    total = sum(widths)
-    shifted = [from_rpoly(f).embed(total, offsets[i]) for i, f in enumerate(args)]
-    acc = int_zero(total)
-    for mono in g.monomials:
-        prod = int_const(total, 1)
-        for i in mono.support:
-            prod = prod.mul(shifted[i - 1])
-        acc = acc.add(prod)
-    return acc
+def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> IntPoly:
+    """The integer expansion of g(args); a UNIT argument is the constant 1."""
+    offsets, total = _block_offsets([0 if a is UNIT else a.arity for a in args])
+    slots = [
+        [()] if a is UNIT else [tuple(v + offset for v in m.support) for m in a.monomials]
+        for a, offset in zip(args, offsets)
+    ]
+    outer = [m.support for m in g.monomials]
+    return IntPoly.make(total, Counter(key for _, _, key in _expand(outer, slots)))
 
 
 def extended_compose(g: RPoly, args: Sequence[Union[RPoly, _UnitMarker]]) -> RPoly:
@@ -332,24 +378,7 @@ def extended_compose(g: RPoly, args: Sequence[Union[RPoly, _UnitMarker]]) -> RPo
     can leave R (duplicate monomials after collapsing), which is reported as
     NotInR rather than silently accepted.
     """
-    if len(args) != g.arity:
-        raise ArityMismatch(f"{g.arity}-ary polynomial applied to {len(args)} arguments")
-    widths = [0 if a is UNIT else a.arity for a in args]
-    offsets = [sum(widths[:i]) for i in range(len(args))]
-    total = sum(widths)
-    shifted = []
-    for i, a in enumerate(args):
-        if a is UNIT:
-            shifted.append(int_const(total, 1))
-        else:
-            shifted.append(from_rpoly(a).embed(total, offsets[i]))
-    acc = int_zero(total)
-    for mono in g.monomials:
-        prod = int_const(total, 1)
-        for i in mono.support:
-            prod = prod.mul(shifted[i - 1])
-        acc = acc.add(prod)
-    return to_rpoly(acc)
+    return compose(g, args)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +423,8 @@ def special_of_type(sig: TypeSignature) -> RPoly:
     Block j covers k_j fresh variables, so the result is non-degenerate of
     arity k_1 + ... + k_l and of exactly the requested type.
     """
-    supports = []
-    start = 1
-    for k in sig.sizes:
-        supports.append(tuple(range(start, start + k)))
-        start += k
-    return rpoly(start - 1, supports)
+    offsets, total = _block_offsets(sig.sizes)
+    return rpoly(total, [tuple(range(o + 1, o + k + 1)) for o, k in zip(offsets, sig.sizes)])
 
 
 def is_special(f: RPoly) -> bool:
@@ -417,20 +442,6 @@ def substitute_images(images: Sequence[int], target_arity: int, f: RPoly) -> Int
     """
     if len(images) != f.arity:
         raise ArityMismatch("map source size differs from polynomial arity")
-    out: dict[tuple[int, ...], int] = {}
-    for mono in f.monomials:
-        hit = []
-        dead = False
-        for i in mono.support:
-            img = images[i - 1]
-            if img == 0:
-                dead = True
-                break
-            if img == -1:
-                continue
-            hit.append(img)
-        if dead:
-            continue
-        key = tuple(sorted(hit))
-        out[key] = out.get(key, 0) + 1
+    out = Counter(_image_key(images, m.support) for m in f.monomials)
+    out.pop(None, None)
     return IntPoly.make(target_arity, out)

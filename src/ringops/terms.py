@@ -25,6 +25,7 @@ from .operads import DiscreteRingOperad
 from .polynomials import (
     IntPoly,
     RPoly,
+    _block_offsets,
     int_const,
     int_zero,
     lambda_of,
@@ -177,11 +178,7 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
     """Substitute argument terms into the variable leaves with block shifts."""
     if len(args) != g_term.arity:
         raise ArityMismatch(f"{g_term.arity}-ary term applied to {len(args)} arguments")
-    offsets = []
-    start = 0
-    for a in args:
-        offsets.append(start)
-        start += a.arity
+    offsets, total = _block_offsets(a.arity for a in args)
 
     def shift(node: Node, offset: int) -> Node:
         if node[0] == "v":
@@ -198,7 +195,7 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
             return (node[0], build(node[1]), build(node[2]))
         return node
 
-    return Term(start, reduce_node(build(g_term.node)))
+    return Term(total, reduce_node(build(g_term.node)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +312,8 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
         raise ValueError(f"unknown fiber mode {mode!r}")
     if bound is None:
         bound = default_bound(f)
+    if bound < 1:
+        raise PreconditionViolation(f"leaf bound must be at least 1, got {bound}")
     at_bound = _bounded_fiber(f, mode, bound)
     beyond = _bounded_fiber(f, mode, bound + 2)
     return FiberResult(at_bound, at_bound == beyond, bound)
@@ -354,7 +353,6 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> frozenset[Term]:
     def put(store, s, key, node):
         store[s].setdefault(key, set()).add(node)
 
-    base = [(frozenset({((),)[0]}), ONE)] if () in divisors else []
     put(table, 1, frozenset({()}), ONE)
     put(addends, 1, frozenset({()}), ONE)
     for i in variables:

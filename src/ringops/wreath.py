@@ -10,6 +10,7 @@ composition followed by a block-folding re-indexing.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -20,10 +21,10 @@ from .polynomials import (
     IntPoly,
     RPoly,
     UNIT,
+    _block_offsets,
+    _expand,
+    _image_key,
     compose,
-    from_rpoly,
-    int_const,
-    int_zero,
     rpoly,
     to_rpoly,
     unit_poly,
@@ -52,7 +53,7 @@ class FFObject:
         return sum(self.sizes)
 
     def offset(self, i: int) -> int:
-        return sum(self.sizes[: i - 1])
+        return _block_offsets(self.sizes)[0][i - 1]
 
     def __str__(self):
         return f"({self.n}:[{','.join(str(s) for s in self.sizes)}])"
@@ -235,54 +236,24 @@ def fold_composite(
     if outer_poly is UNIT:
         raise PreconditionViolation("unit outer coordinates fold to themselves")
     width = inner_total
-    markers = [i for i, g in enumerate(inner_family) if g is UNIT]
-    big_arity = len(inner_family) * width + len(markers)
-    substituted = []
-    marker_rank = 0
-    for idx, g in enumerate(inner_family):
-        if g is UNIT:
-            position = len(inner_family) * width + marker_rank + 1
-            marker_rank += 1
-            substituted.append(IntPoly.make(big_arity, {(position,): 1}))
-        else:
-            substituted.append(from_rpoly(g).embed(big_arity, idx * width))
-    acc = int_zero(big_arity)
-    for mono in outer_poly.monomials:
-        prod = int_const(big_arity, 1)
-        for i in mono.support:
-            prod = prod.mul(substituted[i - 1])
-        acc = acc.add(prod)
-    images = []
-    for idx in range(len(inner_family)):
-        images.extend(range(1, width + 1))
-    images.extend([E] * len(markers))
-    fold = ExtMap(big_arity, width, tuple(images))
-    folded_int = substitute_int(fold, acc)
+    n = len(inner_family)
+    markers = [idx for idx, g in enumerate(inner_family) if g is UNIT]
+    big_arity = n * width + len(markers)
+    trailing = {idx: n * width + rank for rank, idx in enumerate(markers, start=1)}
+    slots = [
+        [(trailing[idx],)] if g is UNIT
+        else [tuple(v + idx * width for v in m.support) for m in g.monomials]
+        for idx, g in enumerate(inner_family)
+    ]
+    keys = [key for _, _, key in _expand([m.support for m in outer_poly.monomials], slots)]
+    fold = ExtMap(big_arity, width, tuple(list(range(1, width + 1)) * n + [E] * len(markers)))
+    folded = Counter(_image_key(fold.images, key) for key in keys)
+    folded.pop(None, None)
+    folded_int = IntPoly.make(width, folded)
+    acc = IntPoly.make(big_arity, Counter(keys))
     if folded_int.coeffs() == {(): 1}:
         return FoldedComposite(acc, fold, UNIT)
-    folded = to_rpoly(folded_int)
-    return FoldedComposite(acc, fold, folded)
-
-
-def substitute_int(phi: ExtMap, p: IntPoly) -> IntPoly:
-    """Substitution action extended to arbitrary integer polynomials."""
-    out: dict[tuple[int, ...], int] = {}
-    for key, coeff in p.terms:
-        hit = []
-        dead = False
-        for i in key:
-            image = phi(i)
-            if image == 0:
-                dead = True
-                break
-            if image == E:
-                continue
-            hit.append(image)
-        if dead:
-            continue
-        new_key = tuple(sorted(hit))
-        out[new_key] = out.get(new_key, 0) + coeff
-    return IntPoly.make(phi.target_size, out)
+    return FoldedComposite(acc, fold, to_rpoly(folded_int))
 
 
 @dataclass(frozen=True)

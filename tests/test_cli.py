@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ringops.cli import main
 
 
@@ -179,3 +181,41 @@ class TestFwrfCommands:
     def test_usage_error(self, capsys):
         code = main(["fwrf", "verify"])
         assert code == 2
+
+
+BAD_PAIR_FIXTURE = """\
+[additive]
+component x = a
+identity = a
+[multiplicative]
+component 1 = m
+identity = m
+[lambda]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rcg", "act", "--morphism", "nonsense"],
+        ["rcg", "component", "--poly", "R(1): x1", "--pair", "BAD_PAIR"],
+        [
+            "fwrf", "assign", "--morphism",
+            "(1:[1]) -> (1:[1]); phi={1->1}; dx={(1)->1}",
+        ],
+        ["check", "axioms", "--builtin", "strict", "--cap", "-1"],
+        ["check", "einfty", "--builtin", "strict", "--cap", "-1"],
+        ["check", "algebra", "--cap", "-1"],
+        ["term", "fiber", "--poly", "R(1): x1", "--bound", "0"],
+        ["term", "connect", "--poly", "R(1): x1", "--bound", "-1"],
+    ],
+)
+def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
+    bad_pair = tmp_path / "bad_pair.fixture"
+    bad_pair.write_text(BAD_PAIR_FIXTURE)
+    code = main([str(bad_pair) if arg == "BAD_PAIR" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -1,6 +1,6 @@
 import pytest
 
-from ringops.errors import SearchBudgetExceeded
+from ringops.errors import ArityCapExceeded, ArityMismatch, SearchBudgetExceeded
 from ringops.indexcat import ExtMap, enumerate_hom, validate
 from ringops.operads import (
     Budget,
@@ -8,6 +8,7 @@ from ringops.operads import (
     TableRingOperad,
     boolean_rig_algebra,
     check_axioms,
+    _has_common_cover,
     check_einfty_set,
     compute_L,
     eval_rpoly_bool,
@@ -216,3 +217,14 @@ class TestBudget:
         tiny = Budget(limit=10)
         with pytest.raises(SearchBudgetExceeded):
             check_axioms(strict_operad(), cap=2, budget=tiny)
+
+
+class TestErrorClasses:
+    def test_gamma_argument_count(self):
+        with pytest.raises(ArityMismatch):
+            strict_operad().gamma(rpoly(2, [(1, 2)]), "*", [(unit_poly(), "*")])
+
+    def test_cover_search_arity_cap(self):
+        f = rpoly(3, [(1, 2, 3), (1, 2)])  # special representative of arity 5
+        with pytest.raises(ArityCapExceeded):
+            _has_common_cover(strict_operad(), f, "*", None, f, "*", None)

@@ -8,12 +8,15 @@ from ringops.polynomials import (
     Monomial,
     TypeSignature,
     UNIT,
+    _compose_intpoly,
     canon_str,
     compose,
     enumerate_R,
     extended_compose,
     from_rpoly,
     gamma_of,
+    int_const,
+    int_zero,
     is_member,
     is_nondegenerate,
     lambda_of,
@@ -229,3 +232,96 @@ class TestMonomialInvariants:
     def test_duplicate_monomials_rejected(self):
         with pytest.raises(NotInR):
             rpoly(2, [(1,), (1,)])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the block kernels against the plain IntPoly loops
+
+
+def _reference_expansion(g, args):
+    """g(args) by IntPoly products and sums; UNIT is the constant 1."""
+    widths = [0 if a is UNIT else a.arity for a in args]
+    total = sum(widths)
+    shifted = []
+    for t, a in enumerate(args):
+        if a is UNIT:
+            shifted.append(int_const(total, 1))
+        else:
+            offset = sum(widths[:t])
+            shifted.append(
+                IntPoly.make(
+                    total, {tuple(v + offset for v in m.support): 1 for m in a.monomials}
+                )
+            )
+    acc = int_zero(total)
+    for mono in g.monomials:
+        prod = int_const(total, 1)
+        for i in mono.support:
+            prod = prod.mul(shifted[i - 1])
+        acc = acc.add(prod)
+    return acc
+
+
+def _reference_substitute(images, target_arity, f):
+    """Substitution monomial by monomial: 0 kills it, -1 drops the variable."""
+    out = {}
+    for mono in f.monomials:
+        if any(images[i - 1] == 0 for i in mono.support):
+            continue
+        key = tuple(sorted(images[i - 1] for i in mono.support if images[i - 1] != -1))
+        out[key] = out.get(key, 0) + 1
+    return IntPoly.make(target_arity, out)
+
+
+def _arg_tuples(k, pool, cap):
+    for args in itertools.product(pool, repeat=k):
+        if sum(0 if a is UNIT else a.arity for a in args) <= cap:
+            yield args
+
+
+class TestKernelDifferential:
+    def test_compose_matches_reference_at_cap2(self):
+        pool = enumerate_R(0) + enumerate_R(1) + enumerate_R(2)
+        shapes = 0
+        for k in (1, 2):
+            for g in enumerate_R(k):
+                for args in _arg_tuples(k, pool, 2):
+                    expected = _reference_expansion(g, args)
+                    assert _compose_intpoly(g, args) == expected
+                    assert compose(g, list(args)) == to_rpoly(expected)
+                    shapes += 1
+        assert shapes == 222
+
+    def test_extended_compose_matches_reference(self):
+        pool = [UNIT] + enumerate_R(0) + enumerate_R(1)
+        rejected = set()
+        for k in (1, 2, 3):
+            for g in enumerate_R(k):
+                for args in _arg_tuples(k, pool, 3):
+                    if UNIT not in args:
+                        continue
+                    expected = _reference_expansion(g, args)
+                    try:
+                        want = to_rpoly(expected)
+                    except NotInR as err:
+                        with pytest.raises(NotInR) as got:
+                            extended_compose(g, list(args))
+                        assert str(got.value) == str(err)
+                        rejected.add(str(err).split(" has ")[-1])
+                        continue
+                    assert extended_compose(g, list(args)) == want
+        assert "non-zero constant term" in rejected
+        assert "coefficient 2" in rejected
+
+    def test_substitute_matches_reference(self):
+        pairs = 0
+        for m in range(4):
+            polys = enumerate_R(m)
+            for n in range(4):
+                for images in itertools.product([0, -1] + list(range(1, n + 1)), repeat=m):
+                    for f in polys:
+                        assert substitute_images(images, n, f) == _reference_substitute(
+                            images, n, f
+                        )
+                        pairs += 1
+        assert pairs == 29136

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ringops.errors import ArityMismatch
+from ringops.errors import ArityMismatch, NotInR
 from ringops.indexcat import E
 from ringops.operads import (
     StrictRingOperad,
@@ -11,7 +11,16 @@ from ringops.operads import (
     eval_rpoly_bool,
     strict_operad,
 )
-from ringops.polynomials import UNIT, rpoly, to_rpoly, zero_poly
+from ringops.polynomials import (
+    UNIT,
+    IntPoly,
+    enumerate_R,
+    int_const,
+    int_zero,
+    rpoly,
+    to_rpoly,
+    zero_poly,
+)
 from ringops.terms import project, sset_operad
 from ringops.wreath import (
     FFMorphism,
@@ -301,3 +310,60 @@ class TestNuEvaluate:
                 )
                 assert direct == staged
             found += 1
+
+
+def _reference_fold(outer_poly, family, width):
+    """fold_composite by IntPoly products and sums, then the fold taken as
+    residues with trailing unit variables dropped; returns (expanded, folded
+    or UNIT or the NotInR message)."""
+    n = len(family)
+    big = n * width + sum(1 for g in family if g is UNIT)
+    substituted = []
+    rank = 0
+    for idx, g in enumerate(family):
+        if g is UNIT:
+            rank += 1
+            substituted.append(IntPoly.make(big, {(n * width + rank,): 1}))
+        else:
+            substituted.append(IntPoly.make(
+                big, {tuple(v + idx * width for v in m.support): 1 for m in g.monomials}
+            ))
+    acc = int_zero(big)
+    for mono in outer_poly.monomials:
+        prod = int_const(big, 1)
+        for i in mono.support:
+            prod = prod.mul(substituted[i - 1])
+        acc = acc.add(prod)
+    out = {}
+    for key, coeff in acc.terms:
+        image = tuple(sorted((v - 1) % width + 1 for v in key if v <= n * width))
+        out[image] = out.get(image, 0) + coeff
+    folded = IntPoly.make(width, out)
+    if folded.coeffs() == {(): 1}:
+        return acc, UNIT
+    try:
+        return acc, to_rpoly(folded)
+    except NotInR as err:
+        return acc, str(err)
+
+
+class TestFoldDifferential:
+    def test_fold_matches_reference(self):
+        cases = rejected = 0
+        for width, k in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+            pool = [UNIT] + enumerate_R(width)
+            for family in itertools.product(pool, repeat=k):
+                for outer_poly in enumerate_R(k):
+                    if outer_poly.is_zero:
+                        continue
+                    expanded, want = _reference_fold(outer_poly, family, width)
+                    try:
+                        got = fold_composite(outer_poly, family, width)
+                    except NotInR as err:
+                        assert str(err) == want
+                        rejected += 1
+                        continue
+                    assert got.expanded == expanded
+                    assert got.folded == want
+                    cases += 1
+        assert (cases, rejected) == (1983, 2088)
