@@ -43,13 +43,21 @@ def _resolve_pair(spec: str):
         return terminal_pair()
     if spec in ("terminal:sigma", "terminal,sigma"):
         return terminal_sigma_pair()
+    missing = f"unknown pair {spec!r}: expected a builtin name or a fixture path"
+    return parsing.parse_pair_fixture(_read_file(spec, missing))
+
+
+def _read_file(path: str, missing: Union[str, None] = None) -> str:
+    """The text of a fixture file; a path that cannot be read is a usage error."""
     try:
-        with open(spec, encoding="utf-8") as handle:
-            return parsing.parse_pair_fixture(handle.read())
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except FileNotFoundError:
-        raise RingopsError(
-            f"unknown pair {spec!r}: expected a builtin name or a fixture path"
-        ) from None
+        raise RingopsError(missing or f"cannot read {path!r}: no such file") from None
+    except OSError as err:
+        raise RingopsError(f"cannot read {path!r}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise RingopsError(f"cannot read {path!r}: not UTF-8 text") from None
 
 
 def _demo_wreath_pair():
@@ -243,8 +251,7 @@ def _run_check(args) -> int:
         if args.builtin:
             operad = _builtin_operad(args.builtin)
         else:
-            with open(args.fixture, encoding="utf-8") as handle:
-                operad = parsing.parse_fixture(handle.read())
+            operad = parsing.parse_fixture(_read_file(args.fixture))
         report = operads.check_axioms(operad, cap=args.cap, budget=operads.Budget(args.budget))
         _emit(
             {
@@ -438,16 +445,25 @@ def _run_fwrf(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     mor = parsing.parse_ff_morphism(args.morphism)
     operad = operads.strict_operad()
-    if args.algebra == "boolean":
-        algebra = operads.boolean_rig_algebra()
-        bits = tuple(int(chunk) for chunk in args.inputs.split(",") if chunk != "")
-    else:
-        algebra = operads.one_point_algebra()
-        bits = tuple(chunk for chunk in args.inputs.split(",") if chunk != "")
+    algebra = (
+        operads.boolean_rig_algebra()
+        if args.algebra == "boolean"
+        else operads.one_point_algebra()
+    )
+    by_name = {str(x): x for x in algebra.carrier}
+    inputs = []
+    for chunk in args.inputs.split(","):
+        chunk = chunk.strip()
+        if chunk and chunk not in by_name:
+            raise RingopsError(
+                f"input {chunk!r} is not in the carrier {{{', '.join(by_name)}}}"
+            )
+        if chunk:
+            inputs.append(by_name[chunk])
     elements = {
         coord: operads.StrictRingOperad.POINT for coord in mor.coordinates()
     }
-    outputs = wreath.nu_evaluate(operad, algebra, mor, elements, bits)
+    outputs = wreath.nu_evaluate(operad, algebra, mor, elements, tuple(inputs))
     rendered = ",".join(str(v) for v in outputs)
     _emit({"outputs": list(outputs)}, args.json, [rendered])
     return EXIT_OK

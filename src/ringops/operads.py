@@ -5,6 +5,13 @@ validated index-category morphisms, carries a unit in the component of x1,
 and composes along polynomial composition.  The checkers instantiate the
 defining diagrams exhaustively within an arity cap, counting instances and
 aborting at a configurable budget.
+
+Every check is a section: a generator that yields one verdict per instance,
+None when the instance holds and a violation message when it does not.
+`_run` owns the loop: it ticks the budget once per verdict and stops at the
+first violation; `_check_sections` runs named sections into a CheckReport.
+A section counts the instances it cannot build (a missing gamma row) in the
+report's `skipped` and yields nothing for them.
 """
 from __future__ import annotations
 
@@ -324,6 +331,35 @@ class CheckReport:
         return f"[{self.name}] {status} ({self.checked} instances, {self.skipped} skipped)"
 
 
+_Verdicts = Iterator[Union[str, None]]
+
+
+def _run(instances: _Verdicts, budget: Budget) -> tuple[int, Union[str, None]]:
+    """Tick the budget once per verdict; stop at the first violation."""
+    count = 0
+    for verdict in instances:
+        budget.tick()
+        count += 1
+        if verdict is not None:
+            return count, verdict
+    return count, None
+
+
+def _check_sections(
+    report: CheckReport, budget: Budget, sections: Sequence[tuple[str, _Verdicts]]
+) -> CheckReport:
+    """Run the named sections in order; the first violation ends the report."""
+    for section, instances in sections:
+        count, violation = _run(instances, budget)
+        report.checked += count
+        if violation is not None:
+            report.ok = False
+            report.failure = f"{section}: {violation}"
+            break
+        report.sections[section] = count
+    return report
+
+
 def check_axioms(
     operad: DiscreteRingOperad, cap: int = 2, budget: Union[Budget, None] = None
 ) -> CheckReport:
@@ -334,38 +370,16 @@ def check_axioms(
     the first violation, or success with instance counts.
     """
     _check_cap(cap)
-    budget = budget or Budget()
     report = CheckReport(f"axioms:{operad.name}@cap{cap}", True, 0, 0, None)
-
-    def fail(section: str, message: str) -> CheckReport:
-        report.ok = False
-        report.failure = f"{section}: {message}"
-        return report
-
-    def run(section: str, gen: Callable[[], Iterator[Union[str, None]]]):
-        count = 0
-        for violation in gen():
-            budget.tick()
-            count += 1
-            report.checked += 1
-            if violation is not None:
-                return violation
-        report.sections[section] = count
-        return None
-
-    for section, gen in (
-        ("zero-components", lambda: _check_zero_components(operad, cap)),
-        ("functoriality", lambda: _check_functoriality(operad, cap)),
-        ("units", lambda: _check_units(operad, cap, report)),
-        ("associativity", lambda: _check_associativity(operad, cap, report)),
-        ("equivariance-collapse", lambda: _check_equivariance_collapse(operad, cap, report)),
-        ("equivariance-singular", lambda: _check_equivariance_singular(operad, cap, report)),
-        ("equivariance-arguments", lambda: _check_equivariance_arguments(operad, cap, report)),
-    ):
-        violation = run(section, gen)
-        if violation is not None:
-            return fail(section, violation)
-    return report
+    return _check_sections(report, budget or Budget(), (
+        ("zero-components", _check_zero_components(operad, cap)),
+        ("functoriality", _check_functoriality(operad, cap)),
+        ("units", _check_units(operad, cap, report)),
+        ("associativity", _check_associativity(operad, cap, report)),
+        ("equivariance-collapse", _check_outer_equivariance(operad, cap, report, 0)),
+        ("equivariance-singular", _check_outer_equivariance(operad, cap, report, E)),
+        ("equivariance-arguments", _check_equivariance_arguments(operad, cap, report)),
+    ))
 
 
 def _check_zero_components(operad, cap):
@@ -425,6 +439,18 @@ def _check_units(operad, cap, report):
                 yield None if left == elt else f"gamma(unit; c) != c at {elt!r} over {g}"
 
 
+def _composites(operad, g, fs, pool, report):
+    """Each (g_elt, f_elts, gamma) over g and fs; missing gamma rows are skipped."""
+    for g_elt in pool(g):
+        for f_elts in itertools.product(*(pool(f) for f in fs)):
+            try:
+                composed = operad.gamma(g, g_elt, list(zip(fs, f_elts)))
+            except GammaUndefined:
+                report.skipped += 1
+                continue
+            yield g_elt, f_elts, composed
+
+
 def _check_associativity(operad, cap, report):
     component_cache: dict[RPoly, tuple] = {}
 
@@ -438,16 +464,7 @@ def _check_associativity(operad, cap, report):
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
-        f_pools = [pool(f) for f in fs]
-        tops = []
-        for g_elt in pool(g):
-            for f_elts in itertools.product(*f_pools):
-                try:
-                    top = operad.gamma(g, g_elt, list(zip(fs, f_elts)))
-                except GammaUndefined:
-                    report.skipped += 1
-                    continue
-                tops.append((g_elt, f_elts, top))
+        tops = list(_composites(operad, g, fs, pool, report))
         for hs in _poly_tuples(total, cap):
             inner_targets = [
                 compose(fs[s], hs[a:b]) if b > a else fs[s]
@@ -488,27 +505,38 @@ def _morphisms_within(cap):
             yield mor
 
 
-def _check_equivariance_collapse(operad, cap, report):
-    """Outer action by a map with no collapse onto e; zero slots take 0_0."""
-    zero0 = zero_poly(0)
+# Per basepoint of the extended index set: the message words, which outer
+# maps psi the diagram covers, the filler of a slot sent to the basepoint,
+# and the map re-indexing the slot composite onto the target composite.
+_OUTER_DIAGRAMS = {
+    0: (
+        "collapse", "collation", lambda psi: E not in psi.images,
+        zero_poly(0), lambda operad: operad.zero_element(0), argument_collation,
+    ),
+    E: (
+        "singular", "tilde", lambda psi: psi.is_singular and 0 not in psi.images,
+        unit_poly(), lambda operad: operad.unit_element(), psi_tilde,
+    ),
+}
+
+
+def _check_outer_equivariance(operad, cap, report, basepoint):
+    """Outer action by psi; slots psi sends to the basepoint take its filler."""
+    name, map_name, covers, filler_poly, filler, reindex = _OUTER_DIAGRAMS[basepoint]
+    filler_arg = (filler_poly, filler(operad))
     for mor in _morphisms_within(cap):
         psi = mor.map
-        if any(v == E for v in psi.images):
+        if not covers(psi):
             continue
-        n = mor.target.arity
-        for fs in _poly_tuples(n, cap):
-            widths = [f.arity for f in fs]
-            slot_polys = [
-                zero0 if psi(t) == 0 else fs[psi(t) - 1]
-                for t in range(1, mor.source.arity + 1)
-            ]
+        for fs in _poly_tuples(mor.target.arity, cap):
+            slot_polys = [filler_poly if v == basepoint else fs[v - 1] for v in psi.images]
             if sum(p.arity for p in slot_polys) > cap:
                 continue
-            chi = argument_collation(psi, widths)
+            chi = reindex(psi, [f.arity for f in fs])
             source_comp = compose(mor.source, slot_polys)
             target_comp = compose(mor.target, fs)
             if not is_morphism(source_comp, chi, target_comp):
-                yield f"collation map invalid for {psi} with args {[str(f) for f in fs]}"
+                yield f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}"
                 continue
             chi_mor = validate(source_comp, chi, target_comp)
             pools = [operad.component(f) for f in fs]
@@ -516,76 +544,19 @@ def _check_equivariance_collapse(operad, cap, report):
                 moved = operad.act(mor, c)
                 for xs in itertools.product(*pools):
                     slot_args = [
-                        (zero0, operad.zero_element(0))
-                        if psi(t) == 0
-                        else (fs[psi(t) - 1], xs[psi(t) - 1])
-                        for t in range(1, mor.source.arity + 1)
+                        filler_arg if v == basepoint else (fs[v - 1], xs[v - 1])
+                        for v in psi.images
                     ]
                     try:
                         lhs = operad.gamma(mor.target, moved, list(zip(fs, xs)))
-                        rhs = operad.act(
-                            chi_mor, operad.gamma(mor.source, c, slot_args)
-                        )
+                        rhs = operad.act(chi_mor, operad.gamma(mor.source, c, slot_args))
                     except GammaUndefined:
                         report.skipped += 1
                         continue
-                    if lhs != rhs:
-                        yield (
-                            f"collapse equivariance fails for {psi} on {mor.source} "
-                            f"with args {[str(f) for f in fs]} at {c!r}, {xs!r}"
-                        )
-                    else:
-                        yield None
-
-
-def _check_equivariance_singular(operad, cap, report):
-    """Outer action by a singular map collapsing onto e; e slots take the unit."""
-    unit = unit_poly()
-    for mor in _morphisms_within(cap):
-        psi = mor.map
-        if not psi.is_singular or any(v == 0 for v in psi.images):
-            continue
-        n = mor.target.arity
-        for fs in _poly_tuples(n, cap):
-            widths = [f.arity for f in fs]
-            slot_polys = [
-                unit if psi(t) == E else fs[psi(t) - 1]
-                for t in range(1, mor.source.arity + 1)
-            ]
-            if sum(p.arity for p in slot_polys) > cap:
-                continue
-            tilde = psi_tilde(psi, widths)
-            source_comp = compose(mor.source, slot_polys)
-            target_comp = compose(mor.target, fs)
-            if not is_morphism(source_comp, tilde, target_comp):
-                yield f"tilde map invalid for {psi} with args {[str(f) for f in fs]}"
-                continue
-            tilde_mor = validate(source_comp, tilde, target_comp)
-            pools = [operad.component(f) for f in fs]
-            for c in operad.component(mor.source):
-                moved = operad.act(mor, c)
-                for xs in itertools.product(*pools):
-                    slot_args = [
-                        (unit, operad.unit_element())
-                        if psi(t) == E
-                        else (fs[psi(t) - 1], xs[psi(t) - 1])
-                        for t in range(1, mor.source.arity + 1)
-                    ]
-                    try:
-                        lhs = operad.gamma(mor.target, moved, list(zip(fs, xs)))
-                        rhs = operad.act(
-                            tilde_mor, operad.gamma(mor.source, c, slot_args)
-                        )
-                    except GammaUndefined:
-                        report.skipped += 1
-                        continue
-                    if lhs != rhs:
-                        yield (
-                            f"singular equivariance fails for {psi} on {mor.source} "
-                            f"with args {[str(f) for f in fs]} at {c!r}, {xs!r}"
-                        )
-                    else:
-                        yield None
+                    yield None if lhs == rhs else (
+                        f"{name} equivariance fails for {psi} on {mor.source} "
+                        f"with args {[str(f) for f in fs]} at {c!r}, {xs!r}"
+                    )
 
 
 def _check_equivariance_arguments(operad, cap, report):
@@ -685,27 +656,27 @@ def check_einfty_set(
     conditions: dict[int, tuple[str, str]] = {
         1: ("not-applicable", "contractibility is out of scope at the set level")
     }
-    conditions[2] = _einfty_condition2(operad, cap, budget)
-    conditions[3] = _einfty_condition3(operad, cap, budget)
-    conditions[4] = _einfty_condition4(operad, cap, budget)
-    conditions[5] = _einfty_condition5(operad, cap, budget)
+    for num, condition in (
+        (2, _einfty_condition2),
+        (3, _einfty_condition3),
+        (4, _einfty_condition4),
+        (5, _einfty_condition5),
+    ):
+        _, violation = _run(condition(operad, cap), budget)
+        conditions[num] = ("pass", "") if violation is None else ("fail", violation)
     return EinftyReport(operad.name, cap, conditions)
 
 
-def _einfty_condition2(operad, cap, budget):
+def _einfty_condition2(operad, cap):
     for mor in _all_morphisms(cap):
         if not mor.map.is_injective_setmap:
             continue
-        budget.tick()
         source = operad.component(mor.source)
-        images = [operad.act(mor, elt) for elt in source]
-        target = operad.component(mor.target)
-        if len(set(images)) != len(source) or set(images) != set(target):
-            return (
-                "fail",
-                f"action along {mor.map} from {mor.source} is not a bijection",
-            )
-    return ("pass", "")
+        images = {operad.act(mor, elt) for elt in source}
+        target = set(operad.component(mor.target))
+        yield None if len(images) == len(source) and images == target else (
+            f"action along {mor.map} from {mor.source} is not a bijection"
+        )
 
 
 def _nondegenerate_objects(cap):
@@ -714,7 +685,7 @@ def _nondegenerate_objects(cap):
     ]
 
 
-def _einfty_condition3(operad, cap, budget):
+def _einfty_condition3(operad, cap):
     objects = _nondegenerate_objects(cap)
     for g in objects:
         arrows: list[tuple[RPoly, RMorphism]] = []
@@ -724,16 +695,13 @@ def _einfty_condition3(operad, cap, budget):
         for (f1, m1), (f2, m2) in itertools.product(arrows, repeat=2):
             for a1 in operad.component(f1):
                 for a2 in operad.component(f2):
-                    budget.tick()
-                    if operad.act(m1, a1) != operad.act(m2, a2):
-                        continue
-                    if not _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
-                        return (
-                            "fail",
-                            f"no non-degenerate cover for {a1!r} over {f1} and "
-                            f"{a2!r} over {f2} coinciding in {g}",
-                        )
-    return ("pass", "")
+                    coincide = operad.act(m1, a1) == operad.act(m2, a2)
+                    yield None if not coincide or _has_common_cover(
+                        operad, f1, a1, m1, f2, a2, m2
+                    ) else (
+                        f"no non-degenerate cover for {a1!r} over {f1} and "
+                        f"{a2!r} over {f2} coinciding in {g}"
+                    )
 
 
 def _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
@@ -760,7 +728,7 @@ def _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
     return False
 
 
-def _einfty_condition4(operad, cap, budget):
+def _einfty_condition4(operad, cap):
     objects = _nondegenerate_objects(cap)
     for f in objects:
         for n in range(cap + 1):
@@ -768,30 +736,22 @@ def _einfty_condition4(operad, cap, budget):
                 homs = enumerate_hom(f, g, "effective")
                 for m1, m2 in itertools.combinations(homs, 2):
                     for alpha in operad.component(f):
-                        budget.tick()
-                        if operad.act(m1, alpha) == operad.act(m2, alpha):
-                            return (
-                                "fail",
-                                f"distinct effective maps {m1.map} and {m2.map} from "
-                                f"{f} to {g} agree on {alpha!r}",
-                            )
-    return ("pass", "")
+                        yield None if operad.act(m1, alpha) != operad.act(m2, alpha) else (
+                            f"distinct effective maps {m1.map} and {m2.map} from "
+                            f"{f} to {g} agree on {alpha!r}"
+                        )
 
 
-def _einfty_condition5(operad, cap, budget):
+def _einfty_condition5(operad, cap):
     objects = _nondegenerate_objects(cap)
     for f in objects:
         for g in objects:
             for mor in enumerate_hom(f, g, "nondegenerate"):
-                budget.tick()
                 elts = operad.component(f)
-                images = [operad.act(mor, elt) for elt in elts]
-                if len(set(images)) != len(elts):
-                    return (
-                        "fail",
-                        f"action along {mor.map} from {f} to {g} is not injective",
-                    )
-    return ("pass", "")
+                images = {operad.act(mor, elt) for elt in elts}
+                yield None if len(images) == len(elts) else (
+                    f"action along {mor.map} from {f} to {g} is not injective"
+                )
 
 
 def compute_L(
@@ -871,68 +831,50 @@ def validate_algebra(
 ) -> CheckReport:
     """Exhaustively check the algebra diagrams within the arity cap."""
     _check_cap(cap)
-    budget = budget or Budget()
     report = CheckReport(f"algebra over {operad.name}@cap{cap}", True, 0, 0, None)
+    return _check_sections(report, budget or Budget(), (
+        ("unit", _algebra_unit(operad, algebra)),
+        ("associativity", _algebra_associativity(operad, algebra, cap, report)),
+        ("equivariance", _algebra_equivariance(operad, algebra, cap)),
+    ))
 
-    def fail(section, message):
-        report.ok = False
-        report.failure = f"{section}: {message}"
-        return report
 
+def _algebra_unit(operad, algebra):
     unit = unit_poly()
     eta = operad.unit_element()
     for x in algebra.carrier:
-        budget.tick()
-        report.checked += 1
-        if algebra.theta(unit, eta, (x,)) != x:
-            return fail("unit", f"theta(unit)({x!r}) != {x!r}")
+        got = algebra.theta(unit, eta, (x,))
+        yield None if got == x else f"theta(unit)({x!r}) != {x!r}"
 
+
+def _algebra_associativity(operad, algebra, cap, report):
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
-        for g_elt in operad.component(g):
-            pools = [operad.component(f) for f in fs]
-            for f_elts in itertools.product(*pools):
-                try:
-                    composed = operad.gamma(g, g_elt, list(zip(fs, f_elts)))
-                except GammaUndefined:
-                    report.skipped += 1
-                    continue
-                for xs in itertools.product(algebra.carrier, repeat=total):
-                    budget.tick()
-                    report.checked += 1
-                    lhs = algebra.theta(composite, composed, xs)
-                    inner = tuple(
-                        algebra.theta(fs[s], f_elts[s], xs[a:b])
-                        for s, (a, b) in enumerate(blocks)
-                    )
-                    rhs = algebra.theta(g, g_elt, inner)
-                    if lhs != rhs:
-                        return fail(
-                            "associativity",
-                            f"g={g}, args={[str(f) for f in fs]}, xs={xs!r}: "
-                            f"{lhs!r} != {rhs!r}",
-                        )
+        for g_elt, f_elts, composed in _composites(operad, g, fs, operad.component, report):
+            for xs in itertools.product(algebra.carrier, repeat=total):
+                lhs = algebra.theta(composite, composed, xs)
+                inner = tuple(
+                    algebra.theta(fs[s], f_elts[s], xs[a:b])
+                    for s, (a, b) in enumerate(blocks)
+                )
+                rhs = algebra.theta(g, g_elt, inner)
+                yield None if lhs == rhs else (
+                    f"g={g}, args={[str(f) for f in fs]}, xs={xs!r}: {lhs!r} != {rhs!r}"
+                )
 
+
+def _algebra_equivariance(operad, algebra, cap):
+    fillers = {0: algebra.zero, E: algebra.e}
     for mor in _all_morphisms(cap):
         for c in operad.component(mor.source):
             moved = operad.act(mor, c)
             for xs in itertools.product(algebra.carrier, repeat=mor.target.arity):
-                budget.tick()
-                report.checked += 1
                 pulled = tuple(
-                    algebra.zero
-                    if mor.map(t) == 0
-                    else algebra.e
-                    if mor.map(t) == E
-                    else xs[mor.map(t) - 1]
-                    for t in range(1, mor.source.arity + 1)
+                    fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images
                 )
                 lhs = algebra.theta(mor.target, moved, xs)
                 rhs = algebra.theta(mor.source, c, pulled)
-                if lhs != rhs:
-                    return fail(
-                        "equivariance",
-                        f"map {mor.map} from {mor.source}: {lhs!r} != {rhs!r}",
-                    )
-    return report
+                yield None if lhs == rhs else (
+                    f"map {mor.map} from {mor.source}: {lhs!r} != {rhs!r}"
+                )

@@ -19,9 +19,12 @@ from .wreath import FFMorphism, FFObject
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """Reads text from pos on; positions index the whole text, so a piece
+    text[start:end] is read as _Scanner(text[:end], start)."""
+
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -70,7 +73,10 @@ class _Scanner:
 
 
 def parse_poly(text: str) -> RPoly:
-    scanner = _Scanner(text)
+    return _parse_poly(_Scanner(text))
+
+
+def _parse_poly(scanner: _Scanner) -> RPoly:
     scanner.expect("R")
     scanner.expect("(")
     arity = scanner.integer()
@@ -114,7 +120,10 @@ def print_poly(f: RPoly) -> str:
 
 
 def parse_map(text: str, source_size: int, target_size: int) -> ExtMap:
-    scanner = _Scanner(text)
+    return _parse_map(_Scanner(text), source_size, target_size)
+
+
+def _parse_map(scanner: _Scanner, source_size: int, target_size: int) -> ExtMap:
     scanner.expect("{")
     entries: dict[int, int] = {}
     if not scanner.try_take("}"):
@@ -135,7 +144,7 @@ def parse_map(text: str, source_size: int, target_size: int) -> ExtMap:
         raise ParseFailure("unexpected trailing input", scanner.pos)
     if sorted(entries) != list(range(1, source_size + 1)):
         raise ParseFailure(
-            f"map must define exactly the keys 1..{source_size}", 0
+            f"map must define exactly the keys 1..{source_size}", scanner.pos
         )
     return ExtMap(source_size, target_size, tuple(entries[i] for i in range(1, source_size + 1)))
 
@@ -147,11 +156,10 @@ def print_map(phi: ExtMap) -> str:
 def parse_morphism(text: str) -> RMorphism:
     if text.count("|") < 2:
         raise ParseFailure("expected '<poly> |<map>| <poly>'", len(text))
-    left, rest = text.split("|", 1)
-    middle, right = rest.rsplit("|", 1)
-    source = parse_poly(left.strip())
-    target = parse_poly(right.strip())
-    phi = parse_map(middle.strip(), source.arity, target.arity)
+    first, last = text.index("|"), text.rindex("|")
+    source = _parse_poly(_Scanner(text[:first]))
+    target = _parse_poly(_Scanner(text, last + 1))
+    phi = _parse_map(_Scanner(text[:last], first + 1), source.arity, target.arity)
     return validate(source, phi, target)
 
 
@@ -210,11 +218,7 @@ def print_term(term: Term) -> str:
 
 
 def parse_ff_object(text: str) -> FFObject:
-    scanner = _Scanner(text)
-    obj = _parse_ff_object(scanner)
-    if not scanner.done():
-        raise ParseFailure("unexpected trailing input", scanner.pos)
-    return obj
+    return _parse_ff_object(_Scanner(text))
 
 
 def _parse_ff_object(scanner: _Scanner) -> FFObject:
@@ -232,6 +236,8 @@ def _parse_ff_object(scanner: _Scanner) -> FFObject:
     scanner.expect(")")
     if len(sizes) != n:
         raise ParseFailure(f"declared length {n} but {len(sizes)} sizes", scanner.pos)
+    if not scanner.done():
+        raise ParseFailure("unexpected trailing input", scanner.pos)
     return FFObject(tuple(sizes))
 
 
@@ -240,41 +246,48 @@ def print_ff_object(obj: FFObject) -> str:
 
 
 def parse_ff_morphism(text: str) -> FFMorphism:
-    pieces = [piece.strip() for piece in text.split(";")]
-    if len(pieces) < 2:
-        raise ParseFailure("expected 'source -> target; phi=...; d1=...'", 0)
-    header = pieces[0]
-    if "->" not in header:
-        raise ParseFailure("expected 'source -> target' header", 0)
-    left, right = header.split("->", 1)
-    source = parse_ff_object(left.strip())
-    target = parse_ff_object(right.strip())
+    bounds = []  # (start, end) of each ';'-separated piece
+    for piece in text.split(";"):
+        start = bounds[-1][1] + 1 if bounds else 0
+        bounds.append((start, start + len(piece)))
+    if len(bounds) < 2:
+        raise ParseFailure("expected 'source -> target; phi=...; d1=...'", len(text))
+    header_start, header_end = bounds[0]
+    arrow = text.find("->", header_start, header_end)
+    if arrow < 0:
+        raise ParseFailure("expected 'source -> target' header", header_end)
+    source = _parse_ff_object(_Scanner(text[:arrow], header_start))
+    target = _parse_ff_object(_Scanner(text[:header_end], arrow + 2))
     phi: Union[tuple[int, ...], None] = None
     ds: dict[int, dict[tuple[int, ...], int]] = {}
-    for piece in pieces[1:]:
-        if not piece:
+    d_starts: dict[int, int] = {}
+    for start, end in bounds[1:]:
+        piece = text[start:end]
+        if not piece.strip():
             continue
-        key, _, body = piece.partition("=")
+        key, _, _ = piece.partition("=")
+        body = _Scanner(text[:end], min(start + len(key) + 1, end))
+        start += len(key) - len(key.lstrip())
         key = key.strip()
-        body = body.strip()
         if key == "phi":
             mapping = _parse_int_map(body, source.n)
             phi = tuple(mapping[i] for i in range(1, source.n + 1))
         elif key.startswith("d") and key[1:].isdigit():
             ds[int(key[1:])] = _parse_tuple_map(body)
+            d_starts[int(key[1:])] = start
         else:
-            raise ParseFailure(f"unknown section {key!r}", text.find(piece))
+            raise ParseFailure(f"unknown section {key!r}", start)
     if phi is None:
-        raise ParseFailure("missing phi section", 0)
+        raise ParseFailure("missing phi section", len(text))
     if sorted(ds) != list(range(1, target.n + 1)):
+        extra = [d_starts[j] for j in sorted(ds) if not 1 <= j <= target.n]
         raise ParseFailure(
-            f"expected component maps d1..d{target.n}", 0
+            f"expected component maps d1..d{target.n}", extra[0] if extra else len(text)
         )
     return FFMorphism.make(source, target, phi, [ds[j] for j in sorted(ds)])
 
 
-def _parse_int_map(text: str, size: int) -> dict[int, int]:
-    scanner = _Scanner(text)
+def _parse_int_map(scanner: _Scanner, size: int) -> dict[int, int]:
     scanner.expect("{")
     entries: dict[int, int] = {}
     if not scanner.try_take("}"):
@@ -286,12 +299,11 @@ def _parse_int_map(text: str, size: int) -> dict[int, int]:
                 break
             scanner.expect(",")
     if sorted(entries) != list(range(1, size + 1)):
-        raise ParseFailure(f"phi must define exactly the keys 1..{size}", 0)
+        raise ParseFailure(f"phi must define exactly the keys 1..{size}", scanner.pos)
     return entries
 
 
-def _parse_tuple_map(text: str) -> dict[tuple[int, ...], int]:
-    scanner = _Scanner(text)
+def _parse_tuple_map(scanner: _Scanner) -> dict[tuple[int, ...], int]:
     scanner.expect("{")
     rows: dict[tuple[int, ...], int] = {}
     if not scanner.try_take("}"):
@@ -392,7 +404,7 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
                     (mor.source, mor.map.images, mor.target, source_elt.strip())
                 ] = target_elt.strip()
             else:
-                raise FixtureError(f"unrecognized row: {line!r}")
+                raise FixtureError(f"line {lineno}: unrecognized row: {line!r}")
         except ParseFailure as err:
             raise FixtureError(f"line {lineno}: {err}") from err
     if unit is None:

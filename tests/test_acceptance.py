@@ -277,6 +277,26 @@ def test_criterion_09_einfty_pattern():
     assert strict.act(ident, alpha) == strict.act(swap, alpha)
 
 
+AXIOM_SECTIONS = (
+    "zero-components",
+    "functoriality",
+    "units",
+    "associativity",
+    "equivariance-collapse",
+    "equivariance-singular",
+    "equivariance-arguments",
+)
+
+# Per-section instance counts of check_axioms at cap 2 (the ROADMAP fingerprint).
+CAP2_FINGERPRINT = {
+    "strict": (3, 2650, 21, 4806, 1969, 240, 5120),
+    "sset": (3, 12422, 131, 1139621, 73524, 8661, 163422),
+    "pset": (3, 8406, 83, 291773, 29652, 3501, 69414),
+    "rcg-terminal": (3, 2650, 21, 4806, 1969, 240, 5120),
+    "rcg-sigma": (3, 3650, 29, 12674, 3705, 450, 9948),
+}
+
+
 @criterion(10, "axiom suite passes for all five operads at cap 2")
 def test_criterion_10_axiom_suite():
     operads = [
@@ -286,9 +306,11 @@ def test_criterion_10_axiom_suite():
         build_RCG(terminal_pair(), name="rcg-terminal"),
         build_RCG(terminal_sigma_pair(), name="rcg-sigma"),
     ]
-    for operad in operads:
+    for operad, name in zip(operads, CAP2_FINGERPRINT):
         report = check_axioms(operad, cap=2)
         assert report.ok, (operad.name, report.failure)
+        assert report.skipped == 0, name
+        assert report.sections == dict(zip(AXIOM_SECTIONS, CAP2_FINGERPRINT[name])), name
     # the terminal pair translation matches the strict operad componentwise
     translated = build_RCG(terminal_pair())
     strict = strict_operad()

@@ -183,6 +183,8 @@ class TestFwrfCommands:
         assert code == 2
 
 
+NU_MORPHISM = "(2:[2,1]) -> (1:[1]); phi={1->1,2->1}; d1={(1,1)->1,(2,1)->1}"
+
 BAD_PAIR_FIXTURE = """\
 [additive]
 component x = a
@@ -208,12 +210,27 @@ identity = m
         ["check", "algebra", "--cap", "-1"],
         ["term", "fiber", "--poly", "R(1): x1", "--bound", "0"],
         ["term", "connect", "--poly", "R(1): x1", "--bound", "-1"],
+        ["check", "axioms", "--fixture", "MISSING"],
+        ["check", "axioms", "--fixture", "DIR"],
+        ["check", "axioms", "--fixture", "BINARY"],
+        ["rcg", "component", "--poly", "R(1): x1", "--pair", "DIR"],
+        ["fwrf", "nu", "--morphism", NU_MORPHISM, "--inputs", "x"],
+        ["fwrf", "nu", "--morphism", NU_MORPHISM, "--inputs", "1,0,2"],
+        ["fwrf", "nu", "--morphism", NU_MORPHISM, "--algebra", "point", "--inputs", "1"],
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
     bad_pair = tmp_path / "bad_pair.fixture"
     bad_pair.write_text(BAD_PAIR_FIXTURE)
-    code = main([str(bad_pair) if arg == "BAD_PAIR" else arg for arg in argv])
+    binary = tmp_path / "binary.fixture"
+    binary.write_bytes(b"\xff\xfe\x00")
+    paths = {
+        "BAD_PAIR": bad_pair,
+        "MISSING": tmp_path / "missing.fixture",
+        "DIR": tmp_path,
+        "BINARY": binary,
+    }
+    code = main([str(paths.get(arg, arg)) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     lines = captured.err.splitlines()

@@ -1,10 +1,12 @@
 import pytest
 
 from ringops.errors import ArityCapExceeded, ArityMismatch, SearchBudgetExceeded
-from ringops.indexcat import ExtMap, enumerate_hom, validate
+from ringops.indexcat import E, ExtMap, enumerate_hom, validate
 from ringops.operads import (
     Budget,
+    CheckReport,
     DiscreteAlgebra,
+    StrictRingOperad,
     TableRingOperad,
     boolean_rig_algebra,
     check_axioms,
@@ -17,6 +19,8 @@ from ringops.operads import (
     product,
     strict_operad,
     validate_algebra,
+    _check_outer_equivariance,
+    _run,
 )
 from ringops.polynomials import enumerate_R, rpoly, unit_poly, zero_poly
 from ringops.terms import sset_operad
@@ -186,10 +190,15 @@ class TestAlgebras:
     def test_boolean_over_strict(self):
         report = validate_algebra(strict_operad(), boolean_rig_algebra(), cap=2)
         assert report.ok, report.failure
+        assert report.checked == 1269
+        assert sum(report.sections.values()) == report.checked
+        assert list(report.sections) == ["unit", "associativity", "equivariance"]
 
     def test_one_point(self):
         report = validate_algebra(strict_operad(), one_point_algebra(), cap=2)
         assert report.ok, report.failure
+        assert report.checked == 383
+        assert sum(report.sections.values()) == report.checked
 
     def test_boolean_evaluation(self):
         f = rpoly(2, [(1,), (1, 2)])
@@ -210,6 +219,42 @@ class TestAlgebras:
         report = validate_algebra(strict_operad(), bad, cap=2)
         assert not report.ok
         assert report.failure is not None
+
+
+class _BrokenFiller(StrictRingOperad):
+    """Composing with one basepoint's filler gives a stray element."""
+
+    def __init__(self, broken):
+        self.broken = broken
+
+    def zero_element(self, n):
+        return "zero"
+
+    def unit_element(self):
+        return "unit"
+
+    def act(self, mor, elt):
+        return elt
+
+    def _gamma(self, g, g_elt, args):
+        return "stray" if any(x == self.broken for _, x in args) else self.POINT
+
+
+class TestOuterEquivariance:
+    @pytest.mark.parametrize(
+        "broken, basepoint, other, prefix",
+        [
+            ("zero", 0, E, "collapse equivariance fails for"),
+            ("unit", E, 0, "singular equivariance fails for"),
+        ],
+    )
+    def test_broken_filler_fails_its_diagram_only(self, broken, basepoint, other, prefix):
+        operad = _BrokenFiller(broken)
+        report = CheckReport("broken", True, 0, 0, None)
+        _, violation = _run(_check_outer_equivariance(operad, 2, report, basepoint), Budget())
+        assert violation is not None and violation.startswith(prefix), violation
+        _, violation = _run(_check_outer_equivariance(operad, 2, report, other), Budget())
+        assert violation is None, violation
 
 
 class TestBudget:

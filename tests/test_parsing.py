@@ -194,6 +194,33 @@ class TestFixtureFormat:
         with pytest.raises(FixtureError, match="unrecognized row"):
             parse_fixture("nonsense here\n")
 
+    def test_unrecognized_row_has_its_line(self):
+        with pytest.raises(FixtureError, match="^line 3: unrecognized row: 'bogus row'$"):
+            parse_fixture("unit = e\n\nbogus row\n")
+
     def test_missing_unit_detected(self):
         with pytest.raises(FixtureError, match="unit"):
             parse_fixture("component R(0): 0 = z\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); d1={(1)->1}", 31),
+        (parse_ff_morphism, "(1:[1]) -> (2:[1,1]); phi={1->1}; d1={(1)->1}", 45),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1}; d3={(1)->1}", 45),
+        (parse_ff_morphism, "(2:[1,1]) -> (1:[2]); phi={1->1}; d1={(1)->1,(2)->2}", 32),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1-1}; d1={(1)->1}", 26),
+        (parse_ff_morphism, "(1:[1]) -> (1:[x]); phi={1->1}; d1={(1)->1}", 15),
+        (parse_ff_morphism, "(1:[1]) (1:[1]); phi={1->1}; d1={(1)->1}", 15),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]);  dx={(1)->1}", 21),
+        (lambda text: parse_map(text, 2, 1), "{1->1}", 6),
+        (parse_morphism, "R(1): x1 |{1->1}| R(1): y1", 24),
+        (parse_morphism, "R(1): x1 |{1-1}| R(1): x1", 12),
+        (parse_morphism, "R(2): x1 + x2 |{1->1}| R(1): x1", 21),
+    ],
+)
+def test_parse_failure_positions_index_the_whole_input(parse, text, position):
+    with pytest.raises(ParseFailure) as info:
+        parse(text)
+    assert info.value.position == position
