@@ -25,19 +25,17 @@ from .polynomials import (
     IntPoly,
     Monomial,
     RPoly,
+    TypeSignature,
     _block_offsets,
     _image_key,
     enumerate_R,
     gamma_of,
-    is_member as is_member_int,
     is_nondegenerate,
     is_special,
     lambda_of,
     special_of_type,
     substitute_images,
-    to_rpoly,
     type_of,
-    zero_poly,
 )
 
 E = -1  # image marker for the unit basepoint; 0 marks the zero basepoint
@@ -175,28 +173,23 @@ def _effective_maps_onto(f: RPoly, g: RPoly) -> Iterator[ExtMap]:
     """Structural enumeration of effective maps with phi_*(f) = g.
 
     An effective map must carry each source monomial bijectively onto a
-    distinct target monomial of the same size, so candidates are built from
-    size-preserving monomial matchings plus per-monomial support bijections;
-    variables outside every monomial are free over 1..|g|.
+    distinct target monomial of the same size, so f and g share a type and
+    candidates are built from size-preserving monomial matchings plus
+    per-monomial support bijections; variables outside every monomial are
+    free over 1..|g|.
     """
+    if type_of(f) != type_of(g):
+        return
     m, n = f.arity, g.arity
     src, tgt = lambda_of(f), lambda_of(g)
-    if len(src) != len(tgt):
-        return
-    if sorted(len(x.support) for x in src) != sorted(len(x.support) for x in tgt):
-        return
-    covered = sorted({i for mono in src for i in mono.support})
-    free = [i for i in range(1, m + 1) if i not in set(covered)]
+    covered = {i for mono in src for i in mono.support}
+    free = [i for i in range(1, m + 1) if i not in covered]
     seen = set()
     for matching in _size_preserving_bijections(src, tgt):
         for assignment in _support_assignments(matching):
-            base = dict(assignment)
             for extra in itertools.product(range(1, n + 1), repeat=len(free)):
-                images = list(base.items()) + list(zip(free, extra))
-                full = [0] * m
-                for i, v in images:
-                    full[i - 1] = v
-                phi = ExtMap(m, n, tuple(full))
+                full = {**assignment, **dict(zip(free, extra))}
+                phi = ExtMap(m, n, tuple(full[i] for i in range(1, m + 1)))
                 if phi.images in seen:
                     continue
                 seen.add(phi.images)
@@ -205,22 +198,12 @@ def _effective_maps_onto(f: RPoly, g: RPoly) -> Iterator[ExtMap]:
 
 
 def _size_preserving_bijections(src, tgt):
-    """All bijections src -> tgt matching support sizes."""
-    groups: dict[int, list] = {}
-    for mono in tgt:
-        groups.setdefault(len(mono.support), []).append(mono)
-    by_size: dict[int, list] = {}
-    for mono in src:
-        by_size.setdefault(len(mono.support), []).append(mono)
-    if {k: len(v) for k, v in groups.items()} != {k: len(v) for k, v in by_size.items()}:
-        return
-    sizes = sorted(groups)
-    perms_per_size = [itertools.permutations(groups[s]) for s in sizes]
-    for combo in itertools.product(*perms_per_size):
-        pairing = []
-        for size, perm in zip(sizes, combo):
-            pairing.extend(zip(by_size[size], perm))
-        yield pairing
+    """All bijections src -> tgt matching support sizes (src and tgt share a type)."""
+    sizes = sorted({len(mono.support) for mono in tgt})
+    sources = [[mono for mono in src if len(mono.support) == k] for k in sizes]
+    targets = [[mono for mono in tgt if len(mono.support) == k] for k in sizes]
+    for combo in itertools.product(*map(itertools.permutations, targets)):
+        yield [pair for group, perm in zip(sources, combo) for pair in zip(group, perm)]
 
 
 def _support_assignments(pairing):
@@ -233,13 +216,7 @@ def _support_assignments(pairing):
         source_mono, target_mono = pairing[idx]
         for perm in itertools.permutations(target_mono.support):
             trial = dict(acc)
-            ok = True
-            for i, v in zip(source_mono.support, perm):
-                if trial.get(i, v) != v:
-                    ok = False
-                    break
-                trial[i] = v
-            if ok:
+            if all(trial.setdefault(i, v) == v for i, v in zip(source_mono.support, perm)):
                 yield from extend(idx + 1, trial)
 
     yield from extend(0, {})
@@ -290,24 +267,31 @@ def automorphisms(f: RPoly) -> list[RMorphism]:
 # Canonical decomposition and equivariance constructions
 
 
+def _split(phi: ExtMap, labels: Sequence[int]) -> tuple[ExtMap, ExtMap]:
+    """The singular map with these labels and the map phi reads on its image.
+
+    labels[i-1] is 0 or e for a position sigma sends there and 1 for a kept
+    position; sigma numbers the kept positions in order, and p sends the t-th
+    kept position where phi sends it.
+    """
+    kept = [i for i, label in enumerate(labels, start=1) if label == 1]
+    rank = {i: t for t, i in enumerate(kept, start=1)}
+    sigma = ExtMap(
+        phi.source_size,
+        len(kept),
+        tuple(rank.get(i, label) for i, label in enumerate(labels, start=1)),
+    )
+    p = ExtMap(len(kept), phi.target_size, tuple(phi(i) for i in kept))
+    return sigma, p
+
+
 def canonical_decompose(phi: ExtMap) -> tuple[ExtMap, ExtMap]:
     """The unique factorization phi = p o sigma, sigma singular, p effective.
 
     sigma collapses exactly the 0- and e-preimages of phi and renumbers the
     remaining positions in order; p is then forced on the image positions.
     """
-    m = phi.source_size
-    kept = [i for i in range(1, m + 1) if phi(i) not in (0, E)]
-    k = len(kept)
-    sigma_images = []
-    rank = {i: t for t, i in enumerate(kept, start=1)}
-    for i in range(1, m + 1):
-        v = phi(i)
-        sigma_images.append(v if v in (0, E) else rank[i])
-    p_images = tuple(phi(i) for i in kept)
-    sigma = ExtMap(m, k, tuple(sigma_images))
-    p = ExtMap(k, phi.target_size, p_images)
-    return sigma, p
+    return _split(phi, [v if v in (0, E) else 1 for v in phi.images])
 
 
 def all_factorizations(phi: ExtMap) -> list[tuple[ExtMap, ExtMap]]:
@@ -316,30 +300,10 @@ def all_factorizations(phi: ExtMap) -> list[tuple[ExtMap, ExtMap]]:
     A singular map out of m is determined by its 0-set and e-set, so the
     search space is 3^m; p is then forced by surjectivity of sigma.
     """
-    m, n = phi.source_size, phi.target_size
     found = []
-    positions = list(range(1, m + 1))
-    for labels in itertools.product((0, E, 1), repeat=m):
-        kept = [i for i, lab in zip(positions, labels) if lab == 1]
-        k = len(kept)
-        rank = {i: t for t, i in enumerate(kept, start=1)}
-        sigma = ExtMap(
-            m, k, tuple(lab if lab != 1 else rank[i] for i, lab in zip(positions, labels))
-        )
-        p_images = []
-        ok = True
-        for i in kept:
-            v = phi(i)
-            if v in (0, E):
-                ok = False
-                break
-            p_images.append(v)
-        if not ok:
-            continue
-        p = ExtMap(k, n, tuple(p_images))
-        if not p.is_effective:
-            continue
-        if p.compose(sigma) == phi:
+    for labels in itertools.product((0, E, 1), repeat=phi.source_size):
+        sigma, p = _split(phi, labels)
+        if p.is_effective and p.compose(sigma) == phi:
             found.append((sigma, p))
     return found
 
@@ -454,11 +418,9 @@ def special_rep_morphism(f: RPoly) -> RMorphism:
     """The block-assignment morphism from the special of f's type onto f.
 
     Monomials are listed by size with lambda-order breaking ties; block j of
-    the special is sent onto the ordered support of the j-th monomial.
+    the special is sent onto the ordered support of the j-th monomial.  For
+    0_n the special is 0_0 and the map is empty.
     """
-    if f.is_zero:
-        phi = ExtMap(0, f.arity, ())
-        return validate(zero_poly(0), phi, f)
     listed = sorted(lambda_of(f), key=lambda m: (len(m.support), m.exponents()))
     source = special_of_type(type_of(f))
     images = []
@@ -471,67 +433,36 @@ def special_rep_morphism(f: RPoly) -> RMorphism:
 def connected_components(n: int) -> list[frozenset[RPoly]]:
     """Partition of R(n) by zig-zag connectivity in the effective subcategory.
 
-    Edges come from the effective hom relation among R(n) objects plus the
-    special representative morphisms (which may pass through higher arities),
-    then union-find merges the blocks.
+    The components are exactly the type classes.  An effective morphism
+    sends the monomials of its source bijectively, with their sizes, onto
+    those of its target, so every zig-zag stays inside one type; and
+    `special_rep_morphism` joins each f to the special of its type, so one
+    type is one component.  Blocks are listed in order of their first member
+    in `enumerate_R(n)`.
     """
     if n > 3:
         raise ArityCapExceeded("connected_components capped at n = 3")
-    objects = enumerate_R(n)
-    parent: dict[RPoly, RPoly] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    specials = {}
-    for f in objects:
-        parent[f] = f
-        specials[f] = special_of_type(type_of(f)) if not f.is_zero else zero_poly(0)
-    for g in set(specials.values()):
-        parent.setdefault(g, g)
-    for images in itertools.product(range(1, n + 1), repeat=n):
-        phi = ExtMap(n, n, images)
-        for f in objects:
-            image = substitute(phi, f)
-            if not is_member_int(image):
-                continue
-            union(f, to_rpoly(image))
-    for f in objects:
-        union(specials[f], f)
-    blocks: dict[RPoly, set[RPoly]] = {}
-    for f in objects:
-        blocks.setdefault(find(f), set()).add(f)
+    blocks: dict[TypeSignature, set[RPoly]] = {}
+    for f in enumerate_R(n):
+        blocks.setdefault(type_of(f), set()).add(f)
     return [frozenset(block) for block in blocks.values()]
 
 
 def component_objects(f: RPoly, arity: int) -> list[RPoly]:
     """Non-degenerate objects of f's connected component with the given arity.
 
-    Membership is decided by the existence of an effective (hence surjective)
-    morphism from the special representative, which bounds arities by |special|.
+    The component of f is its type class (see `connected_components`), so
+    these are the non-degenerate g of that arity with f's type;
+    `special_rep_morphism(g)` is the effective morphism from the special
+    onto each of them.  Such a morphism is surjective on variables, which
+    bounds arities by |special|.
     """
-    special = special_of_type(type_of(f)) if not f.is_zero else zero_poly(0)
-    if arity > special.arity:
+    sig = type_of(f)
+    if arity > sum(sig.sizes):
         return []
     if arity > 4:
         raise ArityCapExceeded("component enumeration needs enumerate_R at this arity")
-    out = []
-    for g in enumerate_R(arity):
-        if not is_nondegenerate(g):
-            continue
-        if type_of(g) != type_of(special):
-            continue
-        if has_effective_hom(special, g):
-            out.append(g)
-    return out
+    return [g for g in enumerate_R(arity) if is_nondegenerate(g) and type_of(g) == sig]
 
 
 def filtration(f: RPoly, level: int) -> frozenset[RPoly]:

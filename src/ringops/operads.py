@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence, Union
 from .errors import (
     ArityCapExceeded,
     ArityMismatch,
+    NotAMorphism,
     PreconditionViolation,
     RingopsError,
     SearchBudgetExceeded,
@@ -36,7 +37,6 @@ from .indexcat import (
     block_sum,
     component_objects,
     enumerate_hom,
-    is_morphism,
     psi_tilde,
     special_of_type,
     substitute,
@@ -535,10 +535,11 @@ def _check_outer_equivariance(operad, cap, report, basepoint):
             chi = reindex(psi, [f.arity for f in fs])
             source_comp = compose(mor.source, slot_polys)
             target_comp = compose(mor.target, fs)
-            if not is_morphism(source_comp, chi, target_comp):
+            try:
+                chi_mor = validate(source_comp, chi, target_comp)
+            except (NotAMorphism, ArityMismatch):
                 yield f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}"
                 continue
-            chi_mor = validate(source_comp, chi, target_comp)
             pools = [operad.component(f) for f in fs]
             for c in operad.component(mor.source):
                 moved = operad.act(mor, c)
@@ -579,13 +580,14 @@ def _check_equivariance_arguments(operad, cap, report):
                         bsum = block_sum([m.map for m in mors])
                         comp_f = compose(g, fs)
                         comp_h = compose(g, hs)
-                        if not is_morphism(comp_f, bsum, comp_h):
+                        try:
+                            bmor = validate(comp_f, bsum, comp_h)
+                        except (NotAMorphism, ArityMismatch):
                             yield (
                                 f"block sum of {[str(m.map) for m in mors]} is not a "
                                 f"morphism {comp_f} -> {comp_h}"
                             )
                             continue
-                        bmor = validate(comp_f, bsum, comp_h)
                         elt_pools = [operad.component(f) for f in fs]
                         for c in operad.component(g):
                             for xs in itertools.product(*elt_pools):

@@ -17,6 +17,10 @@ from .polynomials import RPoly, TypeSignature, canon_str, rpoly, zero_poly
 from .terms import Term, node_str, plus, times, var, ZERO, ONE
 from .wreath import FFMorphism, FFObject
 
+# A word of a fixture row (its keyword or an element name): no whitespace and
+# none of the row delimiters.
+_NAME = re.compile(r"[^\s(),=]+")
+
 
 class _Scanner:
     """Reads text from pos on; positions index the whole text, so a piece
@@ -34,9 +38,10 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def finish(self):
+        """Fail unless only whitespace is left."""
+        if not self.done():
+            raise ParseFailure("unexpected trailing input", self.pos)
 
     def expect(self, token: str):
         self.skip_ws()
@@ -61,10 +66,10 @@ class _Scanner:
 
     def name(self) -> str:
         self.skip_ws()
-        match = re.match(r"[A-Za-z0-9_*.'-]+", self.text[self.pos:])
+        match = _NAME.match(self.text, self.pos)
         if not match:
             raise ParseFailure("expected a name", self.pos)
-        self.pos += match.end()
+        self.pos = match.end()
         return match.group()
 
 
@@ -91,8 +96,7 @@ def _parse_poly(scanner: _Scanner) -> RPoly:
         supports.append(_parse_monomial(scanner, arity))
         if not scanner.try_take("+"):
             break
-    if not scanner.done():
-        raise ParseFailure("unexpected trailing input", scanner.pos)
+    scanner.finish()
     return rpoly(arity, supports)
 
 
@@ -123,30 +127,40 @@ def parse_map(text: str, source_size: int, target_size: int) -> ExtMap:
     return _parse_map(_Scanner(text), source_size, target_size)
 
 
-def _parse_map(scanner: _Scanner, source_size: int, target_size: int) -> ExtMap:
+def _parse_entries(scanner: _Scanner, key, value) -> dict:
+    """Read `{k->v, ...}` to the end of the input; key and value read one
+    side of an entry, and a repeated key is an error."""
     scanner.expect("{")
-    entries: dict[int, int] = {}
+    entries: dict = {}
     if not scanner.try_take("}"):
         while True:
-            key = scanner.integer()
+            k = key(scanner)
             scanner.expect("->")
-            if scanner.try_take("e"):
-                value = E
-            else:
-                value = scanner.integer()
-            if key in entries:
-                raise ParseFailure(f"duplicate map key {key}", scanner.pos)
-            entries[key] = value
+            v = value(scanner)
+            if k in entries:
+                shown = f"({','.join(map(str, k))})" if isinstance(k, tuple) else k
+                raise ParseFailure(f"duplicate map key {shown}", scanner.pos)
+            entries[k] = v
             if scanner.try_take("}"):
                 break
             scanner.expect(",")
-    if not scanner.done():
-        raise ParseFailure("unexpected trailing input", scanner.pos)
-    if sorted(entries) != list(range(1, source_size + 1)):
-        raise ParseFailure(
-            f"map must define exactly the keys 1..{source_size}", scanner.pos
-        )
-    return ExtMap(source_size, target_size, tuple(entries[i] for i in range(1, source_size + 1)))
+    scanner.finish()
+    return entries
+
+
+def _parse_images(scanner: _Scanner, value, size: int, what: str) -> tuple:
+    """Read `{1->v, ..., size->v}` as the tuple of values."""
+    entries = _parse_entries(scanner, _Scanner.integer, value)
+    if sorted(entries) != list(range(1, size + 1)):
+        raise ParseFailure(f"{what} must define exactly the keys 1..{size}", scanner.pos)
+    return tuple(entries[i] for i in range(1, size + 1))
+
+
+def _parse_map(scanner: _Scanner, source_size: int, target_size: int) -> ExtMap:
+    images = _parse_images(
+        scanner, lambda sc: E if sc.try_take("e") else sc.integer(), source_size, "map"
+    )
+    return ExtMap(source_size, target_size, images)
 
 
 def print_map(phi: ExtMap) -> str:
@@ -174,8 +188,7 @@ def print_morphism(mor: RMorphism) -> str:
 def parse_term(text: str, arity: int) -> Term:
     scanner = _Scanner(text)
     node = _parse_sum(scanner, arity)
-    if not scanner.done():
-        raise ParseFailure("unexpected trailing input", scanner.pos)
+    scanner.finish()
     return Term(arity, node)
 
 
@@ -236,8 +249,7 @@ def _parse_ff_object(scanner: _Scanner) -> FFObject:
     scanner.expect(")")
     if len(sizes) != n:
         raise ParseFailure(f"declared length {n} but {len(sizes)} sizes", scanner.pos)
-    if not scanner.done():
-        raise ParseFailure("unexpected trailing input", scanner.pos)
+    scanner.finish()
     return FFObject(tuple(sizes))
 
 
@@ -269,14 +281,16 @@ def parse_ff_morphism(text: str) -> FFMorphism:
         body = _Scanner(text[:end], min(start + len(key) + 1, end))
         start += len(key) - len(key.lstrip())
         key = key.strip()
-        if key == "phi":
-            mapping = _parse_int_map(body, source.n)
-            phi = tuple(mapping[i] for i in range(1, source.n + 1))
-        elif key.startswith("d") and key[1:].isdigit():
-            ds[int(key[1:])] = _parse_tuple_map(body)
-            d_starts[int(key[1:])] = start
-        else:
+        j = int(key[1:]) if key.startswith("d") and key[1:].isdigit() else None
+        if key != "phi" and j is None:
             raise ParseFailure(f"unknown section {key!r}", start)
+        if (phi is not None) if j is None else (j in ds):
+            raise ParseFailure(f"repeated section {key!r}", start)
+        if j is None:
+            phi = _parse_images(body, _Scanner.integer, source.n, "phi")
+        else:
+            ds[j] = _parse_entries(body, _parse_int_tuple, _Scanner.integer)
+            d_starts[j] = start
     if phi is None:
         raise ParseFailure("missing phi section", len(text))
     if sorted(ds) != list(range(1, target.n + 1)):
@@ -287,41 +301,16 @@ def parse_ff_morphism(text: str) -> FFMorphism:
     return FFMorphism.make(source, target, phi, [ds[j] for j in sorted(ds)])
 
 
-def _parse_int_map(scanner: _Scanner, size: int) -> dict[int, int]:
-    scanner.expect("{")
-    entries: dict[int, int] = {}
-    if not scanner.try_take("}"):
+def _parse_int_tuple(scanner: _Scanner) -> tuple[int, ...]:
+    scanner.expect("(")
+    key = []
+    if not scanner.try_take(")"):
         while True:
-            key = scanner.integer()
-            scanner.expect("->")
-            entries[key] = scanner.integer()
-            if scanner.try_take("}"):
+            key.append(scanner.integer())
+            if scanner.try_take(")"):
                 break
             scanner.expect(",")
-    if sorted(entries) != list(range(1, size + 1)):
-        raise ParseFailure(f"phi must define exactly the keys 1..{size}", scanner.pos)
-    return entries
-
-
-def _parse_tuple_map(scanner: _Scanner) -> dict[tuple[int, ...], int]:
-    scanner.expect("{")
-    rows: dict[tuple[int, ...], int] = {}
-    if not scanner.try_take("}"):
-        while True:
-            scanner.expect("(")
-            key = []
-            if not scanner.try_take(")"):
-                while True:
-                    key.append(scanner.integer())
-                    if scanner.try_take(")"):
-                        break
-                    scanner.expect(",")
-            scanner.expect("->")
-            rows[tuple(key)] = scanner.integer()
-            if scanner.try_take("}"):
-                break
-            scanner.expect(",")
-    return rows
+    return tuple(key)
 
 
 def print_ff_morphism(mor: FFMorphism) -> str:
@@ -353,6 +342,7 @@ def parse_signature(text: str) -> TypeSignature:
             if not scanner.try_take(","):
                 break
     scanner.expect(")")
+    scanner.finish()
     return TypeSignature(l, tuple(sizes))
 
 
@@ -360,14 +350,37 @@ def parse_signature(text: str) -> TypeSignature:
 # Ring-operad fixtures
 
 
-def _parse_row(body: str) -> tuple[tuple[str, tuple[str, ...]], str]:
-    """Split a `<elt> (<elt>, ...) = <elt>` row into ((elt, args), result)."""
-    head, _, result = body.partition("=")
-    elt, _, arg_body = head.strip().partition("(")
-    args = tuple(
-        token.strip() for token in arg_body.rstrip(")").split(",") if token.strip()
-    )
-    return (elt.strip(), args), result.strip()
+def _row_keyword(line: str) -> tuple[str, _Scanner]:
+    """The row's first word, and a scanner placed after it."""
+    match = _NAME.match(line)
+    keyword = match.group() if match else ""
+    return keyword, _Scanner(line, len(keyword))
+
+
+def _parse_value(scanner: _Scanner) -> str:
+    """Read `= <elt>` to the end of the row."""
+    scanner.expect("=")
+    value = scanner.name()
+    scanner.finish()
+    return value
+
+
+def _parse_row(scanner: _Scanner) -> tuple[tuple[str, tuple[str, ...]], str]:
+    """Read a `<elt> (<elt>, ...) = <elt>` row as ((elt, args), result)."""
+    elt = scanner.name()
+    scanner.expect("(")
+    args = []
+    if not scanner.try_take(")"):
+        while True:
+            args.append(scanner.name())
+            if scanner.try_take(")"):
+                break
+            scanner.expect(",")
+    return (elt, tuple(args)), _parse_value(scanner)
+
+
+def _unrecognized(lineno: int, line: str) -> FixtureError:
+    return FixtureError(f"line {lineno}: unrecognized row: {line!r}")
 
 
 def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
@@ -385,26 +398,25 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        keyword, scanner = _row_keyword(line)
         try:
-            if line.startswith("component "):
-                body, _, names = line[len("component "):].partition("=")
-                poly = parse_poly(body.strip())
-                components[poly] = names.split()
-            elif line.startswith("unit"):
-                _, _, value = line.partition("=")
-                unit = value.strip()
-            elif line.startswith("gamma "):
-                key, result = _parse_row(line[len("gamma "):])
+            if keyword == "component":
+                body, _, names = line.partition("=")
+                components[_parse_poly(_Scanner(body, scanner.pos))] = names.split()
+            elif keyword == "unit":
+                unit = _parse_value(scanner)
+            elif keyword == "gamma":
+                key, result = _parse_row(scanner)
                 gamma_rows[key] = result
-            elif line.startswith("act "):
-                spec, _, motion = line[len("act "):].rpartition(":")
+            elif keyword == "act":
+                spec, _, motion = line[scanner.pos:].rpartition(":")
                 mor = parse_morphism(spec.strip())
                 source_elt, _, target_elt = motion.partition("->")
                 action_rows[
                     (mor.source, mor.map.images, mor.target, source_elt.strip())
                 ] = target_elt.strip()
             else:
-                raise FixtureError(f"line {lineno}: unrecognized row: {line!r}")
+                raise _unrecognized(lineno, line)
         except ParseFailure as err:
             raise FixtureError(f"line {lineno}: {err}") from err
     if unit is None:
@@ -445,32 +457,31 @@ def parse_pair_fixture(text: str, name: str = "pair"):
         sigma_rows: dict = {}
         gamma_rows: dict = {}
         for lineno, line in sections[section]:
+            keyword, scanner = _row_keyword(line)
             try:
-                if line.startswith("component "):
-                    body, _, names = line[len("component "):].partition("=")
-                    scanner = _Scanner(body)
-                    arity = scanner.integer()
-                    if not scanner.done():
-                        raise ParseFailure("unexpected trailing input", scanner.pos)
-                    components[arity] = names.split()
-                elif line.startswith("identity"):
-                    _, _, value = line.partition("=")
-                    identity = value.strip()
-                elif line.startswith("sigma "):
-                    spec, _, motion = line[len("sigma "):].rpartition(":")
+                if keyword == "component":
+                    body, _, names = line.partition("=")
+                    scanner = _Scanner(body, scanner.pos)
+                    components[scanner.integer()] = names.split()
+                    scanner.finish()
+                elif keyword == "identity":
+                    identity = _parse_value(scanner)
+                elif keyword == "sigma":
+                    spec, _, motion = line.rpartition(":")
                     source_elt, _, target_elt = motion.partition("->")
-                    scanner = _Scanner(spec)
+                    scanner = _Scanner(spec, scanner.pos)
                     scanner.integer()
                     scanner.expect("(")
                     perm = []
                     while not scanner.try_take(")"):
                         perm.append(scanner.integer())
+                    scanner.finish()
                     sigma_rows[(source_elt.strip(), tuple(perm))] = target_elt.strip()
-                elif line.startswith("gamma "):
-                    key, result = _parse_row(line[len("gamma "):])
+                elif keyword == "gamma":
+                    key, result = _parse_row(scanner)
                     gamma_rows[key] = result
                 else:
-                    raise FixtureError(f"line {lineno}: unrecognized row {line!r}")
+                    raise _unrecognized(lineno, line)
             except ParseFailure as err:
                 raise FixtureError(f"line {lineno}: {err}") from err
         if identity is None:
@@ -480,9 +491,13 @@ def parse_pair_fixture(text: str, name: str = "pair"):
         )
     lambda_rows: dict = {}
     for lineno, line in sections["lambda"]:
-        if not line.startswith("lambda "):
-            raise FixtureError(f"line {lineno}: unrecognized row {line!r}")
-        key, result = _parse_row(line[len("lambda "):])
+        keyword, scanner = _row_keyword(line)
+        if keyword != "lambda":
+            raise _unrecognized(lineno, line)
+        try:
+            key, result = _parse_row(scanner)
+        except ParseFailure as err:
+            raise FixtureError(f"line {lineno}: {err}") from err
         lambda_rows[key] = result
 
     def lam(g_elt, tagged_args):

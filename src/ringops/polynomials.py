@@ -428,8 +428,6 @@ def special_of_type(sig: TypeSignature) -> RPoly:
 
 
 def is_special(f: RPoly) -> bool:
-    if f.is_zero:
-        return f.arity == 0
     return f == special_of_type(type_of(f))
 
 

@@ -306,7 +306,8 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
     """All canonical (or reduced) terms projecting to f with at most B leaves.
 
     The stability flag records whether bounds B and B + 2 return identical
-    sets, the empirical signal that the fiber is complete.
+    sets, the empirical signal that the fiber is complete.  Both are read
+    from one run of the leaf-count table up to B + 2.
     """
     if mode not in ("sym", "biperm"):
         raise ValueError(f"unknown fiber mode {mode!r}")
@@ -314,15 +315,16 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
         bound = default_bound(f)
     if bound < 1:
         raise PreconditionViolation(f"leaf bound must be at least 1, got {bound}")
-    at_bound = _bounded_fiber(f, mode, bound)
-    beyond = _bounded_fiber(f, mode, bound + 2)
-    return FiberResult(at_bound, at_bound == beyond, bound)
+    by_leaves = _bounded_fiber(f, mode, bound + 2)
+    stable = not (by_leaves[bound + 1] or by_leaves[bound + 2])
+    return FiberResult(frozenset().union(*by_leaves[: bound + 1]), stable, bound)
 
 
 @lru_cache(maxsize=4096)
-def _bounded_fiber(f: RPoly, mode: str, bound: int) -> frozenset[Term]:
+def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ...]:
+    """The terms projecting to f, one frozenset per leaf count 0..bound."""
     if f.is_zero:
-        return frozenset({Term(f.arity, ZERO)})
+        return (frozenset(), frozenset({Term(f.arity, ZERO)})) + (frozenset(),) * (bound - 1)
     target = frozenset(m.support for m in f.monomials)
     divisors = set()
     for mono in f.monomials:
@@ -404,11 +406,10 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> frozenset[Term]:
                             for n2 in nodes2:
                                 put(table, s, key, plus(n1, n2))
 
-    found = set()
-    for s in range(1, bound + 1):
-        for node in table[s].get(target, ()):
-            found.add(Term(f.arity, node))
-    return frozenset(found)
+    return tuple(
+        frozenset(Term(f.arity, node) for node in table[s].get(target, ()))
+        for s in range(bound + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,11 @@ identity = m
         ["fwrf", "nu", "--morphism", NU_MORPHISM, "--inputs", "x"],
         ["fwrf", "nu", "--morphism", NU_MORPHISM, "--inputs", "1,0,2"],
         ["fwrf", "nu", "--morphism", NU_MORPHISM, "--algebra", "point", "--inputs", "1"],
+        ["poly", "special", "(1;1) junk"],
+        ["fwrf", "assign", "--morphism", "(1:[1]) -> (1:[1]); phi={1->1} junk; d1={(1)->1}"],
+        ["fwrf", "assign", "--morphism", "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1, (1)->0}"],
+        ["fwrf", "assign", "--morphism", "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1}; d1={}"],
+        ["fwrf", "assign", "--morphism", "(1:[1]) -> (1:[1]); phi={1->1}; phi={}; d1={(1)->1}"],
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):

@@ -22,6 +22,7 @@ from ringops.indexcat import (
     substitute,
     validate,
 )
+from ringops.operads import _all_morphisms
 from ringops.polynomials import (
     Monomial,
     enumerate_R,
@@ -391,3 +392,50 @@ class TestComponentObjects:
             str(rpoly(3, supports))
             for supports in ([(1,), (2, 3)], [(2,), (1, 3)], [(3,), (1, 2)])
         )
+
+
+class TestComponentsAreTypeClasses:
+    """The two facts that make the components of R(n) its type classes."""
+
+    def test_effective_morphisms_keep_the_type(self):
+        morphisms = _all_morphisms(3)
+        effective = [mor for mor in morphisms if mor.is_effective]
+        assert (len(effective), len(morphisms)) == (1322, 11806)
+        for mor in effective:
+            assert type_of(mor.source) == type_of(mor.target)
+
+    def test_special_rep_morphism_joins_f_to_its_special(self):
+        for n in range(4):
+            for f in enumerate_R(n):
+                mor = special_rep_morphism(f)
+                assert mor.is_effective and mor.target == f
+                assert mor.source == special_of_type(type_of(f))
+
+    def test_components_are_whole_type_classes(self):
+        for n, count in enumerate((1, 2, 6, 32)):
+            blocks = connected_components(n)
+            assert len(blocks) == count
+            for block in blocks:
+                sig = type_of(next(iter(block)))
+                assert block == {f for f in enumerate_R(n) if type_of(f) == sig}
+
+    def test_component_objects_match_the_hom_definition(self):
+        for n in range(4):
+            for f in enumerate_R(n):
+                special = special_of_type(type_of(f))
+                for arity in range(4):
+                    assert component_objects(f, arity) == [
+                        g for g in enumerate_R(arity)
+                        if is_nondegenerate(g) and has_effective_hom(special, g)
+                    ]
+
+    @pytest.mark.slow
+    def test_component_objects_match_the_hom_definition_at_arity4(self):
+        """One f per type of R(0..3); the test above runs every f at arity <= 3."""
+        candidates = [g for g in enumerate_R(4) if is_nondegenerate(g)]
+        by_type = {type_of(f): f for n in range(4) for f in enumerate_R(n)}
+        for sig, f in by_type.items():
+            special = special_of_type(sig)
+            assert component_objects(f, 4) == [
+                g for g in candidates if has_effective_hom(special, g)
+            ]

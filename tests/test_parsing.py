@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,9 +220,84 @@ class TestFixtureFormat:
         (parse_morphism, "R(1): x1 |{1->1}| R(1): y1", 24),
         (parse_morphism, "R(1): x1 |{1-1}| R(1): x1", 12),
         (parse_morphism, "R(2): x1 + x2 |{1->1}| R(1): x1", 21),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1} junk; d1={(1)->1}", 31),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1, 1->1}; d1={(1)->1}", 35),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1, (1)->0}", 50),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1} more", 44),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1}; phi={1->1}; d1={(1)->1}", 32),
+        (parse_ff_morphism, "(1:[1]) -> (1:[1]); phi={1->1}; d1={(1)->1};  d1={(1)->0}", 46),
+        (parse_signature, "(1;1) junk", 6),
     ],
 )
 def test_parse_failure_positions_index_the_whole_input(parse, text, position):
     with pytest.raises(ParseFailure) as info:
         parse(text)
     assert info.value.position == position
+
+
+RING_ROWS = "component R(0): 0 = z\ncomponent R(1): x1 = e\nunit = e\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("unitz = e", "unrecognized row: 'unitz = e'"),
+        ("gamma e (e = e", "expected ','"),
+        ("gamma e (e)) junk = e", "expected '='"),
+        ("gamma e (e) = e junk", "unexpected trailing input"),
+        ("unit = e e", "unexpected trailing input"),
+        ("component R(1): x1 x = e", "unexpected trailing input"),
+    ],
+)
+def test_ring_fixture_rows_follow_their_grammar(row, message):
+    with pytest.raises(FixtureError, match=f"^line 4: {re.escape(message)}"):
+        parse_fixture(RING_ROWS + row + "\n")
+
+
+@pytest.mark.parametrize(
+    "row, after, message",
+    [
+        ("identityX = ai", "[additive]", "unrecognized row: 'identityX = ai'"),
+        ("bogus row", "[additive]", "unrecognized row: 'bogus row'"),
+        ("gamma ai (ai = ai", "[additive]", "expected ','"),
+        ("gamma ai (ai)) junk = ai", "[additive]", "expected '='"),
+        ("sigma 1 (1) junk : ai -> ai", "[additive]", "unexpected trailing input"),
+        ("lambda mi (ai = ai", "[lambda]", "expected ','"),
+        ("bogus row", "[lambda]", "unrecognized row: 'bogus row'"),
+    ],
+)
+def test_pair_fixture_rows_follow_their_grammar(row, after, message):
+    from ringops.parsing import parse_pair_fixture
+
+    lines = PAIR_FIXTURE.split("\n")
+    at = lines.index(after) + 1
+    text = "\n".join(lines[:at] + [row] + lines[at:])
+    with pytest.raises(FixtureError, match=f"^line {at + 1}: {re.escape(message)}"):
+        parse_pair_fixture(text)
+
+
+def test_fixture_rows_keep_every_working_name():
+    text = (
+        "component R(0): 0 = z\n"
+        "component R(1): x1 = e a-b x' e.1 a*b a->b a:b \u03b1 p+q\n"
+        "unit=e\n"
+        "gamma a-b(x', e.1,a*b)=a->b\n"
+        "gamma a:b (\u03b1, p+q) = a:b  # comment\n"
+        "gamma e () = z\n"
+    )
+    table = parse_fixture(text)
+    assert table._unit == "e"
+    assert table._gamma_rows == {
+        ("a-b", ("x'", "e.1", "a*b")): "a->b",
+        ("a:b", ("\u03b1", "p+q")): "a:b",
+        ("e", ()): "z",
+    }
+
+
+def test_pair_fixture_rows_keep_their_meaning():
+    from ringops.parsing import parse_pair_fixture
+
+    pair = parse_pair_fixture(PAIR_FIXTURE.replace("gamma a2 (ai, ai)", "gamma a2(ai,ai)"))
+    assert pair.additive._gamma_rows[("a2", ("ai", "ai"))] == "a2"
+    assert pair.additive._sigma_rows == {("a2", (2, 1)): "a2"}
+    assert pair.additive._identity == "ai"

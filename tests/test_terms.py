@@ -20,6 +20,7 @@ from ringops.terms import (
     act_map,
     compose_terms,
     connectivity_check,
+    default_bound,
     enumerate_fiber,
     fiber_member,
     generator_moves,
@@ -379,3 +380,45 @@ class TestTermOperads:
         mor = validate(f, ExtMap(2, 2, (2, 1)), rpoly(2, [(1,), (1, 2)]))
         for element in operad.component(f):
             assert operad.act(mor, element) in operad.component(mor.target)
+
+
+def _fiber_is_a_prefix(f, mode):
+    """The fiber at each bound B is the part with <= B leaves of the fiber at
+    B + 4, and B is stable exactly when that larger fiber has nothing with
+    B + 1 or B + 2 leaves."""
+    bound = default_bound(f)
+    beyond = enumerate_fiber(f, mode, bound + 4).terms
+    for b in range(1, bound + 1):
+        result = enumerate_fiber(f, mode, b)
+        assert result.bound == b
+        assert result.terms == {term for term in beyond if term.leaves <= b}
+        assert result.stable == all(term.leaves <= b for term in beyond if term.leaves <= b + 2)
+
+
+def _up_to_relabelling(polys):
+    """One polynomial of each orbit under permutations of the variables."""
+    seen = set()
+    for f in polys:
+        orbit = {
+            frozenset(tuple(sorted(perm[i - 1] for i in m.support)) for m in f.monomials)
+            for perm in itertools.permutations(range(1, f.arity + 1))
+        }
+        if not orbit & seen:
+            seen |= orbit
+            yield f
+
+
+R3_SMALL = [f for f in enumerate_R(3) if len(f) <= 3]
+
+
+class TestOneFiberRun:
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_fiber_at_each_bound_is_a_prefix(self, mode):
+        for f in enumerate_R(2) + list(_up_to_relabelling(R3_SMALL)):
+            _fiber_is_a_prefix(f, mode)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_fiber_at_each_bound_is_a_prefix_over_every_small_R3(self, mode):
+        for f in R3_SMALL:
+            _fiber_is_a_prefix(f, mode)
