@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -442,10 +443,17 @@ def connected_components(n: int) -> list[frozenset[RPoly]]:
     """
     if n > 3:
         raise ArityCapExceeded("connected_components capped at n = 3")
-    blocks: dict[TypeSignature, set[RPoly]] = {}
+    return [frozenset(block) for block in _type_classes(n).values()]
+
+
+@lru_cache(maxsize=None)
+def _type_classes(n: int) -> dict[TypeSignature, tuple[RPoly, ...]]:
+    """R(n) grouped by type, each class in `enumerate_R(n)` order and the
+    classes in order of their first member.  Cached: callers only read it."""
+    classes: dict[TypeSignature, list[RPoly]] = {}
     for f in enumerate_R(n):
-        blocks.setdefault(type_of(f), set()).add(f)
-    return [frozenset(block) for block in blocks.values()]
+        classes.setdefault(type_of(f), []).append(f)
+    return {sig: tuple(members) for sig, members in classes.items()}
 
 
 def component_objects(f: RPoly, arity: int) -> list[RPoly]:
@@ -462,7 +470,7 @@ def component_objects(f: RPoly, arity: int) -> list[RPoly]:
         return []
     if arity > 4:
         raise ArityCapExceeded("component enumeration needs enumerate_R at this arity")
-    return [g for g in enumerate_R(arity) if is_nondegenerate(g) and type_of(g) == sig]
+    return [g for g in _type_classes(arity).get(sig, ()) if is_nondegenerate(g)]
 
 
 def filtration(f: RPoly, level: int) -> frozenset[RPoly]:

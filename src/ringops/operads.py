@@ -43,6 +43,7 @@ from .indexcat import (
     validate,
 )
 from .polynomials import (
+    ENUMERATION_CAP,
     RPoly,
     _block_offsets,
     compose,
@@ -291,8 +292,12 @@ def _blocks(fs: Sequence[RPoly]) -> tuple[list[tuple[int, int]], int]:
 
 
 def _check_cap(cap: int) -> None:
+    """Reject a cap before any work: a check at a cap above the enumeration
+    cap could only end when it first lists R(cap)."""
     if cap < 0:
         raise PreconditionViolation(f"cap must be non-negative, got {cap}")
+    if cap > ENUMERATION_CAP:
+        raise ArityCapExceeded(f"cap {cap} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 @lru_cache(maxsize=8)

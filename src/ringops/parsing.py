@@ -18,8 +18,9 @@ from .terms import Term, node_str, plus, times, var, ZERO, ONE
 from .wreath import FFMorphism, FFObject
 
 # A word of a fixture row (its keyword or an element name): no whitespace and
-# none of the row delimiters.
+# none of the row delimiters.  The source name of a motion also stops at `->`.
 _NAME = re.compile(r"[^\s(),=]+")
+_SOURCE_NAME = re.compile(r"(?:(?!->)[^\s(),=])+")
 
 
 class _Scanner:
@@ -64,9 +65,9 @@ class _Scanner:
         self.pos += match.end()
         return int(match.group())
 
-    def name(self) -> str:
+    def name(self, pattern: re.Pattern = _NAME) -> str:
         self.skip_ws()
-        match = _NAME.match(self.text, self.pos)
+        match = pattern.match(self.text, self.pos)
         if not match:
             raise ParseFailure("expected a name", self.pos)
         self.pos = match.end()
@@ -121,6 +122,18 @@ def print_poly(f: RPoly) -> str:
 
 # ---------------------------------------------------------------------------
 # Maps and morphisms
+
+
+def _parse_list(scanner: _Scanner, item, close: str = ")") -> list:
+    """Read `item, ...` up to `close`; the opening bracket is already read."""
+    items = []
+    if not scanner.try_take(close):
+        while True:
+            items.append(item(scanner))
+            if scanner.try_take(close):
+                break
+            scanner.expect(",")
+    return items
 
 
 def parse_map(text: str, source_size: int, target_size: int) -> ExtMap:
@@ -239,13 +252,7 @@ def _parse_ff_object(scanner: _Scanner) -> FFObject:
     n = scanner.integer()
     scanner.expect(":")
     scanner.expect("[")
-    sizes = []
-    if not scanner.try_take("]"):
-        while True:
-            sizes.append(scanner.integer())
-            if scanner.try_take("]"):
-                break
-            scanner.expect(",")
+    sizes = _parse_list(scanner, _Scanner.integer, "]")
     scanner.expect(")")
     if len(sizes) != n:
         raise ParseFailure(f"declared length {n} but {len(sizes)} sizes", scanner.pos)
@@ -303,14 +310,7 @@ def parse_ff_morphism(text: str) -> FFMorphism:
 
 def _parse_int_tuple(scanner: _Scanner) -> tuple[int, ...]:
     scanner.expect("(")
-    key = []
-    if not scanner.try_take(")"):
-        while True:
-            key.append(scanner.integer())
-            if scanner.try_take(")"):
-                break
-            scanner.expect(",")
-    return tuple(key)
+    return tuple(_parse_list(scanner, _Scanner.integer))
 
 
 def print_ff_morphism(mor: FFMorphism) -> str:
@@ -369,14 +369,32 @@ def _parse_row(scanner: _Scanner) -> tuple[tuple[str, tuple[str, ...]], str]:
     """Read a `<elt> (<elt>, ...) = <elt>` row as ((elt, args), result)."""
     elt = scanner.name()
     scanner.expect("(")
-    args = []
-    if not scanner.try_take(")"):
-        while True:
-            args.append(scanner.name())
-            if scanner.try_take(")"):
-                break
-            scanner.expect(",")
-    return (elt, tuple(args)), _parse_value(scanner)
+    args = tuple(_parse_list(scanner, _Scanner.name))
+    return (elt, args), _parse_value(scanner)
+
+
+def _motion_start(line: str, colons: int) -> int:
+    """Where the `: <elt> -> <elt>` part of a row starts: at the first ':'
+    after the `colons` that the row's spec holds (the end if there is none)."""
+    match = re.match(f"(?:[^:]*:){{{colons}}}[^:]*", line)
+    return match.end() if match else len(line)
+
+
+def _parse_motion(scanner: _Scanner) -> tuple[str, str]:
+    """Read `: <elt> -> <elt>` to the end of the row; the source name ends at
+    its first `->`, the target is a whole name."""
+    scanner.expect(":")
+    source = scanner.name(_SOURCE_NAME)
+    scanner.expect("->")
+    target = scanner.name()
+    scanner.finish()
+    return source, target
+
+
+def _put_row(rows: dict, key, value, lineno: int) -> None:
+    if key in rows:
+        raise FixtureError(f"line {lineno}: repeated row")
+    rows[key] = value
 
 
 def _unrecognized(lineno: int, line: str) -> FixtureError:
@@ -388,7 +406,8 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
 
     Rows: `component <poly> = names...`, `unit = name`,
     `gamma <g-elt> (<elt>,...) = <elt>`,
-    `act <poly> |{map}| <poly> : <elt> -> <elt>`.
+    `act <poly> |{map}| <poly> : <elt> -> <elt>`.  A second component,
+    gamma or act row with the same key is an error.
     """
     components: dict[RPoly, list[str]] = {}
     unit: Union[str, None] = None
@@ -402,19 +421,19 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
         try:
             if keyword == "component":
                 body, _, names = line.partition("=")
-                components[_parse_poly(_Scanner(body, scanner.pos))] = names.split()
+                f = _parse_poly(_Scanner(body, scanner.pos))
+                _put_row(components, f, names.split(), lineno)
             elif keyword == "unit":
                 unit = _parse_value(scanner)
             elif keyword == "gamma":
-                key, result = _parse_row(scanner)
-                gamma_rows[key] = result
+                _put_row(gamma_rows, *_parse_row(scanner), lineno)
             elif keyword == "act":
-                spec, _, motion = line[scanner.pos:].rpartition(":")
-                mor = parse_morphism(spec.strip())
-                source_elt, _, target_elt = motion.partition("->")
-                action_rows[
-                    (mor.source, mor.map.images, mor.target, source_elt.strip())
-                ] = target_elt.strip()
+                # a morphism `R(m): ... |{...}| R(n): ...` holds two colons
+                colon = _motion_start(line, 2)
+                mor = parse_morphism(line[scanner.pos:colon].strip())
+                source_elt, target_elt = _parse_motion(_Scanner(line, colon))
+                key = (mor.source, mor.map.images, mor.target, source_elt)
+                _put_row(action_rows, key, target_elt, lineno)
             else:
                 raise _unrecognized(lineno, line)
         except ParseFailure as err:
@@ -430,7 +449,8 @@ def parse_pair_fixture(text: str, name: str = "pair"):
 
     Shared row shapes with the ring-operad fixture, with integer-arity
     components, `sigma <j> (<perm>) : <elt> -> <elt>` action rows and
-    `lambda <g-elt> (<c-elts>) = <c-elt>` rows.
+    `lambda <g-elt> (<c-elts>) = <c-elt>` rows.  A second keyed row with the
+    same key is an error, as in the ring-operad fixture.
     """
     from .operad_pair import OperadPairData, TableFiniteOperad
 
@@ -462,24 +482,24 @@ def parse_pair_fixture(text: str, name: str = "pair"):
                 if keyword == "component":
                     body, _, names = line.partition("=")
                     scanner = _Scanner(body, scanner.pos)
-                    components[scanner.integer()] = names.split()
+                    arity = scanner.integer()
                     scanner.finish()
+                    _put_row(components, arity, names.split(), lineno)
                 elif keyword == "identity":
                     identity = _parse_value(scanner)
                 elif keyword == "sigma":
-                    spec, _, motion = line.rpartition(":")
-                    source_elt, _, target_elt = motion.partition("->")
-                    scanner = _Scanner(spec, scanner.pos)
+                    colon = _motion_start(line, 0)
+                    scanner = _Scanner(line[:colon], scanner.pos)
                     scanner.integer()
                     scanner.expect("(")
                     perm = []
                     while not scanner.try_take(")"):
                         perm.append(scanner.integer())
                     scanner.finish()
-                    sigma_rows[(source_elt.strip(), tuple(perm))] = target_elt.strip()
+                    source_elt, target_elt = _parse_motion(_Scanner(line, colon))
+                    _put_row(sigma_rows, (source_elt, tuple(perm)), target_elt, lineno)
                 elif keyword == "gamma":
-                    key, result = _parse_row(scanner)
-                    gamma_rows[key] = result
+                    _put_row(gamma_rows, *_parse_row(scanner), lineno)
                 else:
                     raise _unrecognized(lineno, line)
             except ParseFailure as err:
@@ -498,7 +518,7 @@ def parse_pair_fixture(text: str, name: str = "pair"):
             key, result = _parse_row(scanner)
         except ParseFailure as err:
             raise FixtureError(f"line {lineno}: {err}") from err
-        lambda_rows[key] = result
+        _put_row(lambda_rows, key, result, lineno)
 
     def lam(g_elt, tagged_args):
         key = (g_elt, tuple(x for _, x in tagged_args))

@@ -5,12 +5,18 @@ Canonical terms have the unit and nullity relations fully applied (0 survives
 only as the whole term); reduced terms additionally carry the bipermutative
 normal form: products are right-nested with a variable on the left, sums are
 right-nested with no zero summand, and right distributivity is fully applied.
+
+One walker, `_substitute`, rebuilds a tree with new variable leaves (the
+action and composition); one, `_rewrites`, yields every single-position
+coherence rewrite.  The fibers of both modes come from one leaf-count
+dynamic programme, `_bounded_fiber`; the mode only picks the pools its left
+factors and left summands are drawn from.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -126,15 +132,11 @@ def reduce_A(term: Term) -> Term:
 
 
 def is_canonical(node: Node) -> bool:
-    return reduce_node(node) == node and (node == ZERO or not _contains_zero(node))
-
-
-def _contains_zero(node: Node) -> bool:
-    if node == ZERO:
-        return True
-    if node[0] in ("+", "*"):
-        return _contains_zero(node[1]) or _contains_zero(node[2])
-    return False
+    """True iff the node is its own reduction.  That is enough: every output
+    of `reduce_node` is ZERO or has no ZERO leaf, since a sum drops a ZERO
+    part, a product with one becomes ZERO, and other nodes keep their parts.
+    """
+    return reduce_node(node) == node
 
 
 def project(term: Term) -> IntPoly:
@@ -154,24 +156,21 @@ def _project(node: Node, arity: int) -> IntPoly:
     return left.add(right) if node[0] == "+" else left.mul(right)
 
 
+def _substitute(node: Node, leaf) -> Node:
+    """The node with leaf(i) in place of each variable leaf x_i."""
+    if node[0] == "v":
+        return leaf(node[1])
+    if node[0] in ("+", "*"):
+        return (node[0], _substitute(node[1], leaf), _substitute(node[2], leaf))
+    return node
+
+
 def act_map(phi: ExtMap, term: Term) -> Term:
     """Relabel variables along phi (0 becomes the zero leaf, e the unit leaf)."""
     if phi.source_size != term.arity:
         raise ArityMismatch("map source size differs from term arity")
-
-    def relabel(node: Node) -> Node:
-        if node[0] == "v":
-            image = phi(node[1])
-            if image == 0:
-                return ZERO
-            if image == E:
-                return ONE
-            return var(image)
-        if node[0] in ("+", "*"):
-            return (node[0], relabel(node[1]), relabel(node[2]))
-        return node
-
-    return Term(phi.target_size, reduce_node(relabel(term.node)))
+    images = [ZERO if j == 0 else ONE if j == E else var(j) for j in phi.images]
+    return Term(phi.target_size, reduce_node(_substitute(term.node, lambda i: images[i - 1])))
 
 
 def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
@@ -179,23 +178,11 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
     if len(args) != g_term.arity:
         raise ArityMismatch(f"{g_term.arity}-ary term applied to {len(args)} arguments")
     offsets, total = _block_offsets(a.arity for a in args)
-
-    def shift(node: Node, offset: int) -> Node:
-        if node[0] == "v":
-            return var(node[1] + offset)
-        if node[0] in ("+", "*"):
-            return (node[0], shift(node[1], offset), shift(node[2], offset))
-        return node
-
-    def build(node: Node) -> Node:
-        if node[0] == "v":
-            i = node[1]
-            return shift(args[i - 1].node, offsets[i - 1])
-        if node[0] in ("+", "*"):
-            return (node[0], build(node[1]), build(node[2]))
-        return node
-
-    return Term(total, reduce_node(build(g_term.node)))
+    shifted = [
+        _substitute(a.node, lambda i, offset=offset: var(i + offset))
+        for a, offset in zip(args, offsets)
+    ]
+    return Term(total, reduce_node(_substitute(g_term.node, lambda i: shifted[i - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +309,21 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
 
 @lru_cache(maxsize=4096)
 def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ...]:
-    """The terms projecting to f, one frozenset per leaf count 0..bound."""
+    """The terms projecting to f, one frozenset per leaf count 0..bound.
+
+    table[s] maps a projection key (the supports a node expands to) to the
+    nodes with s leaves and that key.  A node with s > 1 leaves is a product
+    or a sum of a left part with s1 leaves and a right part from
+    table[s - s1].  The mode only picks the two pools the left part comes
+    from: in sym mode both are the table; in biperm mode (the right-nested
+    normal form) a left factor is a variable and a left summand is a leaf or
+    a product, never a sum.  A unit factor is skipped by its key: ONE is the
+    only node whose key is {()}.
+
+    The loop ends early once the counts M + 1..2M are empty, M being the
+    largest count with a node so far: any larger count splits into two
+    parts, one of them above M, so it stays empty too.
+    """
     if f.is_zero:
         return (frozenset(), frozenset({Term(f.arity, ZERO)})) + (frozenset(),) * (bound - 1)
     target = frozenset(m.support for m in f.monomials)
@@ -331,7 +332,10 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ..
         for size in range(len(mono.support) + 1):
             divisors.update(itertools.combinations(mono.support, size))
     mass_bound = len(f.monomials)
-    variables = sorted({i for mono in f.monomials for i in mono.support})
+    unit = frozenset({()})
+    variables = {
+        frozenset({(i,)}): {var(i)} for i in sorted({i for m in f.monomials for i in m.support})
+    }
 
     def product_keys(p1, p2):
         out = set()
@@ -347,69 +351,45 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ..
                 out.add(merged)
         return frozenset(out)
 
-    # table[s][projection] = set of nodes; sums tracked separately in biperm
-    # mode so that only non-sum addends appear as left summands.
-    table: list[dict] = [dict() for _ in range(bound + 1)]
-    addends: list[dict] = [dict() for _ in range(bound + 1)]
-
-    def put(store, s, key, node):
-        store[s].setdefault(key, set()).add(node)
-
-    put(table, 1, frozenset({()}), ONE)
-    put(addends, 1, frozenset({()}), ONE)
-    for i in variables:
-        put(table, 1, frozenset({(i,)}), var(i))
-        put(addends, 1, frozenset({(i,)}), var(i))
-
+    table: list[dict] = [{}, {unit: {ONE}, **variables}]
+    nonsums: list[dict] = [{}, table[1]]
+    if mode == "sym":
+        factors, summands = table, table
+    else:
+        factors, summands = [{}, variables] + [{}] * (bound - 1), nonsums
+    largest = 1
     for s in range(2, bound + 1):
+        if s > 2 * largest:
+            break
+        level: dict = {}
+        products: dict = {}
         for s1 in range(1, s):
-            s2 = s - s1
-            if mode == "sym":
-                for p1, nodes1 in table[s1].items():
-                    for p2, nodes2 in table[s2].items():
-                        if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
-                            key = p1 | p2
-                            for n1 in nodes1:
-                                for n2 in nodes2:
-                                    put(table, s, key, plus(n1, n2))
-                        if len(p1) * len(p2) <= mass_bound:
-                            key = product_keys(p1, p2)
-                            if key is not None:
-                                for n1 in nodes1:
-                                    if n1 == ONE:
-                                        continue
-                                    for n2 in nodes2:
-                                        if n2 == ONE:
-                                            continue
-                                        put(table, s, key, times(n1, n2))
-            else:
-                # products: variable times any reduced non-unit term
-                if s1 == 1:
-                    for p2, nodes2 in table[s2].items():
-                        for i in variables:
-                            key = product_keys(frozenset({(i,)}), p2)
-                            if key is None or len(p2) > mass_bound:
-                                continue
-                            for n2 in nodes2:
-                                if n2 == ONE:
-                                    continue
-                                node = times(var(i), n2)
-                                put(table, s, key, node)
-                                put(addends, s, key, node)
-                # sums: addend + reduced term, right-nested
-                for p1, nodes1 in addends[s1].items():
-                    for p2, nodes2 in table[s2].items():
-                        if (p1 & p2) or len(p1) + len(p2) > mass_bound:
-                            continue
-                        key = p1 | p2
-                        for n1 in nodes1:
-                            for n2 in nodes2:
-                                put(table, s, key, plus(n1, n2))
+            right = table[s - s1].items()
+            for p1, nodes1 in factors[s1].items():
+                if p1 == unit:
+                    continue
+                for p2, nodes2 in right:
+                    if p2 == unit or len(p1) * len(p2) > mass_bound:
+                        continue
+                    key = product_keys(p1, p2)
+                    if key is not None:
+                        new = {times(n1, n2) for n1 in nodes1 for n2 in nodes2}
+                        products.setdefault(key, set()).update(new)
+                        level.setdefault(key, set()).update(new)
+            for p1, nodes1 in summands[s1].items():
+                for p2, nodes2 in right:
+                    if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
+                        level.setdefault(p1 | p2, set()).update(
+                            plus(n1, n2) for n1 in nodes1 for n2 in nodes2
+                        )
+        table.append(level)
+        nonsums.append(products)
+        if level:
+            largest = s
 
     return tuple(
-        frozenset(Term(f.arity, node) for node in table[s].get(target, ()))
-        for s in range(bound + 1)
-    )
+        frozenset(Term(f.arity, node) for node in level.get(target, ())) for level in table
+    ) + (frozenset(),) * (bound + 1 - len(table))
 
 
 # ---------------------------------------------------------------------------
@@ -442,31 +422,24 @@ def generator_moves(term: Term) -> list[tuple[str, tuple[int, ...], Term]]:
     The distributivity moves are one-directional; unit-introduction inverses
     are omitted because reduction cancels them immediately.
     """
-    results = []
-    for path, sub in _positions(term.node):
-        for name, rule in _MOVE_RULES:
-            replaced = rule(sub)
-            if replaced is None:
-                continue
-            rebuilt = reduce_node(_replace(term.node, path, replaced))
-            results.append((name, path, Term(term.arity, rebuilt)))
-    return results
+    return [
+        (name, path, Term(term.arity, reduce_node(rebuilt)))
+        for name, path, rebuilt in _rewrites(term.node)
+    ]
 
 
-def _positions(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Node]]:
-    yield path, node
+def _rewrites(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[str, tuple[int, ...], Node]]:
+    """(rule name, position, whole rewritten node) for each rule at each
+    position: positions in preorder, rules in `_MOVE_RULES` order."""
+    for name, rule in _MOVE_RULES:
+        replaced = rule(node)
+        if replaced is not None:
+            yield name, path, replaced
     if node[0] in ("+", "*"):
-        yield from _positions(node[1], path + (0,))
-        yield from _positions(node[2], path + (1,))
-
-
-def _replace(node: Node, path: tuple[int, ...], replacement: Node) -> Node:
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    if head == 0:
-        return (node[0], _replace(node[1], rest, replacement), node[2])
-    return (node[0], node[1], _replace(node[2], rest, replacement))
+        for name, inner, rebuilt in _rewrites(node[1], path + (0,)):
+            yield name, inner, (node[0], rebuilt, node[2])
+        for name, inner, rebuilt in _rewrites(node[2], path + (1,)):
+            yield name, inner, (node[0], node[1], rebuilt)
 
 
 def terminal_representative(f: RPoly) -> Term:
@@ -478,18 +451,8 @@ def terminal_representative(f: RPoly) -> Term:
     """
     if f.is_zero:
         return Term(f.arity, ZERO)
-    monos = list(reversed(lambda_of(f)))
-
-    def product_node(support):
-        node = var(support[0])
-        for i in support[1:]:
-            node = times(node, var(i))
-        return node
-
-    node = product_node(monos[0].support)
-    for mono in monos[1:]:
-        node = plus(node, product_node(mono.support))
-    return Term(f.arity, node)
+    products = [reduce(times, map(var, m.support)) for m in reversed(lambda_of(f))]
+    return Term(f.arity, reduce(plus, products))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,9 @@ identity = m
         ["check", "axioms", "--builtin", "strict", "--cap", "-1"],
         ["check", "einfty", "--builtin", "strict", "--cap", "-1"],
         ["check", "algebra", "--cap", "-1"],
+        ["check", "axioms", "--builtin", "strict", "--cap", "5", "--budget", "10"],
+        ["check", "einfty", "--builtin", "strict", "--cap", "5", "--budget", "10"],
+        ["check", "algebra", "--cap", "5", "--budget", "10"],
         ["term", "fiber", "--poly", "R(1): x1", "--bound", "0"],
         ["term", "connect", "--poly", "R(1): x1", "--bound", "-1"],
         ["check", "axioms", "--fixture", "MISSING"],

@@ -247,6 +247,11 @@ RING_ROWS = "component R(0): 0 = z\ncomponent R(1): x1 = e\nunit = e\n"
         ("gamma e (e) = e junk", "unexpected trailing input"),
         ("unit = e e", "unexpected trailing input"),
         ("component R(1): x1 x = e", "unexpected trailing input"),
+        ("act R(1): x1 |{1->1}| R(1): x1 : e -> e junk", "unexpected trailing input (at position 40)"),
+        ("act R(1): x1 |{1->1}| R(1): x1 : e", "expected '->' (at position 34)"),
+        ("act R(1): x1 |{1->1}| R(1): x1 : -> e", "expected a name (at position 33)"),
+        ("act R(1): x1 |{1->1}| R(1): x1 e -> e", "unexpected trailing input"),
+        ("component R(0): 0 = y", "repeated row"),
     ],
 )
 def test_ring_fixture_rows_follow_their_grammar(row, message):
@@ -262,6 +267,9 @@ def test_ring_fixture_rows_follow_their_grammar(row, message):
         ("gamma ai (ai = ai", "[additive]", "expected ','"),
         ("gamma ai (ai)) junk = ai", "[additive]", "expected '='"),
         ("sigma 1 (1) junk : ai -> ai", "[additive]", "unexpected trailing input"),
+        ("sigma 2 (2 1) : a2 -> a2 a2", "[additive]", "unexpected trailing input (at position 25)"),
+        ("sigma 2 (2 1) : a2", "[additive]", "expected '->' (at position 18)"),
+        ("sigma 2 (2 1) a2 -> a2", "[additive]", "unexpected trailing input (at position 14)"),
         ("lambda mi (ai = ai", "[lambda]", "expected ','"),
         ("bogus row", "[lambda]", "unrecognized row: 'bogus row'"),
     ],
@@ -301,3 +309,58 @@ def test_pair_fixture_rows_keep_their_meaning():
     assert pair.additive._gamma_rows[("a2", ("ai", "ai"))] == "a2"
     assert pair.additive._sigma_rows == {("a2", (2, 1)): "a2"}
     assert pair.additive._identity == "ai"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        RING_ROWS + "gamma e (e) = e\ngamma e (e) = e\n",
+        RING_ROWS + "act R(1): x1 |{1->1}| R(1): x1 : e -> e\n"
+        "act R(1): x1 |{1->1}|R(1):x1:e->e\n",
+    ],
+)
+def test_ring_fixture_rows_are_not_repeated(text):
+    with pytest.raises(FixtureError, match="^line 5: repeated row$"):
+        parse_fixture(text)
+
+
+@pytest.mark.parametrize(
+    "row, after",
+    [
+        ("sigma 2 (2 1) : a2 -> a2", "sigma 2 (2 1) : a2 -> a2"),
+        ("component 2 = b2", "component 2 = a2"),
+        ("gamma ai (ai) = ai", "gamma ai (ai) = ai"),
+        ("lambda mi (ai) = ai", "lambda mi (ai) = ai"),
+    ],
+)
+def test_pair_fixture_rows_are_not_repeated(row, after):
+    from ringops.parsing import parse_pair_fixture
+
+    lines = PAIR_FIXTURE.split("\n")
+    at = lines.index(after) + 1
+    text = "\n".join(lines[:at] + [row] + lines[at:])
+    with pytest.raises(FixtureError, match=f"^line {at + 1}: repeated row$"):
+        parse_pair_fixture(text)
+
+
+def test_motion_names_keep_their_meaning():
+    from ringops.parsing import parse_pair_fixture
+    from ringops.polynomials import rpoly
+
+    table = parse_fixture(
+        "component R(1): x1 = e a->b a:b a|b\n"
+        "unit = e\n"
+        "act R(1): x1 |{1->1}| R(1): x1 : e -> a->b\n"
+        "act R(1): x1 |{1->1}| R(1): x1 :a:b->a:b\n"
+        "act R(1): x1 |{1->1}| R(1): x1 : a|b -> a|b  # comment\n"
+    )
+    x1 = rpoly(1, [(1,)])
+    assert table._action_rows == {
+        (x1, (1,), x1, "e"): "a->b",
+        (x1, (1,), x1, "a:b"): "a:b",
+        (x1, (1,), x1, "a|b"): "a|b",
+    }
+    pair = parse_pair_fixture(PAIR_FIXTURE.replace(
+        "sigma 2 (2 1) : a2 -> a2", "sigma 2 (2 1) : a2 -> a->b\nsigma 2 (1 2):a:b->a2"
+    ))
+    assert pair.additive._sigma_rows == {("a2", (2, 1)): "a->b", ("a:b", (1, 2)): "a2"}

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,10 @@ from ringops.terms import (
     normalize_biperm,
     plus,
     project,
+    _MOVE_RULES,
+    _bounded_fiber,
     reduce_A,
+    reduce_node,
     section_s,
     sset_operad,
     terminal_representative,
@@ -422,3 +426,146 @@ class TestOneFiberRun:
     def test_fiber_at_each_bound_is_a_prefix_over_every_small_R3(self, mode):
         for f in R3_SMALL:
             _fiber_is_a_prefix(f, mode)
+
+
+def _two_branch_fiber(f, mode, bound):
+    """The fiber DP with one sum loop per mode: the reference for the
+    single-loop `_bounded_fiber`."""
+    if f.is_zero:
+        return (frozenset(), frozenset({Term(f.arity, ZERO)})) + (frozenset(),) * (bound - 1)
+    target = frozenset(m.support for m in f.monomials)
+    divisors = set()
+    for mono in f.monomials:
+        for size in range(len(mono.support) + 1):
+            divisors.update(itertools.combinations(mono.support, size))
+    mass_bound = len(f.monomials)
+    variables = sorted({i for mono in f.monomials for i in mono.support})
+
+    def product_keys(p1, p2):
+        out = set()
+        for k1 in p1:
+            for k2 in p2:
+                merged = tuple(sorted(k1 + k2))
+                if len(set(merged)) != len(merged) or merged not in divisors or merged in out:
+                    return None
+                out.add(merged)
+        return frozenset(out)
+
+    table = [dict() for _ in range(bound + 1)]
+    addends = [dict() for _ in range(bound + 1)]
+
+    def put(store, s, key, node):
+        store[s].setdefault(key, set()).add(node)
+
+    put(table, 1, frozenset({()}), ONE)
+    put(addends, 1, frozenset({()}), ONE)
+    for i in variables:
+        put(table, 1, frozenset({(i,)}), var(i))
+        put(addends, 1, frozenset({(i,)}), var(i))
+    for s in range(2, bound + 1):
+        for s1 in range(1, s):
+            s2 = s - s1
+            if mode == "sym":
+                for p1, nodes1 in table[s1].items():
+                    for p2, nodes2 in table[s2].items():
+                        if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
+                            for n1 in nodes1:
+                                for n2 in nodes2:
+                                    put(table, s, p1 | p2, plus(n1, n2))
+                        if len(p1) * len(p2) <= mass_bound:
+                            key = product_keys(p1, p2)
+                            if key is not None:
+                                for n1 in nodes1:
+                                    for n2 in nodes2:
+                                        if ONE not in (n1, n2):
+                                            put(table, s, key, times(n1, n2))
+            else:
+                if s1 == 1:
+                    for p2, nodes2 in table[s2].items():
+                        for i in variables:
+                            key = product_keys(frozenset({(i,)}), p2)
+                            if key is None or len(p2) > mass_bound:
+                                continue
+                            for n2 in nodes2:
+                                if n2 != ONE:
+                                    put(table, s, key, times(var(i), n2))
+                                    put(addends, s, key, times(var(i), n2))
+                for p1, nodes1 in addends[s1].items():
+                    for p2, nodes2 in table[s2].items():
+                        if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
+                            for n1 in nodes1:
+                                for n2 in nodes2:
+                                    put(table, s, p1 | p2, plus(n1, n2))
+    return tuple(
+        frozenset(Term(f.arity, node) for node in table[s].get(target, ()))
+        for s in range(bound + 1)
+    )
+
+
+def _positions(node, path=()):
+    yield path, node
+    if node[0] in ("+", "*"):
+        yield from _positions(node[1], path + (0,))
+        yield from _positions(node[2], path + (1,))
+
+
+def _replace(node, path, replacement):
+    if not path:
+        return replacement
+    if path[0] == 0:
+        return (node[0], _replace(node[1], path[1:], replacement), node[2])
+    return (node[0], node[1], _replace(node[2], path[1:], replacement))
+
+
+def _reference_moves(term):
+    """`generator_moves` as a position list followed by one rebuild per move."""
+    out = []
+    for path, sub in _positions(term.node):
+        for name, rule in _MOVE_RULES:
+            replaced = rule(sub)
+            if replaced is not None:
+                rebuilt = reduce_node(_replace(term.node, path, replaced))
+                out.append((name, path, Term(term.arity, rebuilt)))
+    return out
+
+
+def _contains_zero(node):
+    if node == ZERO:
+        return True
+    return node[0] in ("+", "*") and (_contains_zero(node[1]) or _contains_zero(node[2]))
+
+
+FIBER_POLYS = enumerate_R(2) + R3_SMALL
+
+
+class TestOneFiberLoop:
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_matches_the_two_branch_reference(self, mode):
+        for f in FIBER_POLYS:
+            bound = default_bound(f) + 2
+            assert _bounded_fiber(f, mode, bound) == _two_branch_fiber(f, mode, bound), str(f)
+
+    def test_generator_moves_match_the_position_walk(self):
+        for f in FIBER_POLYS:
+            for term in enumerate_fiber(f, "sym").terms:
+                assert generator_moves(term) == _reference_moves(term), str(term)
+
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_a_huge_bound_stops_after_the_last_leaf_count(self, mode):
+        for f in (rpoly(2, [(1,), (2,)]), rpoly(3, [(1, 2), (3,)])):
+            start = time.perf_counter()
+            result = enumerate_fiber(f, mode, 10**5)
+            assert time.perf_counter() - start < 10
+            assert result.stable
+            assert result.terms == enumerate_fiber(f, mode).terms
+            assert len(_bounded_fiber(f, mode, 10**5 + 2)) == 10**5 + 3
+
+
+@settings(max_examples=500, deadline=None)
+@given(node_strategy(3))
+def test_is_canonical_needs_no_zero_scan(node):
+    for candidate in (node, reduce_node(node)):
+        expected = reduce_node(candidate) == candidate and (
+            candidate == ZERO or not _contains_zero(candidate)
+        )
+        assert is_canonical(candidate) == expected
