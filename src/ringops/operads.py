@@ -12,6 +12,27 @@ None when the instance holds and a violation message when it does not.
 first violation; `_check_sections` runs named sections into a CheckReport.
 A section counts the instances it cannot build (a missing gamma row) in the
 report's `skipped` and yields nothing for them.
+
+Sections read the operad through `_Interned`, a view that each checker entry
+point (`check_axioms`, `check_einfty_set`, `validate_algebra`) builds fresh
+for its run and drops at the end.  Its contract:
+- elements are interned globally by equality, so two ids are equal exactly
+  when their elements are, even across components;
+- `component[f]` is the tuple of ids of the operad's component of f, and
+  `members[f]` the frozenset of them;
+- `gamma_table(g, fs)` maps the int key (c, *xs) to the id of
+  gamma(g; c, xs), and `act_table(mor)` maps an id to the id of its image;
+  the view keeps one table per shape or morphism, shared by every section,
+  up to `_TABLES_KEPT` of each kind; past that it drops them all, and each
+  refills on its next use with the same values, since act and gamma are
+  functions;
+- every table fills lazily, calling the operad's own map once per missing
+  row, so rows fill in the order the sections first need them and a failing
+  row raises at the same instance as calling the operad directly would;
+- a missing gamma row (GammaUndefined) is stored as `_SKIP`, and an instance
+  stops at its first `_SKIP`, evaluating none of its later gammas;
+- violation messages decode ids back to elements, so they name the elements
+  exactly as the operad does.
 """
 from __future__ import annotations
 
@@ -317,6 +338,96 @@ def _all_morphisms(cap: int) -> tuple[RMorphism, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The interned view every checker section reads
+
+_SKIP = object()  # the gamma-table entry of a missing gamma row
+# Tables kept per kind: every table of a cap-2 run (223 gamma, 160 act) fits,
+# and a cap-3 run, with 70,750 composition shapes, stays in bounded memory.
+_TABLES_KEPT = 4096
+
+
+class _Table(dict):
+    """A dict that fills a missing key with row(shape, key) and keeps it."""
+
+    __slots__ = ("row", "shape")
+
+    def __init__(self, row, shape=None):
+        super().__init__()
+        self.row = row
+        self.shape = shape
+
+    def __missing__(self, key):
+        value = self[key] = self.row(self.shape, key)
+        return value
+
+
+class _Tables(dict):
+    """One `_Table` of `row` per shape or morphism, made on first fetch; all
+    are dropped once `_TABLES_KEPT` are held and another is needed."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, shape):
+        if len(self) >= _TABLES_KEPT:
+            self.clear()
+        table = self[shape] = _Table(self.row, shape)
+        return table
+
+
+class _Interned:
+    """Element ids, components as id tuples, and lazy int tables for act and
+    gamma over one operad; the module docstring states the contract."""
+
+    def __init__(self, operad: DiscreteRingOperad):
+        ids: dict = {}
+        elements: list = []
+
+        def intern(elt) -> int:
+            index = ids.get(elt)
+            if index is None:
+                index = ids[elt] = len(elements)
+                elements.append(elt)
+            return index
+
+        def component_row(_, f):
+            return tuple(map(intern, operad.component(f)))
+
+        def gamma_row(shape, key):
+            g, fs = shape
+            args = [(f, elements[x]) for f, x in zip(fs, key[1:])]
+            try:
+                return intern(operad.gamma(g, elements[key[0]], args))
+            except GammaUndefined:
+                return _SKIP
+
+        def act_row(mor, x):
+            return intern(operad.act(mor, elements[x]))
+
+        # The rows close over these locals, never over self, so a dropped
+        # view is freed at once rather than by the cycle collector.
+        self.operad = operad
+        self.elements = elements
+        self.intern = intern
+        self.component = components = _Table(component_row)
+        self.members = _Table(lambda _, f: frozenset(components[f]))
+        self._gamma = _Tables(gamma_row)
+        self._act = _Tables(act_row)
+
+    def gamma_table(self, g: RPoly, fs: Sequence[RPoly]) -> dict:
+        return self._gamma[g, tuple(fs)]
+
+    def act_table(self, mor: RMorphism) -> dict:
+        return self._act[mor]
+
+    def decode(self, xs: Sequence[int]) -> tuple:
+        return tuple(self.elements[x] for x in xs)
+
+
+# ---------------------------------------------------------------------------
 # Axiom checker
 
 
@@ -376,129 +487,135 @@ def check_axioms(
     """
     _check_cap(cap)
     report = CheckReport(f"axioms:{operad.name}@cap{cap}", True, 0, 0, None)
+    view = _Interned(operad)
     return _check_sections(report, budget or Budget(), (
-        ("zero-components", _check_zero_components(operad, cap)),
-        ("functoriality", _check_functoriality(operad, cap)),
-        ("units", _check_units(operad, cap, report)),
-        ("associativity", _check_associativity(operad, cap, report)),
-        ("equivariance-collapse", _check_outer_equivariance(operad, cap, report, 0)),
-        ("equivariance-singular", _check_outer_equivariance(operad, cap, report, E)),
-        ("equivariance-arguments", _check_equivariance_arguments(operad, cap, report)),
+        ("zero-components", _check_zero_components(view, cap)),
+        ("functoriality", _check_functoriality(view, cap)),
+        ("units", _check_units(view, cap, report)),
+        ("associativity", _check_associativity(view, cap, report)),
+        ("equivariance-collapse", _check_outer_equivariance(view, cap, report, 0)),
+        ("equivariance-singular", _check_outer_equivariance(view, cap, report, E)),
+        ("equivariance-arguments", _check_equivariance_arguments(view, cap, report)),
     ))
 
 
-def _check_zero_components(operad, cap):
+def _check_zero_components(view, cap):
     for n in range(cap + 1):
-        size = len(operad.component(zero_poly(n)))
+        size = len(view.component[zero_poly(n)])
         yield None if size == 1 else f"component of 0_{n} has {size} elements"
 
 
-def _check_functoriality(operad, cap):
+def _check_functoriality(view, cap):
+    elements = view.elements
     morphisms = _all_morphisms(cap)
-    by_source: dict[RPoly, list[RMorphism]] = {}
+    by_source: dict[RPoly, list[tuple[RMorphism, dict]]] = {}
     for mor in morphisms:
-        by_source.setdefault(mor.source, []).append(mor)
+        by_source.setdefault(mor.source, []).append((mor, view.act_table(mor)))
     for f in {m.source for m in morphisms}:
-        ident = validate(f, ExtMap.identity(f.arity), f)
-        for elt in operad.component(f):
-            got = operad.act(ident, elt)
-            yield None if got == elt else f"identity action moved {elt!r} over {f}"
+        ident = view.act_table(validate(f, ExtMap.identity(f.arity), f))
+        for x in view.component[f]:
+            yield None if ident[x] == x else (
+                f"identity action moved {elements[x]!r} over {f}"
+            )
     for first in morphisms:
-        for second in by_source.get(first.target, ()):
+        act_first = view.act_table(first)
+        for second, act_second in by_source.get(first.target, ()):
             combined = first.then(second)
-            for elt in operad.component(first.source):
-                via_steps = operad.act(second, operad.act(first, elt))
-                direct = operad.act(combined, elt)
+            act_combined = view.act_table(combined)
+            for x in view.component[first.source]:
+                via_steps = act_second[act_first[x]]
+                direct = act_combined[x]
                 if via_steps != direct:
                     yield (
                         f"action not functorial on {first.map} then {second.map} "
-                        f"at {elt!r}"
+                        f"at {elements[x]!r}"
                     )
                 else:
-                    target_comp = operad.component(combined.target)
-                    yield None if direct in target_comp else (
-                        f"action left the target component at {elt!r}"
+                    yield None if direct in view.members[combined.target] else (
+                        f"action left the target component at {elements[x]!r}"
                     )
 
 
-def _check_units(operad, cap, report):
+def _check_units(view, cap, report):
+    elements = view.elements
     unit = unit_poly()
-    eta = operad.unit_element()
+    eta = view.intern(view.operad.unit_element())
     for k in range(1, cap + 1):
+        etas = (eta,) * k
         for g in enumerate_R(k):
-            for elt in operad.component(g):
-                try:
-                    right = operad.gamma(g, elt, [(unit, eta)] * k)
-                except GammaUndefined:
+            right = view.gamma_table(g, (unit,) * k)
+            for c in view.component[g]:
+                composed = right[(c, *etas)]
+                if composed is _SKIP:
                     report.skipped += 1
                     continue
-                yield None if right == elt else f"gamma(c; unit^{k}) != c at {elt!r} over {g}"
+                yield None if composed == c else (
+                    f"gamma(c; unit^{k}) != c at {elements[c]!r} over {g}"
+                )
     for n in range(cap + 1):
         for g in enumerate_R(n):
-            for elt in operad.component(g):
-                try:
-                    left = operad.gamma(unit, eta, [(g, elt)])
-                except GammaUndefined:
+            left = view.gamma_table(unit, (g,))
+            for c in view.component[g]:
+                composed = left[eta, c]
+                if composed is _SKIP:
                     report.skipped += 1
                     continue
-                yield None if left == elt else f"gamma(unit; c) != c at {elt!r} over {g}"
+                yield None if composed == c else (
+                    f"gamma(unit; c) != c at {elements[c]!r} over {g}"
+                )
 
 
-def _composites(operad, g, fs, pool, report):
-    """Each (g_elt, f_elts, gamma) over g and fs; missing gamma rows are skipped."""
-    for g_elt in pool(g):
-        for f_elts in itertools.product(*(pool(f) for f in fs)):
-            try:
-                composed = operad.gamma(g, g_elt, list(zip(fs, f_elts)))
-            except GammaUndefined:
+def _composites(view, g, fs, report):
+    """Each (c, xs, gamma) id triple over g and fs; missing rows are skipped."""
+    table = view.gamma_table(g, fs)
+    for c in view.component[g]:
+        for xs in itertools.product(*(view.component[f] for f in fs)):
+            composed = table[(c, *xs)]
+            if composed is _SKIP:
                 report.skipped += 1
                 continue
-            yield g_elt, f_elts, composed
+            yield c, xs, composed
 
 
-def _check_associativity(operad, cap, report):
-    component_cache: dict[RPoly, tuple] = {}
-
-    def pool(f):
-        elements = component_cache.get(f)
-        if elements is None:
-            elements = operad.component(f)
-            component_cache[f] = elements
-        return elements
-
+def _check_associativity(view, cap, report):
+    decode = view.decode
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
-        tops = list(_composites(operad, g, fs, pool, report))
+        tops = list(_composites(view, g, fs, report))
         for hs in _poly_tuples(total, cap):
             inner_targets = [
                 compose(fs[s], hs[a:b]) if b > a else fs[s]
                 for s, (a, b) in enumerate(blocks)
             ]
-            h_pools = [pool(h) for h in hs]
-            for g_elt, f_elts, top in tops:
-                for h_elts in itertools.product(*h_pools):
-                    try:
-                        lhs = operad.gamma(composite, top, list(zip(hs, h_elts)))
-                        nested = [
-                            operad.gamma(
-                                fs[s],
-                                f_elts[s],
-                                list(zip(hs[a:b], h_elts[a:b])),
-                            )
-                            for s, (a, b) in enumerate(blocks)
-                        ]
-                        rhs = operad.gamma(
-                            g, g_elt, list(zip(inner_targets, nested))
-                        )
-                    except GammaUndefined:
+            lhs_table = view.gamma_table(composite, hs)
+            nested_tables = [
+                (view.gamma_table(fs[s], hs[a:b]), a, b)
+                for s, (a, b) in enumerate(blocks)
+            ]
+            rhs_table = view.gamma_table(g, inner_targets)
+            h_pools = [view.component[h] for h in hs]
+            for c, xs, top in tops:
+                for ys in itertools.product(*h_pools):
+                    lhs = lhs_table[(top, *ys)]
+                    rhs = _SKIP
+                    if lhs is not _SKIP:
+                        nested = [c]
+                        for (table, a, b), x in zip(nested_tables, xs):
+                            inner = table[(x, *ys[a:b])]
+                            if inner is _SKIP:
+                                break
+                            nested.append(inner)
+                        else:
+                            rhs = rhs_table[tuple(nested)]
+                    if rhs is _SKIP:
                         report.skipped += 1
-                        continue
-                    if lhs != rhs:
+                    elif lhs != rhs:
                         yield (
                             f"associativity fails for g={g}, args={[str(f) for f in fs]}, "
-                            f"inner={[str(h) for h in hs]} at ({g_elt!r}, {f_elts!r}, {h_elts!r}): "
-                            f"{lhs!r} != {rhs!r}"
+                            f"inner={[str(h) for h in hs]} at ({view.elements[c]!r}, "
+                            f"{decode(xs)!r}, {decode(ys)!r}): "
+                            f"{view.elements[lhs]!r} != {view.elements[rhs]!r}"
                         )
                     else:
                         yield None
@@ -525,16 +642,19 @@ _OUTER_DIAGRAMS = {
 }
 
 
-def _check_outer_equivariance(operad, cap, report, basepoint):
+def _check_outer_equivariance(view, cap, report, basepoint):
     """Outer action by psi; slots psi sends to the basepoint take its filler."""
     name, map_name, covers, filler_poly, filler, reindex = _OUTER_DIAGRAMS[basepoint]
-    filler_arg = (filler_poly, filler(operad))
+    filler_id = view.intern(filler(view.operad))
     for mor in _morphisms_within(cap):
         psi = mor.map
         if not covers(psi):
             continue
+        moved_table = view.act_table(mor)
+        # per slot, the argument index it reads, or None for the filler
+        picks = [None if v == basepoint else v - 1 for v in psi.images]
         for fs in _poly_tuples(mor.target.arity, cap):
-            slot_polys = [filler_poly if v == basepoint else fs[v - 1] for v in psi.images]
+            slot_polys = [filler_poly if i is None else fs[i] for i in picks]
             if sum(p.arity for p in slot_polys) > cap:
                 continue
             chi = reindex(psi, [f.arity for f in fs])
@@ -545,27 +665,28 @@ def _check_outer_equivariance(operad, cap, report, basepoint):
             except (NotAMorphism, ArityMismatch):
                 yield f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}"
                 continue
-            pools = [operad.component(f) for f in fs]
-            for c in operad.component(mor.source):
-                moved = operad.act(mor, c)
+            lhs_table = view.gamma_table(mor.target, fs)
+            slot_table = view.gamma_table(mor.source, slot_polys)
+            chi_table = view.act_table(chi_mor)
+            pools = [view.component[f] for f in fs]
+            for c in view.component[mor.source]:
+                moved = moved_table[c]
                 for xs in itertools.product(*pools):
-                    slot_args = [
-                        filler_arg if v == basepoint else (fs[v - 1], xs[v - 1])
-                        for v in psi.images
+                    lhs = lhs_table[(moved, *xs)]
+                    slot = _SKIP if lhs is _SKIP else slot_table[
+                        (c, *[filler_id if i is None else xs[i] for i in picks])
                     ]
-                    try:
-                        lhs = operad.gamma(mor.target, moved, list(zip(fs, xs)))
-                        rhs = operad.act(chi_mor, operad.gamma(mor.source, c, slot_args))
-                    except GammaUndefined:
+                    if slot is _SKIP:
                         report.skipped += 1
                         continue
-                    yield None if lhs == rhs else (
+                    yield None if lhs == chi_table[slot] else (
                         f"{name} equivariance fails for {psi} on {mor.source} "
-                        f"with args {[str(f) for f in fs]} at {c!r}, {xs!r}"
+                        f"with args {[str(f) for f in fs]} at "
+                        f"{view.elements[c]!r}, {view.decode(xs)!r}"
                     )
 
 
-def _check_equivariance_arguments(operad, cap, report):
+def _check_equivariance_arguments(view, cap, report):
     """Acting on the arguments commutes with composing along the block sum."""
     morphisms = _all_morphisms(cap)
     by_shape: dict[tuple[int, int], list[RMorphism]] = {}
@@ -593,29 +714,28 @@ def _check_equivariance_arguments(operad, cap, report):
                                 f"morphism {comp_f} -> {comp_h}"
                             )
                             continue
-                        elt_pools = [operad.component(f) for f in fs]
-                        for c in operad.component(g):
+                        source_table = view.gamma_table(g, fs)
+                        target_table = view.gamma_table(g, hs)
+                        block_act = view.act_table(bmor)
+                        arg_acts = [view.act_table(m) for m in mors]
+                        elt_pools = [view.component[f] for f in fs]
+                        for c in view.component[g]:
                             for xs in itertools.product(*elt_pools):
-                                try:
-                                    lhs = operad.act(
-                                        bmor,
-                                        operad.gamma(g, c, list(zip(fs, xs))),
-                                    )
-                                    rhs = operad.gamma(
-                                        g,
-                                        c,
-                                        [
-                                            (hs[s], operad.act(mors[s], xs[s]))
-                                            for s in range(k)
-                                        ],
-                                    )
-                                except GammaUndefined:
+                                composed = source_table[(c, *xs)]
+                                if composed is _SKIP:
                                     report.skipped += 1
                                     continue
-                                if lhs != rhs:
+                                lhs = block_act[composed]
+                                rhs = target_table[
+                                    (c, *[act[x] for act, x in zip(arg_acts, xs)])
+                                ]
+                                if rhs is _SKIP:
+                                    report.skipped += 1
+                                elif lhs != rhs:
                                     yield (
                                         f"argument equivariance fails for g={g}, "
-                                        f"maps={[str(m.map) for m in mors]} at {c!r}, {xs!r}"
+                                        f"maps={[str(m.map) for m in mors]} at "
+                                        f"{view.elements[c]!r}, {view.decode(xs)!r}"
                                     )
                                 else:
                                     yield None
@@ -660,6 +780,7 @@ def check_einfty_set(
     """
     _check_cap(cap)
     budget = budget or Budget()
+    view = _Interned(operad)
     conditions: dict[int, tuple[str, str]] = {
         1: ("not-applicable", "contractibility is out of scope at the set level")
     }
@@ -669,18 +790,19 @@ def check_einfty_set(
         (4, _einfty_condition4),
         (5, _einfty_condition5),
     ):
-        _, violation = _run(condition(operad, cap), budget)
+        _, violation = _run(condition(view, cap), budget)
         conditions[num] = ("pass", "") if violation is None else ("fail", violation)
     return EinftyReport(operad.name, cap, conditions)
 
 
-def _einfty_condition2(operad, cap):
+def _einfty_condition2(view, cap):
     for mor in _all_morphisms(cap):
         if not mor.map.is_injective_setmap:
             continue
-        source = operad.component(mor.source)
-        images = {operad.act(mor, elt) for elt in source}
-        target = set(operad.component(mor.target))
+        source = view.component[mor.source]
+        act = view.act_table(mor)
+        images = {act[x] for x in source}
+        target = view.members[mor.target]
         yield None if len(images) == len(source) and images == target else (
             f"action along {mor.map} from {mor.source} is not a bijection"
         )
@@ -692,7 +814,8 @@ def _nondegenerate_objects(cap):
     ]
 
 
-def _einfty_condition3(operad, cap):
+def _einfty_condition3(view, cap):
+    elements = view.elements
     objects = _nondegenerate_objects(cap)
     for g in objects:
         arrows: list[tuple[RPoly, RMorphism]] = []
@@ -700,18 +823,19 @@ def _einfty_condition3(operad, cap):
             for mor in enumerate_hom(f, g, "effective"):
                 arrows.append((f, mor))
         for (f1, m1), (f2, m2) in itertools.product(arrows, repeat=2):
-            for a1 in operad.component(f1):
-                for a2 in operad.component(f2):
-                    coincide = operad.act(m1, a1) == operad.act(m2, a2)
+            act1, act2 = view.act_table(m1), view.act_table(m2)
+            for a1 in view.component[f1]:
+                for a2 in view.component[f2]:
+                    coincide = act1[a1] == act2[a2]
                     yield None if not coincide or _has_common_cover(
-                        operad, f1, a1, m1, f2, a2, m2
+                        view, f1, a1, m1, f2, a2, m2
                     ) else (
-                        f"no non-degenerate cover for {a1!r} over {f1} and "
-                        f"{a2!r} over {f2} coinciding in {g}"
+                        f"no non-degenerate cover for {elements[a1]!r} over {f1} and "
+                        f"{elements[a2]!r} over {f2} coinciding in {g}"
                     )
 
 
-def _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
+def _has_common_cover(view, f1, a1, m1, f2, a2, m2):
     if type_of(f1) != type_of(f2):
         return False
     special = special_of_type(type_of(f1))
@@ -725,37 +849,42 @@ def _has_common_cover(operad, f1, a1, m1, f2, a2, m2):
             homs2 = enumerate_hom(h, f2, "nondegenerate")
             if not homs1 or not homs2:
                 continue
-            for beta in operad.component(h):
-                for psi1 in homs1:
-                    if operad.act(psi1, beta) != a1:
+            acts1 = [view.act_table(psi1) for psi1 in homs1]
+            acts2 = [view.act_table(psi2) for psi2 in homs2]
+            for beta in view.component[h]:
+                for act1 in acts1:
+                    if act1[beta] != a1:
                         continue
-                    for psi2 in homs2:
-                        if operad.act(psi2, beta) == a2:
+                    for act2 in acts2:
+                        if act2[beta] == a2:
                             return True
     return False
 
 
-def _einfty_condition4(operad, cap):
+def _einfty_condition4(view, cap):
+    elements = view.elements
     objects = _nondegenerate_objects(cap)
     for f in objects:
         for n in range(cap + 1):
             for g in enumerate_R(n):
                 homs = enumerate_hom(f, g, "effective")
                 for m1, m2 in itertools.combinations(homs, 2):
-                    for alpha in operad.component(f):
-                        yield None if operad.act(m1, alpha) != operad.act(m2, alpha) else (
+                    act1, act2 = view.act_table(m1), view.act_table(m2)
+                    for alpha in view.component[f]:
+                        yield None if act1[alpha] != act2[alpha] else (
                             f"distinct effective maps {m1.map} and {m2.map} from "
-                            f"{f} to {g} agree on {alpha!r}"
+                            f"{f} to {g} agree on {elements[alpha]!r}"
                         )
 
 
-def _einfty_condition5(operad, cap):
+def _einfty_condition5(view, cap):
     objects = _nondegenerate_objects(cap)
     for f in objects:
         for g in objects:
             for mor in enumerate_hom(f, g, "nondegenerate"):
-                elts = operad.component(f)
-                images = {operad.act(mor, elt) for elt in elts}
+                elts = view.component[f]
+                act = view.act_table(mor)
+                images = {act[x] for x in elts}
                 yield None if len(images) == len(elts) else (
                     f"action along {mor.map} from {f} to {g} is not injective"
                 )
@@ -839,49 +968,52 @@ def validate_algebra(
     """Exhaustively check the algebra diagrams within the arity cap."""
     _check_cap(cap)
     report = CheckReport(f"algebra over {operad.name}@cap{cap}", True, 0, 0, None)
+    view = _Interned(operad)
     return _check_sections(report, budget or Budget(), (
-        ("unit", _algebra_unit(operad, algebra)),
-        ("associativity", _algebra_associativity(operad, algebra, cap, report)),
-        ("equivariance", _algebra_equivariance(operad, algebra, cap)),
+        ("unit", _algebra_unit(view, algebra)),
+        ("associativity", _algebra_associativity(view, algebra, cap, report)),
+        ("equivariance", _algebra_equivariance(view, algebra, cap)),
     ))
 
 
-def _algebra_unit(operad, algebra):
+def _algebra_unit(view, algebra):
     unit = unit_poly()
-    eta = operad.unit_element()
+    eta = view.operad.unit_element()
     for x in algebra.carrier:
         got = algebra.theta(unit, eta, (x,))
         yield None if got == x else f"theta(unit)({x!r}) != {x!r}"
 
 
-def _algebra_associativity(operad, algebra, cap, report):
+def _algebra_associativity(view, algebra, cap, report):
+    elements, theta = view.elements, algebra.theta
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
-        for g_elt, f_elts, composed in _composites(operad, g, fs, operad.component, report):
-            for xs in itertools.product(algebra.carrier, repeat=total):
-                lhs = algebra.theta(composite, composed, xs)
-                inner = tuple(
-                    algebra.theta(fs[s], f_elts[s], xs[a:b])
-                    for s, (a, b) in enumerate(blocks)
-                )
-                rhs = algebra.theta(g, g_elt, inner)
+        for c, xs, composed in _composites(view, g, fs, report):
+            g_elt, top = elements[c], elements[composed]
+            slots = [(f, elements[x], a, b) for f, x, (a, b) in zip(fs, xs, blocks)]
+            for values in itertools.product(algebra.carrier, repeat=total):
+                lhs = theta(composite, top, values)
+                inner = tuple(theta(f, elt, values[a:b]) for f, elt, a, b in slots)
+                rhs = theta(g, g_elt, inner)
                 yield None if lhs == rhs else (
-                    f"g={g}, args={[str(f) for f in fs]}, xs={xs!r}: {lhs!r} != {rhs!r}"
+                    f"g={g}, args={[str(f) for f in fs]}, xs={values!r}: {lhs!r} != {rhs!r}"
                 )
 
 
-def _algebra_equivariance(operad, algebra, cap):
+def _algebra_equivariance(view, algebra, cap):
+    elements = view.elements
     fillers = {0: algebra.zero, E: algebra.e}
     for mor in _all_morphisms(cap):
-        for c in operad.component(mor.source):
-            moved = operad.act(mor, c)
+        act = view.act_table(mor)
+        for c in view.component[mor.source]:
+            moved = act[c]
             for xs in itertools.product(algebra.carrier, repeat=mor.target.arity):
                 pulled = tuple(
                     fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images
                 )
-                lhs = algebra.theta(mor.target, moved, xs)
-                rhs = algebra.theta(mor.source, c, pulled)
+                lhs = algebra.theta(mor.target, elements[moved], xs)
+                rhs = algebra.theta(mor.source, elements[c], pulled)
                 yield None if lhs == rhs else (
                     f"map {mor.map} from {mor.source}: {lhs!r} != {rhs!r}"
                 )

@@ -406,11 +406,11 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
 
     Rows: `component <poly> = names...`, `unit = name`,
     `gamma <g-elt> (<elt>,...) = <elt>`,
-    `act <poly> |{map}| <poly> : <elt> -> <elt>`.  A second component,
-    gamma or act row with the same key is an error.
+    `act <poly> |{map}| <poly> : <elt> -> <elt>`.  A second unit row, or a
+    second component, gamma or act row with the same key, is an error.
     """
     components: dict[RPoly, list[str]] = {}
-    unit: Union[str, None] = None
+    units: dict[str, str] = {}
     gamma_rows: dict[tuple[str, tuple[str, ...]], str] = {}
     action_rows: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -424,7 +424,7 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
                 f = _parse_poly(_Scanner(body, scanner.pos))
                 _put_row(components, f, names.split(), lineno)
             elif keyword == "unit":
-                unit = _parse_value(scanner)
+                _put_row(units, keyword, _parse_value(scanner), lineno)
             elif keyword == "gamma":
                 _put_row(gamma_rows, *_parse_row(scanner), lineno)
             elif keyword == "act":
@@ -438,9 +438,9 @@ def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
                 raise _unrecognized(lineno, line)
         except ParseFailure as err:
             raise FixtureError(f"line {lineno}: {err}") from err
-    if unit is None:
+    if "unit" not in units:
         raise FixtureError("fixture is missing the unit row")
-    return TableRingOperad(components, unit, gamma_rows, action_rows, name=name)
+    return TableRingOperad(components, units["unit"], gamma_rows, action_rows, name=name)
 
 
 def parse_pair_fixture(text: str, name: str = "pair"):
@@ -449,8 +449,9 @@ def parse_pair_fixture(text: str, name: str = "pair"):
 
     Shared row shapes with the ring-operad fixture, with integer-arity
     components, `sigma <j> (<perm>) : <elt> -> <elt>` action rows and
-    `lambda <g-elt> (<c-elts>) = <c-elt>` rows.  A second keyed row with the
-    same key is an error, as in the ring-operad fixture.
+    `lambda <g-elt> (<c-elts>) = <c-elt>` rows.  A second identity row in a
+    section, or a second keyed row with the same key, is an error, as in the
+    ring-operad fixture.
     """
     from .operad_pair import OperadPairData, TableFiniteOperad
 
@@ -473,7 +474,7 @@ def parse_pair_fixture(text: str, name: str = "pair"):
     operads = {}
     for section in ("additive", "multiplicative"):
         components: dict[int, list[str]] = {}
-        identity = None
+        identities: dict[str, str] = {}
         sigma_rows: dict = {}
         gamma_rows: dict = {}
         for lineno, line in sections[section]:
@@ -486,7 +487,7 @@ def parse_pair_fixture(text: str, name: str = "pair"):
                     scanner.finish()
                     _put_row(components, arity, names.split(), lineno)
                 elif keyword == "identity":
-                    identity = _parse_value(scanner)
+                    _put_row(identities, keyword, _parse_value(scanner), lineno)
                 elif keyword == "sigma":
                     colon = _motion_start(line, 0)
                     scanner = _Scanner(line[:colon], scanner.pos)
@@ -504,10 +505,10 @@ def parse_pair_fixture(text: str, name: str = "pair"):
                     raise _unrecognized(lineno, line)
             except ParseFailure as err:
                 raise FixtureError(f"line {lineno}: {err}") from err
-        if identity is None:
+        if "identity" not in identities:
             raise FixtureError(f"[{section}] is missing the identity row")
         operads[section] = TableFiniteOperad(
-            components, identity, sigma_rows, gamma_rows, name=f"{name}.{section}"
+            components, identities["identity"], sigma_rows, gamma_rows, name=f"{name}.{section}"
         )
     lambda_rows: dict = {}
     for lineno, line in sections["lambda"]:

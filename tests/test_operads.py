@@ -19,6 +19,7 @@ from ringops.operads import (
     product,
     strict_operad,
     validate_algebra,
+    _Interned,
     _check_outer_equivariance,
     _run,
 )
@@ -251,9 +252,10 @@ class TestOuterEquivariance:
     def test_broken_filler_fails_its_diagram_only(self, broken, basepoint, other, prefix):
         operad = _BrokenFiller(broken)
         report = CheckReport("broken", True, 0, 0, None)
-        _, violation = _run(_check_outer_equivariance(operad, 2, report, basepoint), Budget())
+        view = _Interned(operad)
+        _, violation = _run(_check_outer_equivariance(view, 2, report, basepoint), Budget())
         assert violation is not None and violation.startswith(prefix), violation
-        _, violation = _run(_check_outer_equivariance(operad, 2, report, other), Budget())
+        _, violation = _run(_check_outer_equivariance(view, 2, report, other), Budget())
         assert violation is None, violation
 
 
@@ -272,4 +274,4 @@ class TestErrorClasses:
     def test_cover_search_arity_cap(self):
         f = rpoly(3, [(1, 2, 3), (1, 2)])  # special representative of arity 5
         with pytest.raises(ArityCapExceeded):
-            _has_common_cover(strict_operad(), f, "*", None, f, "*", None)
+            _has_common_cover(_Interned(strict_operad()), f, 0, None, f, 0, None)

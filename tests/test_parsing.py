@@ -252,6 +252,7 @@ RING_ROWS = "component R(0): 0 = z\ncomponent R(1): x1 = e\nunit = e\n"
         ("act R(1): x1 |{1->1}| R(1): x1 : -> e", "expected a name (at position 33)"),
         ("act R(1): x1 |{1->1}| R(1): x1 e -> e", "unexpected trailing input"),
         ("component R(0): 0 = y", "repeated row"),
+        ("unit = e", "repeated row"),
     ],
 )
 def test_ring_fixture_rows_follow_their_grammar(row, message):
@@ -331,6 +332,7 @@ def test_ring_fixture_rows_are_not_repeated(text):
         ("component 2 = b2", "component 2 = a2"),
         ("gamma ai (ai) = ai", "gamma ai (ai) = ai"),
         ("lambda mi (ai) = ai", "lambda mi (ai) = ai"),
+        ("identity = mi", "identity = mi"),
     ],
 )
 def test_pair_fixture_rows_are_not_repeated(row, after):
