@@ -183,12 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_poly(args) -> int:
     if args.action == "enumerate":
-        polys = polynomials.enumerate_R(args.arity)
-        _emit(
-            {"count": len(polys), "polynomials": [parsing.print_poly(f) for f in polys]},
-            args.json,
-            [parsing.print_poly(f) for f in polys],
-        )
+        lines = [parsing.print_poly(f) for f in polynomials.enumerate_R(args.arity)]
+        _emit({"count": len(lines), "polynomials": lines}, args.json, lines)
         return EXIT_OK
     if args.action == "member":
         try:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -28,12 +29,13 @@ from .polynomials import (
     RPoly,
     TypeSignature,
     _block_offsets,
-    _image_key,
+    _image_mask,
+    _monomial,
+    _substitute,
+    _support,
     enumerate_R,
-    gamma_of,
     is_nondegenerate,
     is_special,
-    lambda_of,
     special_of_type,
     substitute_images,
     type_of,
@@ -145,9 +147,7 @@ def validate(f: RPoly, phi: ExtMap, g: RPoly) -> RMorphism:
     """Check the defining condition phi_*(f) = g and return the morphism."""
     if phi.source_size != f.arity or phi.target_size != g.arity:
         raise ArityMismatch("map sizes do not match the polynomial arities")
-    image = substitute(phi, f)
-    expected = {m.support: 1 for m in g.monomials}
-    if image.coeffs() != expected:
+    if _substitute(phi.images, g.arity, f) != g:
         raise NotAMorphism(f"substitution of {f} along {phi} does not give {g}")
     return RMorphism(f, phi, g)
 
@@ -182,11 +182,10 @@ def _effective_maps_onto(f: RPoly, g: RPoly) -> Iterator[ExtMap]:
     if type_of(f) != type_of(g):
         return
     m, n = f.arity, g.arity
-    src, tgt = lambda_of(f), lambda_of(g)
-    covered = {i for mono in src for i in mono.support}
+    covered = _support(reduce(or_, f.masks, 0))
     free = [i for i in range(1, m + 1) if i not in covered]
     seen = set()
-    for matching in _size_preserving_bijections(src, tgt):
+    for matching in _size_preserving_bijections(f.masks, g.masks):
         for assignment in _support_assignments(matching):
             for extra in itertools.product(range(1, n + 1), repeat=len(free)):
                 full = {**assignment, **dict(zip(free, extra))}
@@ -199,10 +198,11 @@ def _effective_maps_onto(f: RPoly, g: RPoly) -> Iterator[ExtMap]:
 
 
 def _size_preserving_bijections(src, tgt):
-    """All bijections src -> tgt matching support sizes (src and tgt share a type)."""
-    sizes = sorted({len(mono.support) for mono in tgt})
-    sources = [[mono for mono in src if len(mono.support) == k] for k in sizes]
-    targets = [[mono for mono in tgt if len(mono.support) == k] for k in sizes]
+    """All bijections of monomial masks src -> tgt matching sizes (src and
+    tgt share a type)."""
+    sizes = sorted({mask.bit_count() for mask in tgt})
+    sources = [[mask for mask in src if mask.bit_count() == k] for k in sizes]
+    targets = [[mask for mask in tgt if mask.bit_count() == k] for k in sizes]
     for combo in itertools.product(*map(itertools.permutations, targets)):
         yield [pair for group, perm in zip(sources, combo) for pair in zip(group, perm)]
 
@@ -215,9 +215,9 @@ def _support_assignments(pairing):
             yield dict(acc)
             return
         source_mono, target_mono = pairing[idx]
-        for perm in itertools.permutations(target_mono.support):
+        for perm in itertools.permutations(_support(target_mono)):
             trial = dict(acc)
-            if all(trial.setdefault(i, v) == v for i, v in zip(source_mono.support, perm)):
+            if all(trial.setdefault(i, v) == v for i, v in zip(_support(source_mono), perm)):
                 yield from extend(idx + 1, trial)
 
     yield from extend(0, {})
@@ -390,20 +390,21 @@ class LambdaMaps:
 
 def induced_lambda_maps(mor: RMorphism) -> LambdaMaps:
     phi = mor.map
+    source_arity, target_arity = mor.source.arity, mor.target.arity
     phi_prime: dict[Monomial, Monomial] = {}
     per_monomial: dict[Monomial, dict[int, int]] = {}
-    for source_mono in mor.source.monomials:
-        key = _image_key(phi.images, source_mono.support)
-        if key is None:
+    for mask in mor.source.masks:
+        image = _image_mask(phi.images, mask)
+        if image is None:
             continue
-        target_mono = Monomial(mor.target.arity, key)
+        target_mono = _monomial(target_arity, image)
         if target_mono in phi_prime:
             raise NotAMorphism("two source monomials map onto one target monomial")
-        phi_prime[target_mono] = source_mono
+        phi_prime[target_mono] = _monomial(source_arity, mask)
         per_monomial[target_mono] = {
-            phi(i): i for i in source_mono.support if phi(i) not in (0, E)
+            phi(i): i for i in _support(mask) if phi(i) not in (0, E)
         }
-    if set(phi_prime) != set(mor.target.monomials):
+    if {mono.mask for mono in phi_prime} != set(mor.target.masks):
         raise NotAMorphism("monomial images do not cover the target")
     phi_tilde = None
     if phi.is_effective:
@@ -422,11 +423,10 @@ def special_rep_morphism(f: RPoly) -> RMorphism:
     the special is sent onto the ordered support of the j-th monomial.  For
     0_n the special is 0_0 and the map is empty.
     """
-    listed = sorted(lambda_of(f), key=lambda m: (len(m.support), m.exponents()))
     source = special_of_type(type_of(f))
     images = []
-    for mono in listed:
-        images.extend(gamma_of(mono))
+    for mask in sorted(f.masks, key=int.bit_count):
+        images.extend(_support(mask))
     phi = ExtMap(source.arity, f.arity, tuple(images))
     return validate(source, phi, f)
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .errors import ArityMismatch, PreconditionViolation
 from .indexcat import RMorphism, induced_lambda_maps
 from .operads import DiscreteRingOperad
-from .polynomials import RPoly, _block_offsets, _expand, compose, gamma_of, lambda_of
+from .polynomials import RPoly, _block_offsets, _expand, _support, compose, lambda_of
 
 
 class FiniteOperad:
@@ -217,9 +217,8 @@ class PairRingOperad(DiscreteRingOperad):
         self.name = name
 
     def component(self, f: RPoly) -> tuple:
-        lam_f = lambda_of(f)
-        c_pool = self.pair.additive.component(len(lam_f))
-        g_pools = [self.pair.multiplicative.component(len(m.support)) for m in lam_f]
+        c_pool = self.pair.additive.component(len(f))
+        g_pools = [self.pair.multiplicative.component(m.bit_count()) for m in f.masks]
         return tuple(
             (c, gs)
             for c in c_pool
@@ -234,38 +233,35 @@ class PairRingOperad(DiscreteRingOperad):
 
     def act(self, mor: RMorphism, elt):
         c, gs = elt
-        source_order = lambda_of(mor.source)
-        target_order = lambda_of(mor.target)
         maps = induced_lambda_maps(mor)
-        source_rank = {m: i for i, m in enumerate(source_order)}
-        c_injection = [source_rank[maps.phi_prime[J]] + 1 for J in target_order]
-        new_c = restriction(self.pair.additive, c_injection, len(source_order))(c)
+        source_rank = {mask: i for i, mask in enumerate(mor.source.masks)}
+        targets = lambda_of(mor.target)
+        sources = [maps.phi_prime[J] for J in targets]
+        ranks = [source_rank[mono.mask] for mono in sources]
+        new_c = restriction(self.pair.additive, [r + 1 for r in ranks], len(mor.source))(c)
         new_gs = []
-        for J in target_order:
-            source_mono = maps.phi_prime[J]
+        for J, source_mono, r in zip(targets, sources, ranks):
             variable_map = maps.per_monomial[J]
-            source_support = gamma_of(source_mono)
-            positions = [
-                source_support.index(variable_map[j]) + 1 for j in gamma_of(J)
-            ]
+            source_support = source_mono.support
+            positions = [source_support.index(variable_map[j]) + 1 for j in J.support]
             restrict = restriction(
                 self.pair.multiplicative, positions, len(source_support)
             )
-            new_gs.append(restrict(gs[source_rank[source_mono]]))
+            new_gs.append(restrict(gs[r]))
         return (new_c, tuple(new_gs))
 
     def _gamma(self, f, elt, args):
         c, gs = elt
         arg_polys = [p for p, _ in args]
         arg_elts = [x for _, x in args]
-        lam_f, arg_lams, composite, generated = _pair_expansion(f, arg_polys)
-        rank = {m.support: i for i, m in enumerate(lambda_of(composite))}
+        composite, generated = _pair_expansion(f, arg_polys)
+        rank = {m: i for i, m in enumerate(composite.masks)}
 
         # additive layer: lam per monomial of f, then the structure map
         blocks = []
-        for idx, mono in enumerate(lam_f):
+        for idx, mono in enumerate(f.masks):
             lam_args = [
-                (len(arg_lams[i - 1]), arg_elts[i - 1][0]) for i in mono.support
+                (len(arg_polys[i - 1]), arg_elts[i - 1][0]) for i in _support(mono)
             ]
             width = math.prod(j for j, _ in lam_args)
             blocks.append((width, self.pair.lam(gs[idx], lam_args)))
@@ -276,8 +272,8 @@ class PairRingOperad(DiscreteRingOperad):
         new_gs: list = [None] * len(rank)
         for idx, choice, key in generated:
             g_args = [
-                (len(arg_lams[i - 1][t].support), arg_elts[i - 1][1][t])
-                for i, t in zip(lam_f[idx].support, choice)
+                (arg_polys[i - 1].masks[t].bit_count(), arg_elts[i - 1][1][t])
+                for i, t in zip(_support(f.masks[idx]), choice)
             ]
             new_gs[rank[key]] = self.pair.multiplicative.gamma(gs[idx], g_args)
 
@@ -288,21 +284,16 @@ class PairRingOperad(DiscreteRingOperad):
 
 
 def _pair_expansion(f: RPoly, arg_polys: Sequence[RPoly]):
-    """Lambda orders of f and its arguments, the composite, and the composite
-    monomials as generated: outer monomial by outer monomial in lambda order,
-    then one argument monomial per slot, each in lambda order."""
-    lam_f = lambda_of(f)
-    arg_lams = [lambda_of(p) for p in arg_polys]
+    """The composite and its monomial masks as generated: outer monomial by
+    outer monomial in lambda order, then one argument monomial per slot,
+    each in lambda order, as (outer index, choice indices, mask)."""
     offsets, _ = _block_offsets(p.arity for p in arg_polys)
-    slots = [
-        [tuple(v + offset for v in m.support) for m in lam]
-        for lam, offset in zip(arg_lams, offsets)
-    ]
+    slots = [[m << offset for m in p.masks] for p, offset in zip(arg_polys, offsets)]
     composite = compose(f, arg_polys)
-    generated = list(_expand([m.support for m in lam_f], slots))
-    if len(generated) != len(composite.monomials):
+    generated = _expand(f.masks, slots)
+    if len(generated) != len(composite):
         raise ArityMismatch("composite monomial bookkeeping out of step")
-    return lam_f, arg_lams, composite, generated
+    return composite, generated
 
 
 def build_RCG(pair: OperadPairData, name: str = "rcg") -> PairRingOperad:
@@ -311,8 +302,7 @@ def build_RCG(pair: OperadPairData, name: str = "rcg") -> PairRingOperad:
 
 def component_signature(pair: OperadPairData, f: RPoly) -> str:
     """Readable factor listing: C at the monomial count, one G per monomial."""
-    lam_f = lambda_of(f)
-    factors = [f"C({len(lam_f)})"] + [f"G({len(m.support)})" for m in lam_f]
+    factors = [f"C({len(f)})"] + [f"G({m.bit_count()})" for m in f.masks]
     return " x ".join(factors)
 
 
@@ -322,30 +312,30 @@ def composition_plan(f: RPoly, arg_polys: Sequence[RPoly]) -> dict:
     Returns the multiplicative rows (one per composite monomial, in the
     composite's lambda order) and the additive row.
     """
-    lam_f, arg_lams, composite, generated = _pair_expansion(f, arg_polys)
-    order = {m.support: i for i, m in enumerate(lambda_of(composite))}
+    composite, generated = _pair_expansion(f, arg_polys)
+    order = {m: i for i, m in enumerate(composite.masks)}
     g_rows = []
     for idx, choice, _key in sorted(generated, key=lambda row: order[row[2]]):
-        support = lam_f[idx].support
+        support = _support(f.masks[idx])
         sizes = [len(support)] + [
-            len(arg_lams[i - 1][t].support) for i, t in zip(support, choice)
+            arg_polys[i - 1].masks[t].bit_count() for i, t in zip(support, choice)
         ]
         g_rows.append(
             "G(" + ") x G(".join(str(s) for s in sizes) + f") -> G({sum(sizes[1:])})"
         )
     lam_rows = []
     widths = []
-    for mono in lam_f:
-        factors = [len(arg_lams[i - 1]) for i in mono.support]
+    for mono in f.masks:
+        factors = [len(arg_polys[i - 1]) for i in _support(mono)]
         width = math.prod(factors)
         widths.append(width)
         lam_rows.append(
-            f"G({len(mono.support)})"
+            f"G({mono.bit_count()})"
             + "".join(f" x C({k})" for k in factors)
             + f" -> C({width})"
         )
     c_row = (
-        f"C({len(lam_f)})"
+        f"C({len(f)})"
         + "".join(f" x C({w})" for w in widths)
         + f" -> C({sum(widths)})"
     )

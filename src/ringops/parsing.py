@@ -243,10 +243,6 @@ def print_term(term: Term) -> str:
 # Wreath objects and morphisms
 
 
-def parse_ff_object(text: str) -> FFObject:
-    return _parse_ff_object(_Scanner(text))
-
-
 def _parse_ff_object(scanner: _Scanner) -> FFObject:
     scanner.expect("(")
     n = scanner.integer()
@@ -258,10 +254,6 @@ def _parse_ff_object(scanner: _Scanner) -> FFObject:
         raise ParseFailure(f"declared length {n} but {len(sizes)} sizes", scanner.pos)
     scanner.finish()
     return FFObject(tuple(sizes))
-
-
-def print_ff_object(obj: FFObject) -> str:
-    return str(obj)
 
 
 def parse_ff_morphism(text: str) -> FFMorphism:

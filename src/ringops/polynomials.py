@@ -3,25 +3,42 @@
 The central index set R(n) consists of the polynomials in n variables that
 are finite sums of distinct monic square-free monomials of positive degree,
 plus the zero polynomial 0_n.  R(n) is finite with exactly 2^(2^n - 1)
-elements.  RPoly values are the members of R(n); IntPoly is the larger
-integer-coefficient space in which substitutions and expansions are computed
-before membership is re-checked.
+elements.
+
+Mask encoding: a monomial is an int whose bit i-1 is set when variable i
+occurs, so the monomials of R(n) are the masks 1..2^n - 1.  An RPoly is the
+pair (arity, masks) with its masks in lambda order, the order of their
+exponent tuples read from variable 1; that is ascending order of the
+bit-reversed mask (`_lambda_key`), so printing and `lambda_of` read the masks
+as stored.  `Monomial` and `RPoly.monomials` are views derived from the masks.
+IntPoly is the larger integer-coefficient space that keeps non-members
+visible: substitution results, composition with UNIT slots and term
+projections.
 
 Block convention: composing g with arguments f_1, ..., f_k writes argument t
 in its own block of fresh variables, shifted past the blocks of f_1..f_{t-1}
-(`_block_offsets`).  A based map acts on a monomial by substitution, where an
-image 0 kills the monomial and an image e (-1) drops the variable.  Two
-kernels are the only code that knows these rules: `_expand` multiplies out
-an outer polynomial over per-slot lists of shifted supports, and
-`_image_key` substitutes one monomial.  Every block expansion and every
-substitution of a polynomial along a based map goes through them.
+(`_block_offsets`); on masks that is a left shift by the block's offset.  A
+product of an outer monomial ORs one shifted mask per slot it uses
+(`_products`).  Why no product of RPoly arguments needs a membership check:
+the blocks are disjoint, so an OR never meets a bit twice (no square);
+every argument monomial is a non-zero mask, so a product is non-zero (no
+constant) and marks exactly the blocks of its outer monomial's slots, so
+products of distinct outer monomials differ, and products of one outer
+monomial differ in the block where their choices differ (no repeat).  A UNIT
+slot is the constant 1, an empty block, which breaks the last two steps;
+composition with UNIT counts its products into an IntPoly and re-checks.
+
+A based map acts on a monomial by substitution, where an image 0 kills the
+monomial and an image e (-1) drops the variable: `_image_key` substitutes one
+monomial keeping squares visible, and `_image_mask` maps it onto a mask.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Iterable, Sequence, Union
 
 from .errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
@@ -46,98 +63,122 @@ class _UnitMarker:
 UNIT = _UnitMarker()
 
 
-@dataclass(frozen=True, eq=False)
-class Monomial:
-    """A monic square-free monomial: an ordered non-empty support in 1..arity."""
+@lru_cache(maxsize=None)
+def _support(mask: int) -> tuple[int, ...]:
+    """The variables of a monomial mask, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
-    arity: int
-    support: tuple[int, ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.arity == other.arity and self.support == other.support
+@lru_cache(maxsize=None)
+def _lambda_key(mask: int) -> str:
+    """Sort key of lambda order: the mask's binary digits from variable 1 on.
 
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self.arity, self.support))
-            object.__setattr__(self, "_hash", value)
-        return value
+    Strings compare like the bit-reversed masks at any common width: a key
+    that is a proper prefix of another is smaller, since the longer one ends
+    in the 1 of its highest variable.
+    """
+    return bin(mask)[:1:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", None)
-        if not self.support:
+
+@lru_cache(maxsize=None)
+def _monomial_text(mask: int) -> str:
+    return "*".join(f"x{i}" for i in _support(mask))
+
+
+def _mask(support: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in support)
+
+
+class Monomial(tuple):
+    """A monic square-free monomial: the pair (arity, mask), mask non-zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, arity: int, support: Sequence[int]):
+        support = tuple(support)
+        if not support:
             raise NotInR("a Monomial must have positive degree")
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
-            raise NotInR(f"support {self.support} is not strictly increasing")
-        if self.support[0] < 1 or self.support[-1] > self.arity:
-            raise ArityMismatch(
-                f"support {self.support} out of range for arity {self.arity}"
-            )
+        if any(b <= a for a, b in zip(support, support[1:])):
+            raise NotInR(f"support {support} is not strictly increasing")
+        if support[0] < 1 or support[-1] > arity:
+            raise ArityMismatch(f"support {support} out of range for arity {arity}")
+        return tuple.__new__(cls, (arity, _mask(support)))
+
+    arity = property(itemgetter(0))
+    mask = property(itemgetter(1))
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return _support(self[1])
 
     def exponents(self) -> tuple[int, ...]:
         """0/1 tuple of length arity, read from variable 1."""
-        marks = set(self.support)
-        return tuple(1 if i in marks else 0 for i in range(1, self.arity + 1))
+        return tuple(self[1] >> i & 1 for i in range(self[0]))
+
+    def __repr__(self):
+        return f"Monomial({self[0]}, {self.support})"
 
     def __str__(self):
-        return "*".join(f"x{i}" for i in self.support)
+        return _monomial_text(self[1])
 
 
-@dataclass(frozen=True, eq=False)
-class RPoly:
-    """An element of R(n): a set of distinct square-free monomials, or 0_n."""
+def _monomial(arity: int, mask: int) -> Monomial:
+    return tuple.__new__(Monomial, (arity, mask))
 
-    arity: int
-    monomials: frozenset[Monomial]
 
-    def __eq__(self, other):
-        if not isinstance(other, RPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.monomials == other.monomials
+class RPoly(tuple):
+    """An element of R(n): the pair (arity, masks), masks in lambda order.
 
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash((self.arity, self.monomials))
-            object.__setattr__(self, "_hash", value)
-        return value
+    A tuple, so hashing and equality run no Python code, and the hash of
+    ints does not depend on PYTHONHASHSEED.  Build members with `rpoly`,
+    `zero_poly`, `to_rpoly` or `compose`; the constructor trusts its masks.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", None)
-        for m in self.monomials:
-            if m.arity != self.arity:
-                raise ArityMismatch(
-                    f"monomial arity {m.arity} inside RPoly of arity {self.arity}"
-                )
+    __slots__ = ()
+
+    def __new__(cls, arity: int, masks: Iterable[int]):
+        return tuple.__new__(cls, (arity, tuple(masks)))
+
+    arity = property(itemgetter(0))
+    masks = property(itemgetter(1))
+
+    @property
+    def monomials(self) -> frozenset[Monomial]:
+        return frozenset(lambda_of(self))
 
     @property
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self[1]
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self[1])
+
+    def __repr__(self):
+        return f"RPoly({canon_str(self)!r})"
 
     def __str__(self):
         return canon_str(self)
 
 
+def _lambda_sorted(arity: int, masks: Iterable[int]) -> RPoly:
+    return RPoly(arity, sorted(masks, key=_lambda_key))
+
+
 def rpoly(arity: int, supports: Iterable[Sequence[int]]) -> RPoly:
     """Build an RPoly from raw supports; rejects duplicated monomials."""
-    monos = [Monomial(arity, tuple(sorted(s))) for s in supports]
-    if len(set(monos)) != len(monos):
+    masks = [Monomial(arity, sorted(s))[1] for s in supports]
+    if len(set(masks)) != len(masks):
         raise NotInR("duplicate monomial")
-    return RPoly(arity, frozenset(monos))
+    return _lambda_sorted(arity, masks)
 
 
 def zero_poly(arity: int) -> RPoly:
-    return RPoly(arity, frozenset())
+    return RPoly(arity, ())
 
 
 def unit_poly() -> RPoly:
     """The composition unit a_1 in one variable."""
-    return rpoly(1, [(1,)])
+    return RPoly(1, (1,))
 
 
 def additive_poly(j: int) -> RPoly:
@@ -156,7 +197,7 @@ def lambda_of(f: RPoly) -> tuple[Monomial, ...]:
     Tuples are compared leftmost-variable first with 0 < 1, which reproduces
     the ordering {5} < {1,4} < {1,2,3} for x1*x2*x3 + x1*x4 + x5.
     """
-    return tuple(sorted(f.monomials, key=Monomial.exponents))
+    return tuple(_monomial(f.arity, m) for m in f.masks)
 
 
 def gamma_of(m: Monomial) -> tuple[int, ...]:
@@ -166,10 +207,9 @@ def gamma_of(m: Monomial) -> tuple[int, ...]:
 
 def canon_str(f: RPoly) -> str:
     """Canonical text form: arity header, monomials in lambda order."""
-    if f.is_zero:
+    if not f.masks:
         return f"R({f.arity}): 0"
-    body = " + ".join(str(m) for m in lambda_of(f))
-    return f"R({f.arity}): {body}"
+    return f"R({f.arity}): " + " + ".join(map(_monomial_text, f.masks))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +274,7 @@ def int_const(arity: int, value: int) -> IntPoly:
 
 
 def from_rpoly(f: RPoly) -> IntPoly:
-    return IntPoly.make(f.arity, {m.support: 1 for m in f.monomials})
+    return IntPoly.make(f.arity, {_support(m): 1 for m in f.masks})
 
 
 def membership_failure(p: IntPoly) -> Union[str, None]:
@@ -262,7 +302,7 @@ def to_rpoly(p: IntPoly) -> RPoly:
     reason = membership_failure(p)
     if reason is not None:
         raise NotInR(reason)
-    return RPoly(p.arity, frozenset(Monomial(p.arity, key) for key, _ in p.terms))
+    return _lambda_sorted(p.arity, (_mask(key) for key, _ in p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +326,14 @@ def enumerate_R(n: int) -> list[RPoly]:
 
 @lru_cache(maxsize=None)
 def _enumerate_R_cached(n: int) -> tuple[RPoly, ...]:
-    variables = range(1, n + 1)
-    supports = []
-    for size in range(1, n + 1):
-        supports.extend(itertools.combinations(variables, size))
-    polys = []
-    for count in range(len(supports) + 1):
-        for chosen in itertools.combinations(supports, count):
-            polys.append(rpoly(n, chosen))
-    polys.sort(key=_canonical_sort_key)
-    return tuple(polys)
-
-
-def _canonical_sort_key(f: RPoly):
-    return (len(f.monomials), tuple(m.exponents() for m in lambda_of(f)))
+    """Combinations of the lambda-ordered monomials come out in the listing
+    order and each in lambda order, so nothing is sorted."""
+    monomials = sorted(range(1, 1 << n), key=_lambda_key)
+    return tuple(
+        RPoly(n, chosen)
+        for count in range(len(monomials) + 1)
+        for chosen in itertools.combinations(monomials, count)
+    )
 
 
 def _block_offsets(widths: Iterable[int]) -> tuple[list[int], int]:
@@ -312,40 +346,75 @@ def _block_offsets(widths: Iterable[int]) -> tuple[list[int], int]:
     return offsets, total
 
 
-def _expand(outer: Sequence[tuple[int, ...]], slots: Sequence[Sequence[tuple[int, ...]]]):
-    """Multiply out outer supports over per-slot lists of shifted supports.
+def _products(outer: Sequence[int], slots: Sequence[Sequence[int]]) -> list[int]:
+    """Multiply out outer monomials over per-slot lists of shifted masks.
 
-    outer lists the outer monomials as supports over slot numbers 1..k, and
-    slots[t-1] the supports slot t contributes (already shifted into its
-    block; `()` is the constant 1, an empty list the zero polynomial).  For
-    each outer monomial, in the order given, and each choice of one entry per
-    slot it uses, yields (outer index, choice indices, sorted concatenated
-    key).  Keys may repeat and may contain squares; counting them gives the
-    integer expansion.
+    outer lists the outer monomials as masks over slot numbers (bit t-1 is
+    slot t), and slots[t-1] the masks slot t contributes, already shifted
+    into its block (0 is the constant 1, an empty list the zero polynomial).
+    Lists, outer monomial by outer monomial in the order given and then in
+    `itertools.product` order of one entry per slot it uses, the OR of the
+    chosen masks.  Disjoint blocks make the OR the product.
     """
-    for idx, support in enumerate(outer):
-        pools = [slots[i - 1] for i in support]
-        for choice in itertools.product(*(range(len(pool)) for pool in pools)):
-            key: list[int] = []
-            for pool, c in zip(pools, choice):
-                key.extend(pool[c])
-            yield idx, choice, tuple(sorted(key))
+    out = []
+    for u in outer:
+        acc = [0]
+        for t in _support(u):
+            acc = [a | m for a in acc for m in slots[t - 1]]
+        out += acc
+    return out
 
 
-def _image_key(images: Sequence[int], support: Iterable[int]) -> Union[tuple[int, ...], None]:
+def _expand(outer: Sequence[int], slots: Sequence[Sequence[int]]) -> list:
+    """`_products` with its bookkeeping: (outer index, choice indices,
+    product mask), in the same order."""
+    choices = (
+        (idx, choice)
+        for idx, u in enumerate(outer)
+        for choice in itertools.product(*(range(len(slots[t - 1])) for t in _support(u)))
+    )
+    return [(idx, choice, key) for (idx, choice), key in zip(choices, _products(outer, slots))]
+
+
+def _image_key(images: Sequence[int], mask: int) -> Union[tuple[int, ...], None]:
     """The sorted image of one monomial under a based map, or None if killed.
 
     images[i-1] is the image of variable i: 0 kills the monomial, -1 (the e
     marker) drops the variable, and a repeat leaves a square in the key.
     """
     hit = []
-    for i in support:
+    for i in _support(mask):
         v = images[i - 1]
         if v == 0:
             return None
         if v != -1:
             hit.append(v)
     return tuple(sorted(hit))
+
+
+def _image_mask(images: Sequence[int], mask: int) -> Union[int, None]:
+    """The image of one monomial as a mask (0 when every variable goes to
+    e), None if killed, and -1 if it has a square."""
+    key = _image_key(images, mask)
+    if key is None:
+        return None
+    return _mask(key) if len(set(key)) == len(key) else -1
+
+
+def _substitute(images: Sequence[int], target_arity: int, f: RPoly) -> Union[RPoly, None]:
+    """f(a_phi(1), ..., a_phi(m)) as an RPoly, or None when it is not in R
+    (a square, a repeated monomial or a constant term)."""
+    out = []
+    for mask in f.masks:
+        image = _image_mask(images, mask)
+        if image is None:
+            continue
+        if image <= 0:
+            return None
+        out.append(image)
+    if len(set(out)) != len(out):
+        return None
+    return _lambda_sorted(target_arity, out)
 
 
 def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
@@ -356,19 +425,28 @@ def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
     """
     if len(args) != g.arity:
         raise ArityMismatch(f"{g.arity}-ary polynomial applied to {len(args)} arguments")
-    return to_rpoly(_compose_intpoly(g, tuple(args)))
+    return _compose_intpoly(g, tuple(args))
 
 
 @lru_cache(maxsize=200000)
-def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> IntPoly:
-    """The integer expansion of g(args); a UNIT argument is the constant 1."""
-    offsets, total = _block_offsets([0 if a is UNIT else a.arity for a in args])
+def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> RPoly:
+    """g(args), cached per shape; a UNIT argument is the constant 1.
+
+    With RPoly arguments the products are the composite's masks (see the
+    module docstring) and are only sorted.  With a UNIT slot they can repeat
+    or be constant, so they go through IntPoly and `to_rpoly` names the
+    failure.  The name is older than the mask kernel; it stays because the
+    benchmark's tracer (perfbench/tracer.py) reads this cache's cache_info().
+    """
+    offsets, total = _block_offsets(0 if a is UNIT else a.arity for a in args)
     slots = [
-        [()] if a is UNIT else [tuple(v + offset for v in m.support) for m in a.monomials]
+        (0,) if a is UNIT else [m << offset for m in a.masks]
         for a, offset in zip(args, offsets)
     ]
-    outer = [m.support for m in g.monomials]
-    return IntPoly.make(total, Counter(key for _, _, key in _expand(outer, slots)))
+    products = _products(g.masks, slots)
+    if UNIT in args:
+        return to_rpoly(IntPoly.make(total, Counter(map(_support, products))))
+    return _lambda_sorted(total, products)
 
 
 def extended_compose(g: RPoly, args: Sequence[Union[RPoly, _UnitMarker]]) -> RPoly:
@@ -387,10 +465,7 @@ def extended_compose(g: RPoly, args: Sequence[Union[RPoly, _UnitMarker]]) -> RPo
 
 def is_nondegenerate(f: RPoly) -> bool:
     """True iff every variable 1..arity occurs in some monomial."""
-    used = set()
-    for m in f.monomials:
-        used.update(m.support)
-    return len(used) == f.arity
+    return reduce(or_, f.masks, 0) == (1 << f.arity) - 1
 
 
 @dataclass(frozen=True)
@@ -413,7 +488,7 @@ class TypeSignature:
 
 
 def type_of(f: RPoly) -> TypeSignature:
-    sizes = tuple(sorted(len(m.support) for m in f.monomials))
+    sizes = tuple(sorted(m.bit_count() for m in f.masks))
     return TypeSignature(len(sizes), sizes)
 
 
@@ -424,7 +499,7 @@ def special_of_type(sig: TypeSignature) -> RPoly:
     arity k_1 + ... + k_l and of exactly the requested type.
     """
     offsets, total = _block_offsets(sig.sizes)
-    return rpoly(total, [tuple(range(o + 1, o + k + 1)) for o, k in zip(offsets, sig.sizes)])
+    return _lambda_sorted(total, ((1 << k) - 1 << o for o, k in zip(offsets, sig.sizes)))
 
 
 def is_special(f: RPoly) -> bool:
@@ -440,6 +515,6 @@ def substitute_images(images: Sequence[int], target_arity: int, f: RPoly) -> Int
     """
     if len(images) != f.arity:
         raise ArityMismatch("map source size differs from polynomial arity")
-    out = Counter(_image_key(images, m.support) for m in f.monomials)
+    out = Counter(_image_key(images, m) for m in f.masks)
     out.pop(None, None)
     return IntPoly.make(target_arity, out)

@@ -32,9 +32,9 @@ from .polynomials import (
     IntPoly,
     RPoly,
     _block_offsets,
+    _support,
     int_const,
     int_zero,
-    lambda_of,
 )
 
 ZERO = ("0",)
@@ -270,7 +270,7 @@ def fiber_member(term: Term, f: RPoly, mode: str = "sym") -> bool:
         raise ArityMismatch("term arity differs from polynomial arity")
     if mode == "biperm" and not is_reduced(term):
         return False
-    return project(term).coeffs() == {m.support: 1 for m in f.monomials}
+    return project(term).coeffs() == {_support(m): 1 for m in f.masks}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class FiberResult:
 
 
 def default_bound(f: RPoly) -> int:
-    occurrences = sum(len(m.support) for m in f.monomials)
+    occurrences = sum(m.bit_count() for m in f.masks)
     return 3 * occurrences + 4
 
 
@@ -326,15 +326,16 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ..
     """
     if f.is_zero:
         return (frozenset(), frozenset({Term(f.arity, ZERO)})) + (frozenset(),) * (bound - 1)
-    target = frozenset(m.support for m in f.monomials)
+    supports = [_support(m) for m in f.masks]
+    target = frozenset(supports)
     divisors = set()
-    for mono in f.monomials:
-        for size in range(len(mono.support) + 1):
-            divisors.update(itertools.combinations(mono.support, size))
-    mass_bound = len(f.monomials)
+    for support in supports:
+        for size in range(len(support) + 1):
+            divisors.update(itertools.combinations(support, size))
+    mass_bound = len(supports)
     unit = frozenset({()})
     variables = {
-        frozenset({(i,)}): {var(i)} for i in sorted({i for m in f.monomials for i in m.support})
+        frozenset({(i,)}): {var(i)} for i in sorted({i for s in supports for i in s})
     }
 
     def product_keys(p1, p2):
@@ -451,7 +452,7 @@ def terminal_representative(f: RPoly) -> Term:
     """
     if f.is_zero:
         return Term(f.arity, ZERO)
-    products = [reduce(times, map(var, m.support)) for m in reversed(lambda_of(f))]
+    products = [reduce(times, map(var, _support(m))) for m in reversed(f.masks)]
     return Term(f.arity, reduce(plus, products))
 
 

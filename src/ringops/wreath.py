@@ -22,8 +22,9 @@ from .polynomials import (
     RPoly,
     UNIT,
     _block_offsets,
-    _expand,
     _image_key,
+    _products,
+    _support,
     compose,
     rpoly,
     to_rpoly,
@@ -241,16 +242,15 @@ def fold_composite(
     big_arity = n * width + len(markers)
     trailing = {idx: n * width + rank for rank, idx in enumerate(markers, start=1)}
     slots = [
-        [(trailing[idx],)] if g is UNIT
-        else [tuple(v + idx * width for v in m.support) for m in g.monomials]
+        [1 << (trailing[idx] - 1)] if g is UNIT else [m << (idx * width) for m in g.masks]
         for idx, g in enumerate(inner_family)
     ]
-    keys = [key for _, _, key in _expand([m.support for m in outer_poly.monomials], slots)]
+    keys = _products(outer_poly.masks, slots)
     fold = ExtMap(big_arity, width, tuple(list(range(1, width + 1)) * n + [E] * len(markers)))
     folded = Counter(_image_key(fold.images, key) for key in keys)
     folded.pop(None, None)
     folded_int = IntPoly.make(width, folded)
-    acc = IntPoly.make(big_arity, Counter(keys))
+    acc = IntPoly.make(big_arity, Counter(map(_support, keys)))
     if folded_int.coeffs() == {(): 1}:
         return FoldedComposite(acc, fold, UNIT)
     return FoldedComposite(acc, fold, to_rpoly(folded_int))

@@ -50,6 +50,7 @@ from ringops.operads import (
     strict_operad,
     validate_algebra,
 )
+from ringops.parsing import parse_fixture, serialize_fixture
 from ringops.polynomials import compose, enumerate_R, type_of, unit_poly, zero_poly
 from ringops.terms import sset_operad
 
@@ -69,7 +70,7 @@ def _check_functoriality(operad, cap):
     by_source = {}
     for mor in morphisms:
         by_source.setdefault(mor.source, []).append(mor)
-    for f in {m.source for m in morphisms}:
+    for f in dict.fromkeys(m.source for m in morphisms):
         ident = validate(f, ExtMap.identity(f.arity), f)
         for elt in operad.component(f):
             got = operad.act(ident, elt)
@@ -78,7 +79,11 @@ def _check_functoriality(operad, cap):
         for second in by_source.get(first.target, ()):
             combined = first.then(second)
             for elt in operad.component(first.source):
-                via_steps = operad.act(second, operad.act(first, elt))
+                step = operad.act(first, elt)
+                if step not in operad.component(first.target):
+                    yield f"action left the target component at {elt!r}"
+                    continue
+                via_steps = operad.act(second, step)
                 direct = operad.act(combined, elt)
                 if via_steps != direct:
                     yield (
@@ -542,6 +547,22 @@ class _LeavesTheTarget(StrictRingOperad):
 def test_an_action_outside_the_target_component_fails():
     report = _assert_same_axioms(_LeavesTheTarget(), 2)
     assert report.failure == "functoriality: action left the target component at '*'"
+
+
+STRICT_CAP1_ROW = "act R(1): x1 |{1->0}| R(0): 0 : e2 -> e0"
+
+
+def test_a_fixture_act_row_outside_its_target_component_fails(tmp_path, capsys):
+    # e1 lies in the component of 0_1, not of the target 0_0
+    text = serialize_fixture(operad_to_table(strict_operad(), 1))
+    assert STRICT_CAP1_ROW in text
+    mutant = text.replace(STRICT_CAP1_ROW, STRICT_CAP1_ROW.replace("-> e0", "-> e1"))
+    report = _assert_same_axioms(parse_fixture(mutant), 1)
+    assert report.failure == "functoriality: action left the target component at 'e2'"
+    path = tmp_path / "mutant.fixture"
+    path.write_text(mutant)
+    assert main(["check", "axioms", "--fixture", str(path), "--cap", "1"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 class _BreaksOnOneRow(TableRingOperad):

@@ -1,14 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from ringops.errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
+from ringops.operads import _composition_shapes
 from ringops.polynomials import (
     IntPoly,
     Monomial,
     TypeSignature,
     UNIT,
-    _compose_intpoly,
     canon_str,
     compose,
     enumerate_R,
@@ -287,10 +288,14 @@ class TestKernelDifferential:
             for g in enumerate_R(k):
                 for args in _arg_tuples(k, pool, 2):
                     expected = _reference_expansion(g, args)
-                    assert _compose_intpoly(g, args) == expected
                     assert compose(g, list(args)) == to_rpoly(expected)
                     shapes += 1
         assert shapes == 222
+
+    def test_compose_matches_reference_on_a_cap3_sample(self):
+        shapes = random.Random(3).sample(list(_composition_shapes(3)), 2000)
+        for g, args in shapes:
+            assert compose(g, list(args)) == to_rpoly(_reference_expansion(g, args))
 
     def test_extended_compose_matches_reference(self):
         pool = [UNIT] + enumerate_R(0) + enumerate_R(1)
