@@ -178,23 +178,23 @@ def _effective_maps_onto(f: RPoly, g: RPoly) -> Iterator[ExtMap]:
     candidates are built from size-preserving monomial matchings plus
     per-monomial support bijections; variables outside every monomial are
     free over 1..|g|.
+
+    Every candidate is a morphism: it carries each source monomial onto its
+    matched target monomial, and the matching is a bijection, so phi_*(f) = g.
+    Distinct candidates are distinct maps: phi_* sends a source monomial to
+    one target monomial, so it fixes the matching; the assignment and the
+    free values are then phi itself on the covered and the free variables.
     """
     if type_of(f) != type_of(g):
         return
     m, n = f.arity, g.arity
     covered = _support(reduce(or_, f.masks, 0))
     free = [i for i in range(1, m + 1) if i not in covered]
-    seen = set()
     for matching in _size_preserving_bijections(f.masks, g.masks):
         for assignment in _support_assignments(matching):
             for extra in itertools.product(range(1, n + 1), repeat=len(free)):
                 full = {**assignment, **dict(zip(free, extra))}
-                phi = ExtMap(m, n, tuple(full[i] for i in range(1, m + 1)))
-                if phi.images in seen:
-                    continue
-                seen.add(phi.images)
-                if is_morphism(f, phi, g):
-                    yield phi
+                yield ExtMap(m, n, tuple(full[i] for i in range(1, m + 1)))
 
 
 def _size_preserving_bijections(src, tgt):
@@ -309,13 +309,8 @@ def all_factorizations(phi: ExtMap) -> list[tuple[ExtMap, ExtMap]]:
     return found
 
 
-def block_sum(maps: Sequence[ExtMap], target_arities: Union[Sequence[int], None] = None) -> ExtMap:
+def block_sum(maps: Sequence[ExtMap]) -> ExtMap:
     """Blockwise sum: block t maps into target block t, basepoints pass through."""
-    if target_arities is not None:
-        declared = list(target_arities)
-        actual = [phi.target_size for phi in maps]
-        if declared != actual:
-            raise ArityMismatch(f"target arities {declared} do not match maps {actual}")
     offsets, target = _block_offsets(phi.target_size for phi in maps)
     images = tuple(
         v if v in (0, E) else v + offset

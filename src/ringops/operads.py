@@ -192,7 +192,8 @@ def product(left: DiscreteRingOperad, right: DiscreteRingOperad) -> ProductRingO
 class TableRingOperad(DiscreteRingOperad):
     """Operad given by explicit tables, arity-truncated and gamma-partial.
 
-    Element names must be unique across the whole table.  Missing gamma rows
+    Element names must be unique across the whole table, and the unit must
+    lie in the component of R(1): x1.  Missing gamma rows
     raise GammaUndefined, which the checkers count as skipped instances;
     missing action rows are a hard error since the action must be total.
     """
@@ -213,6 +214,8 @@ class TableRingOperad(DiscreteRingOperad):
                 if elt in seen:
                     raise RingopsError(f"element name {elt!r} reused across components")
                 seen[elt] = f
+        if seen.get(unit_name) != unit_poly():
+            raise RingopsError(f"unit {unit_name!r} is not in the component of {unit_poly()}")
         self._home = seen
         self._unit = unit_name
         self._gamma_rows = dict(gamma_rows)

@@ -4,11 +4,32 @@ Every value has one canonical printed form and parse/print round-trips
 byte-exactly on canonical output.  Parse failures carry positions; semantic
 failures (out-of-range variables, duplicate monomials) name the violated
 condition.
+
+Fixtures are tables of rows, one per line; `#` starts a comment.  A row's
+first word is its keyword, and a second row with the same keyword and key is
+an error.  A ring-operad fixture has the rows
+
+    component <poly> = <elt> ...                  key: the polynomial
+    unit = <elt>                                  singleton, required
+    gamma <elt> (<elt>, ...) = <elt>              key: (elt, args)
+    act <poly> |<map>| <poly> : <elt> -> <elt>    key: (morphism, elt)
+
+An operad-pair fixture has three sections.  [additive] and [multiplicative]
+each have the rows
+
+    component <arity> = <elt> ...                 key: the arity
+    identity = <elt>                              singleton, required
+    gamma <elt> (<elt>, ...) = <elt>              key: (elt, args)
+    sigma <arity> (<perm>) : <elt> -> <elt>       key: (elt, perm)
+
+and [lambda] has `lambda <elt> (<elt>, ...) = <elt>` rows, keyed by
+(elt, args).  Any other section is an error.
 """
 from __future__ import annotations
 
 import re
-from typing import Union
+from functools import partial
+from typing import Iterable, Iterator, Union
 
 from .errors import FixtureError, NotInR, ParseFailure
 from .indexcat import E, ExtMap, RMorphism, validate
@@ -339,14 +360,52 @@ def parse_signature(text: str) -> TypeSignature:
 
 
 # ---------------------------------------------------------------------------
-# Ring-operad fixtures
+# Fixtures
 
 
-def _row_keyword(line: str) -> tuple[str, _Scanner]:
-    """The row's first word, and a scanner placed after it."""
-    match = _NAME.match(line)
-    keyword = match.group() if match else ""
-    return keyword, _Scanner(line, len(keyword))
+def _fixture_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The (line number, row) pairs of a fixture; comments and blank lines
+    are dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _read_rows(rows: Iterable[tuple[int, str]], grammar: dict) -> dict[str, dict]:
+    """Read rows by a grammar {keyword: reader}: one dict key -> value per
+    keyword.  A reader gets a scanner placed after the row's keyword and
+    returns (key, value)."""
+    tables: dict[str, dict] = {keyword: {} for keyword in grammar}
+    for lineno, line in rows:
+        match = _NAME.match(line)
+        keyword = match.group() if match else ""
+        if keyword not in grammar:
+            raise FixtureError(f"line {lineno}: unrecognized row: {line!r}")
+        try:
+            key, value = grammar[keyword](_Scanner(line, len(keyword)))
+        except ParseFailure as err:
+            raise FixtureError(f"line {lineno}: {err}") from err
+        if key in tables[keyword]:
+            raise FixtureError(f"line {lineno}: repeated row")
+        tables[keyword][key] = value
+    return tables
+
+
+def _singleton(rows: dict, missing: str) -> str:
+    """The value of a required singleton row."""
+    if None not in rows:
+        raise FixtureError(missing)
+    return rows[None]
+
+
+def _component_row(index, scanner: _Scanner) -> tuple[object, list[str]]:
+    """Read a `component <index> = <elt> ...` row; index reads its key."""
+    body, _, names = scanner.text.partition("=")
+    body_scanner = _Scanner(body, scanner.pos)
+    key = index(body_scanner)
+    body_scanner.finish()
+    return key, names.split()
 
 
 def _parse_value(scanner: _Scanner) -> str:
@@ -355,6 +414,11 @@ def _parse_value(scanner: _Scanner) -> str:
     value = scanner.name()
     scanner.finish()
     return value
+
+
+def _singleton_row(scanner: _Scanner) -> tuple[None, str]:
+    """Read a `= <elt>` row; a singleton row's one key is None."""
+    return None, _parse_value(scanner)
 
 
 def _parse_row(scanner: _Scanner) -> tuple[tuple[str, tuple[str, ...]], str]:
@@ -383,135 +447,82 @@ def _parse_motion(scanner: _Scanner) -> tuple[str, str]:
     return source, target
 
 
-def _put_row(rows: dict, key, value, lineno: int) -> None:
-    if key in rows:
-        raise FixtureError(f"line {lineno}: repeated row")
-    rows[key] = value
+def _act_row(scanner: _Scanner):
+    line = scanner.text
+    # a morphism `R(m): ... |{...}| R(n): ...` holds two colons
+    colon = _motion_start(line, 2)
+    mor = parse_morphism(line[scanner.pos:colon].strip())
+    source, target = _parse_motion(_Scanner(line, colon))
+    return (mor.source, mor.map.images, mor.target, source), target
 
 
-def _unrecognized(lineno: int, line: str) -> FixtureError:
-    return FixtureError(f"line {lineno}: unrecognized row: {line!r}")
+def _sigma_row(scanner: _Scanner):
+    line = scanner.text
+    colon = _motion_start(line, 0)
+    spec = _Scanner(line[:colon], scanner.pos)
+    spec.integer()
+    spec.expect("(")
+    perm = []
+    while not spec.try_take(")"):
+        perm.append(spec.integer())
+    spec.finish()
+    source, target = _parse_motion(_Scanner(line, colon))
+    return (source, tuple(perm)), target
+
+
+_RING_ROWS = {
+    "component": partial(_component_row, _parse_poly),
+    "unit": _singleton_row,
+    "gamma": _parse_row,
+    "act": _act_row,
+}
+_OPERAD_ROWS = {
+    "component": partial(_component_row, _Scanner.integer),
+    "identity": _singleton_row,
+    "gamma": _parse_row,
+    "sigma": _sigma_row,
+}
+_PAIR_SECTIONS = {
+    "additive": _OPERAD_ROWS,
+    "multiplicative": _OPERAD_ROWS,
+    "lambda": {"lambda": _parse_row},
+}
 
 
 def parse_fixture(text: str, name: str = "fixture") -> TableRingOperad:
-    """Read a table-backed ring operad from structured text.
-
-    Rows: `component <poly> = names...`, `unit = name`,
-    `gamma <g-elt> (<elt>,...) = <elt>`,
-    `act <poly> |{map}| <poly> : <elt> -> <elt>`.  A second unit row, or a
-    second component, gamma or act row with the same key, is an error.
-    """
-    components: dict[RPoly, list[str]] = {}
-    units: dict[str, str] = {}
-    gamma_rows: dict[tuple[str, tuple[str, ...]], str] = {}
-    action_rows: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword, scanner = _row_keyword(line)
-        try:
-            if keyword == "component":
-                body, _, names = line.partition("=")
-                f = _parse_poly(_Scanner(body, scanner.pos))
-                _put_row(components, f, names.split(), lineno)
-            elif keyword == "unit":
-                _put_row(units, keyword, _parse_value(scanner), lineno)
-            elif keyword == "gamma":
-                _put_row(gamma_rows, *_parse_row(scanner), lineno)
-            elif keyword == "act":
-                # a morphism `R(m): ... |{...}| R(n): ...` holds two colons
-                colon = _motion_start(line, 2)
-                mor = parse_morphism(line[scanner.pos:colon].strip())
-                source_elt, target_elt = _parse_motion(_Scanner(line, colon))
-                key = (mor.source, mor.map.images, mor.target, source_elt)
-                _put_row(action_rows, key, target_elt, lineno)
-            else:
-                raise _unrecognized(lineno, line)
-        except ParseFailure as err:
-            raise FixtureError(f"line {lineno}: {err}") from err
-    if "unit" not in units:
-        raise FixtureError("fixture is missing the unit row")
-    return TableRingOperad(components, units["unit"], gamma_rows, action_rows, name=name)
+    """Read a table-backed ring operad (grammar in the module docstring)."""
+    rows = _read_rows(_fixture_lines(text), _RING_ROWS)
+    unit = _singleton(rows["unit"], "fixture is missing the unit row")
+    return TableRingOperad(rows["component"], unit, rows["gamma"], rows["act"], name=name)
 
 
 def parse_pair_fixture(text: str, name: str = "pair"):
-    """Read an operad pair: [additive] and [multiplicative] operad sections
-    plus a [lambda] section of distributivity rows.
-
-    Shared row shapes with the ring-operad fixture, with integer-arity
-    components, `sigma <j> (<perm>) : <elt> -> <elt>` action rows and
-    `lambda <g-elt> (<c-elts>) = <c-elt>` rows.  A second identity row in a
-    section, or a second keyed row with the same key, is an error, as in the
-    ring-operad fixture.
-    """
+    """Read an operad pair (grammar in the module docstring)."""
     from .operad_pair import OperadPairData, TableFiniteOperad
 
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _fixture_lines(text):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in _PAIR_SECTIONS:
+                raise FixtureError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, [])
-            continue
-        if current is None:
+        elif current is None:
             raise FixtureError(f"line {lineno}: row outside any section")
-        sections[current].append((lineno, line))
-    for required in ("additive", "multiplicative", "lambda"):
-        if required not in sections:
-            raise FixtureError(f"missing [{required}] section")
+        else:
+            sections[current].append((lineno, line))
+    for section in _PAIR_SECTIONS:
+        if section not in sections:
+            raise FixtureError(f"missing [{section}] section")
     operads = {}
     for section in ("additive", "multiplicative"):
-        components: dict[int, list[str]] = {}
-        identities: dict[str, str] = {}
-        sigma_rows: dict = {}
-        gamma_rows: dict = {}
-        for lineno, line in sections[section]:
-            keyword, scanner = _row_keyword(line)
-            try:
-                if keyword == "component":
-                    body, _, names = line.partition("=")
-                    scanner = _Scanner(body, scanner.pos)
-                    arity = scanner.integer()
-                    scanner.finish()
-                    _put_row(components, arity, names.split(), lineno)
-                elif keyword == "identity":
-                    _put_row(identities, keyword, _parse_value(scanner), lineno)
-                elif keyword == "sigma":
-                    colon = _motion_start(line, 0)
-                    scanner = _Scanner(line[:colon], scanner.pos)
-                    scanner.integer()
-                    scanner.expect("(")
-                    perm = []
-                    while not scanner.try_take(")"):
-                        perm.append(scanner.integer())
-                    scanner.finish()
-                    source_elt, target_elt = _parse_motion(_Scanner(line, colon))
-                    _put_row(sigma_rows, (source_elt, tuple(perm)), target_elt, lineno)
-                elif keyword == "gamma":
-                    _put_row(gamma_rows, *_parse_row(scanner), lineno)
-                else:
-                    raise _unrecognized(lineno, line)
-            except ParseFailure as err:
-                raise FixtureError(f"line {lineno}: {err}") from err
-        if "identity" not in identities:
-            raise FixtureError(f"[{section}] is missing the identity row")
+        rows = _read_rows(sections[section], _OPERAD_ROWS)
+        identity = _singleton(rows["identity"], f"[{section}] is missing the identity row")
         operads[section] = TableFiniteOperad(
-            components, identities["identity"], sigma_rows, gamma_rows, name=f"{name}.{section}"
+            rows["component"], identity, rows["sigma"], rows["gamma"], name=f"{name}.{section}"
         )
-    lambda_rows: dict = {}
-    for lineno, line in sections["lambda"]:
-        keyword, scanner = _row_keyword(line)
-        if keyword != "lambda":
-            raise _unrecognized(lineno, line)
-        try:
-            key, result = _parse_row(scanner)
-        except ParseFailure as err:
-            raise FixtureError(f"line {lineno}: {err}") from err
-        _put_row(lambda_rows, key, result, lineno)
+    lambda_rows = _read_rows(sections["lambda"], _PAIR_SECTIONS["lambda"])["lambda"]
 
     def lam(g_elt, tagged_args):
         key = (g_elt, tuple(x for _, x in tagged_args))

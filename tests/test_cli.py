@@ -244,3 +244,19 @@ def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_fixture_unit_outside_the_unit_component_is_rejected(json_flag, capsys, tmp_path):
+    # A unit that no component of R(1): x1 holds used to pass vacuously,
+    # with no units instance checked.
+    from ringops.operads import operad_to_table, strict_operad
+    from ringops.parsing import serialize_fixture
+
+    rows = serialize_fixture(operad_to_table(strict_operad(), 1)).splitlines(keepends=True)
+    fixture = tmp_path / "bad_unit.fixture"
+    fixture.write_text("".join("unit = zz\n" if row.startswith("unit =") else row for row in rows))
+    code = main(json_flag + ["check", "axioms", "--fixture", str(fixture), "--cap", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unit 'zz' is not in the component of R(1): x1\n"

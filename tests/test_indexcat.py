@@ -17,11 +17,13 @@ from ringops.indexcat import (
     filtration,
     has_effective_hom,
     induced_lambda_maps,
+    is_morphism,
     psi_tilde,
     special_rep_morphism,
     substitute,
     validate,
 )
+from ringops.indexcat import _size_preserving_bijections, _support_assignments
 from ringops.operads import _all_morphisms
 from ringops.polynomials import (
     Monomial,
@@ -38,6 +40,23 @@ from ringops.polynomials import (
 F535 = rpoly(5, [(1, 2, 3), (1, 4), (5,)])
 PHI535 = ExtMap(5, 2, (E, 1, 2, 1, 0))
 G535 = rpoly(2, [(1, 2), (1,)])
+
+
+def _checked_candidates(f, g):
+    """The structural candidates with a dedup set and a morphism check."""
+    if type_of(f) != type_of(g):
+        return []
+    free = [i for i in range(1, f.arity + 1) if not any(m >> (i - 1) & 1 for m in f.masks)]
+    found, seen = [], set()
+    for matching in _size_preserving_bijections(f.masks, g.masks):
+        for assignment in _support_assignments(matching):
+            for extra in itertools.product(range(1, g.arity + 1), repeat=len(free)):
+                full = {**assignment, **dict(zip(free, extra))}
+                phi = ExtMap(f.arity, g.arity, tuple(full[i] for i in range(1, f.arity + 1)))
+                if phi.images not in seen and is_morphism(f, phi, g):
+                    found.append(phi.images)
+                seen.add(phi.images)
+    return found
 
 
 def all_maps(m, n):
@@ -72,15 +91,22 @@ class TestHomEnumeration:
         assert len(enumerate_hom(m2, m2, "all")) == 2
 
     def test_effective_agrees_with_brute_force(self):
-        for f in enumerate_R(2):
-            for g in enumerate_R(2):
-                brute = {
-                    m.map.images
-                    for m in enumerate_hom(f, g, "all")
-                    if m.map.is_effective
-                }
-                structural = {m.map.images for m in enumerate_hom(f, g, "effective")}
-                assert brute == structural
+        # Every structural candidate is a morphism and no two are the same
+        # map, so the enumeration needs no dedup set and no re-check: the
+        # list equals the filtered brute force and the deduplicated, checked
+        # candidates, in their order.  Pairs of different types have none.
+        polys = [f for n in range(4) for f in enumerate_R(n)]
+        candidates = 0
+        for f in polys:
+            for g in polys:
+                if type_of(f) != type_of(g) and max(f.arity, g.arity) > 2:
+                    continue
+                effective = [m.map.images for m in enumerate_hom(f, g, "effective")]
+                brute = [m.map.images for m in enumerate_hom(f, g, "all") if m.is_effective]
+                assert sorted(effective, key=repr) == sorted(brute, key=repr)
+                assert effective == _checked_candidates(f, g)
+                candidates += len(effective)
+        assert candidates == 1322
 
     def test_guard(self):
         wide = rpoly(12, [tuple(range(1, 13))])
@@ -131,7 +157,7 @@ class TestBlockSumAndPsiTilde:
     def test_block_sum_basepoints_unshifted(self):
         lhs = ExtMap(1, 1, (0,))
         rhs = ExtMap(1, 1, (1,))
-        assert block_sum([lhs, rhs], target_arities=(1, 1)) == ExtMap(2, 2, (0, 2))
+        assert block_sum([lhs, rhs]) == ExtMap(2, 2, (0, 2))
 
     def test_block_sum_with_e(self):
         lhs = ExtMap(2, 1, (E, 1))

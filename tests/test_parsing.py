@@ -1,9 +1,10 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringops.errors import FixtureError, NotInR, ParseFailure
+from ringops.errors import FixtureError, NotInR, ParseFailure, RingopsError
 from ringops.indexcat import E, ExtMap
 from ringops.parsing import (
     parse_ff_morphism,
@@ -24,6 +25,8 @@ from ringops.operads import operad_to_table, strict_operad
 from ringops.polynomials import TypeSignature, enumerate_R, rpoly, zero_poly
 from ringops.terms import ONE, Term, ZERO, plus, times, var
 from ringops.wreath import FFMorphism, FFObject
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPolyGrammar:
@@ -204,6 +207,22 @@ class TestFixtureFormat:
         with pytest.raises(FixtureError, match="unit"):
             parse_fixture("component R(0): 0 = z\n")
 
+    def test_real_table_round_trips(self):
+        text = (ROOT / "perfbench" / "data" / "pset_cap2.fixture").read_text()
+        assert serialize_fixture(parse_fixture(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "component R(0): 0 = z\ncomponent R(1): x1 = e\nunit = z\n",
+            "component R(0): 0 = z\nunit = z\n",
+            "component R(1): x1 = e\nunit = zz\n",
+        ],
+    )
+    def test_unit_lies_in_the_unit_component(self, text):
+        with pytest.raises(RingopsError, match=r"^unit '\w+' is not in the component of R\(1\): x1$"):
+            parse_fixture(text)
+
 
 @pytest.mark.parametrize(
     "parse, text, position",
@@ -273,6 +292,8 @@ def test_ring_fixture_rows_follow_their_grammar(row, message):
         ("sigma 2 (2 1) a2 -> a2", "[additive]", "unexpected trailing input (at position 14)"),
         ("lambda mi (ai = ai", "[lambda]", "expected ','"),
         ("bogus row", "[lambda]", "unrecognized row: 'bogus row'"),
+        ("[lamda]\nlambda total garbage ((((", "lambda mi (ai) = ai", "unknown section [lamda]"),
+        ("[ ]", "[additive]", "unknown section []"),
     ],
 )
 def test_pair_fixture_rows_follow_their_grammar(row, after, message):
@@ -283,6 +304,36 @@ def test_pair_fixture_rows_follow_their_grammar(row, after, message):
     text = "\n".join(lines[:at] + [row] + lines[at:])
     with pytest.raises(FixtureError, match=f"^line {at + 1}: {re.escape(message)}"):
         parse_pair_fixture(text)
+
+
+ROW_STARTS = [
+    "component", "unit", "identity", "gamma", "act", "sigma", "lambda", "bogus", "#", "",
+    "[additive]", "[multiplicative]", "[lambda]", "[lamda]",
+]
+ROW_TOKENS = [
+    "R(0): 0", "R(1): x1", "R(2): x1 + x2", "R(2): x1*x2", "R(", "0", "1", "2", "x1",
+    "x9", "+", "*", "|{1->1}|", "|{1->e, 2->0}|", "{", "}", "|", "->", "-", ">", "=",
+    "(", ")", ",", ":", "e", "z", "ai", "mi", "a2", "#", " ", "[", "]", "\t", "\u03b1",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", RING_ROWS, PAIR_FIXTURE]),
+    st.lists(
+        st.tuples(st.sampled_from(ROW_STARTS), st.lists(st.sampled_from(ROW_TOKENS), max_size=12)),
+        max_size=6,
+    ),
+)
+def test_fixture_readers_raise_only_library_errors(prefix, rows):
+    from ringops.parsing import parse_pair_fixture
+
+    text = prefix + "".join(f"{start} {''.join(tokens)}\n" for start, tokens in rows)
+    for parse in (parse_fixture, parse_pair_fixture):
+        try:
+            parse(text)
+        except RingopsError:
+            pass
 
 
 def test_fixture_rows_keep_every_working_name():
