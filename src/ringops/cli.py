@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Union
 
 from . import indexcat, operads, parsing, polynomials, terms, wreath
@@ -87,7 +88,11 @@ def _poly_or_unit(value) -> str:
     return "1" if value is UNIT else parsing.print_poly(value)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: building it takes
+    milliseconds, and parsing leaves it unchanged, so every `main` call in
+    one process shares it."""
     parser = argparse.ArgumentParser(prog="ringops")
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,17 +358,11 @@ def _run_term(args) -> int:
     if args.action == "fiber":
         f = parsing.parse_poly(args.poly)
         result = terms.enumerate_fiber(f, args.mode, args.bound)
-        lines = [f"stable: {result.stable} (bound {result.bound})"] + sorted(
-            parsing.print_term(t) for t in result.terms
-        )
+        printed = sorted(parsing.print_term(t) for t in result.terms)
         _emit(
-            {
-                "stable": result.stable,
-                "bound": result.bound,
-                "terms": sorted(parsing.print_term(t) for t in result.terms),
-            },
+            {"stable": result.stable, "bound": result.bound, "terms": printed},
             args.json,
-            lines,
+            [f"stable: {result.stable} (bound {result.bound})"] + printed,
         )
         return EXIT_OK
     f = parsing.parse_poly(args.poly)

@@ -22,8 +22,9 @@ each have the rows
     gamma <elt> (<elt>, ...) = <elt>              key: (elt, args)
     sigma <arity> (<perm>) : <elt> -> <elt>       key: (elt, perm)
 
-and [lambda] has `lambda <elt> (<elt>, ...) = <elt>` rows, keyed by
-(elt, args).  Any other section is an error.
+where <perm> is a permutation of 1..<arity>, and [lambda] has
+`lambda <elt> (<elt>, ...) = <elt>` rows, keyed by (elt, args).  Any other
+section is an error.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, Union
 
-from .errors import FixtureError, NotInR, ParseFailure
+from .errors import FixtureError, NotInR, ParseFailure, RingopsError
 from .indexcat import E, ExtMap, RMorphism, validate
 from .operads import TableRingOperad
 from .polynomials import RPoly, TypeSignature, canon_str, rpoly, zero_poly
@@ -375,7 +376,8 @@ def _fixture_lines(text: str) -> Iterator[tuple[int, str]]:
 def _read_rows(rows: Iterable[tuple[int, str]], grammar: dict) -> dict[str, dict]:
     """Read rows by a grammar {keyword: reader}: one dict key -> value per
     keyword.  A reader gets a scanner placed after the row's keyword and
-    returns (key, value)."""
+    returns (key, value); any `RingopsError` it raises is named by the
+    row's line."""
     tables: dict[str, dict] = {keyword: {} for keyword in grammar}
     for lineno, line in rows:
         match = _NAME.match(line)
@@ -384,7 +386,7 @@ def _read_rows(rows: Iterable[tuple[int, str]], grammar: dict) -> dict[str, dict
             raise FixtureError(f"line {lineno}: unrecognized row: {line!r}")
         try:
             key, value = grammar[keyword](_Scanner(line, len(keyword)))
-        except ParseFailure as err:
+        except RingopsError as err:
             raise FixtureError(f"line {lineno}: {err}") from err
         if key in tables[keyword]:
             raise FixtureError(f"line {lineno}: repeated row")
@@ -460,12 +462,16 @@ def _sigma_row(scanner: _Scanner):
     line = scanner.text
     colon = _motion_start(line, 0)
     spec = _Scanner(line[:colon], scanner.pos)
-    spec.integer()
+    arity = spec.integer()
     spec.expect("(")
+    start = spec.pos - 1
     perm = []
     while not spec.try_take(")"):
         perm.append(spec.integer())
     spec.finish()
+    if sorted(perm) != list(range(1, arity + 1)):
+        shown = " ".join(map(str, perm))
+        raise ParseFailure(f"({shown}) is not a permutation of 1..{arity}", start)
     source, target = _parse_motion(_Scanner(line, colon))
     return (source, tuple(perm)), target
 

@@ -11,6 +11,14 @@ action and composition); one, `_rewrites`, yields every single-position
 coherence rewrite.  The fibers of both modes come from one leaf-count
 dynamic programme, `_bounded_fiber`; the mode only picks the pools its left
 factors and left summands are drawn from.
+
+Zig-zag connectivity works on bare nodes: the fiber is interned as
+{node: id}, each node's rewrites are reduced and looked up there, and one
+union-find over the ids joins the two ends of every move.  No `Term` is
+built per move, and none needs to be: a rewrite only moves, copies or drops
+subtrees of its node, and `reduce_node` only drops them, so no new variable
+leaf appears and the arity check of `Term` cannot fail; at a fixed arity,
+`Term` equality is node equality.
 """
 from __future__ import annotations
 
@@ -431,16 +439,18 @@ def generator_moves(term: Term) -> list[tuple[str, tuple[int, ...], Term]]:
 
 def _rewrites(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[str, tuple[int, ...], Node]]:
     """(rule name, position, whole rewritten node) for each rule at each
-    position: positions in preorder, rules in `_MOVE_RULES` order."""
+    position: positions in preorder, rules in `_MOVE_RULES` order.  Every
+    rule rewrites a sum or a product, so a leaf has no rewrite."""
+    if node[0] not in ("+", "*"):
+        return
     for name, rule in _MOVE_RULES:
         replaced = rule(node)
         if replaced is not None:
             yield name, path, replaced
-    if node[0] in ("+", "*"):
-        for name, inner, rebuilt in _rewrites(node[1], path + (0,)):
-            yield name, inner, (node[0], rebuilt, node[2])
-        for name, inner, rebuilt in _rewrites(node[2], path + (1,)):
-            yield name, inner, (node[0], node[1], rebuilt)
+    for name, inner, rebuilt in _rewrites(node[1], path + (0,)):
+        yield name, inner, (node[0], rebuilt, node[2])
+    for name, inner, rebuilt in _rewrites(node[2], path + (1,)):
+        yield name, inner, (node[0], node[1], rebuilt)
 
 
 def terminal_representative(f: RPoly) -> Term:
@@ -465,31 +475,42 @@ class ConnectivityReport:
 
 
 def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> ConnectivityReport:
-    """Zig-zag reachability of the whole fiber from the terminal representative."""
+    """Zig-zag reachability of the whole fiber from the terminal representative.
+
+    The fiber is interned as {node: id}.  For each node, every rewrite from
+    `_rewrites`, reduced, that lands in the fiber joins the two ids in one
+    path-halving union-find; the unreachable terms are those whose root is
+    not the terminal representative's.  This is the undirected graph of
+    `generator_moves` restricted to the fiber, read without its `Term`s: a
+    rewrite followed by `reduce_node` adds no variable leaf, so the arity
+    check a `Term` would make cannot fail, and at one arity two terms are
+    equal exactly when their nodes are.
+    """
     result = enumerate_fiber(f, "sym", bound)
     if not result.stable:
         raise FiberNotStable(
             f"fiber of {f} changed between bounds {result.bound} and {result.bound + 2}"
         )
-    fiber = result.terms
+    fiber = list(result.terms)
     start = terminal_representative(f)
-    if start not in fiber:
+    ids = {t.node: i for i, t in enumerate(fiber)}
+    if start.node not in ids:
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
-    adjacency: dict[Term, set[Term]] = {t: set() for t in fiber}
-    for t in fiber:
-        for _name, _path, target in generator_moves(t):
-            if target in adjacency:
-                adjacency[t].add(target)
-                adjacency[target].add(t)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for nxt in adjacency[current]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    unreachable = frozenset(fiber - seen)
+    parent = list(range(len(fiber)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for node, i in ids.items():
+        for _name, _path, rebuilt in _rewrites(node):
+            j = ids.get(reduce_node(rebuilt))
+            if j is not None:
+                parent[root(i)] = root(j)
+    top = root(ids[start.node])
+    unreachable = frozenset(t for i, t in enumerate(fiber) if root(i) != top)
     return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
 
 

@@ -260,3 +260,56 @@ def test_fixture_unit_outside_the_unit_component_is_rejected(json_flag, capsys, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: unit 'zz' is not in the component of R(1): x1\n"
+
+
+GOOD_PAIR_FIXTURE = """\
+[additive]
+component 1 = a
+component 2 = a2
+identity = a
+sigma 2 (2 1) : a2 -> a2
+[multiplicative]
+component 1 = m
+identity = m
+[lambda]
+"""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "check",
+            "component R(1): x1 = e\nunit = e\ncomponent R(1): x9 = q\n",
+            "line 3: variable x9 out of range for arity 1",
+        ),
+        (
+            "check",
+            "component R(1): x1 = e\nunit = e\nact R(1): x1 |{1->e}| R(1): x1 : e -> e\n",
+            "line 3: substitution of R(1): x1 along {1->e} does not give R(1): x1",
+        ),
+        (
+            "rcg",
+            GOOD_PAIR_FIXTURE.replace("sigma 2 (2 1)", "sigma 7 (2 1)"),
+            "line 5: (2 1) is not a permutation of 1..7 (at position 8)",
+        ),
+        (
+            "rcg",
+            GOOD_PAIR_FIXTURE.replace("sigma 2 (2 1)", "sigma 2 (2 2)"),
+            "line 5: (2 2) is not a permutation of 1..2 (at position 8)",
+        ),
+    ],
+)
+def test_a_bad_fixture_row_is_named_by_its_line(command, text, message, json_flag, capsys, tmp_path):
+    fixture = tmp_path / "bad.fixture"
+    fixture.write_text(text)
+    if command == "check":
+        argv = ["check", "axioms", "--fixture", str(fixture), "--cap", "1"]
+    else:
+        argv = ["rcg", "component", "--poly", "R(1): x1", "--pair", str(fixture)]
+    code = main(json_flag + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+

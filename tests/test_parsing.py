@@ -272,6 +272,11 @@ RING_ROWS = "component R(0): 0 = z\ncomponent R(1): x1 = e\nunit = e\n"
         ("act R(1): x1 |{1->1}| R(1): x1 e -> e", "unexpected trailing input"),
         ("component R(0): 0 = y", "repeated row"),
         ("unit = e", "repeated row"),
+        ("component R(1): x9 = q", "variable x9 out of range for arity 1"),
+        (
+            "act R(1): x1 |{1->e}| R(1): x1 : e -> e",
+            "substitution of R(1): x1 along {1->e} does not give R(1): x1",
+        ),
     ],
 )
 def test_ring_fixture_rows_follow_their_grammar(row, message):
@@ -290,6 +295,9 @@ def test_ring_fixture_rows_follow_their_grammar(row, message):
         ("sigma 2 (2 1) : a2 -> a2 a2", "[additive]", "unexpected trailing input (at position 25)"),
         ("sigma 2 (2 1) : a2", "[additive]", "expected '->' (at position 18)"),
         ("sigma 2 (2 1) a2 -> a2", "[additive]", "unexpected trailing input (at position 14)"),
+        ("sigma 7 (2 1) : a2 -> a2", "[additive]", "(2 1) is not a permutation of 1..7 (at position 8)"),
+        ("sigma 2 (2 2) : a2 -> a2", "[additive]", "(2 2) is not a permutation of 1..2 (at position 8)"),
+        ("sigma 3 (1 2) : m2 -> m2", "[multiplicative]", "(1 2) is not a permutation of 1..3"),
         ("lambda mi (ai = ai", "[lambda]", "expected ','"),
         ("bogus row", "[lambda]", "unrecognized row: 'bogus row'"),
         ("[lamda]\nlambda total garbage ((((", "lambda mi (ai) = ai", "unknown section [lamda]"),

@@ -4,7 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringops.errors import NotReduced
+from ringops import terms
+from ringops.cli import main
+from ringops.errors import FiberNotStable, NotReduced, PreconditionViolation
 from ringops.indexcat import E, ExtMap, validate
 from ringops.operads import check_axioms
 from ringops.polynomials import (
@@ -16,6 +18,7 @@ from ringops.polynomials import (
 )
 from ringops.terms import (
     ONE,
+    ConnectivityReport,
     Term,
     ZERO,
     act_map,
@@ -569,3 +572,82 @@ def test_is_canonical_needs_no_zero_scan(node):
             candidate == ZERO or not _contains_zero(candidate)
         )
         assert is_canonical(candidate) == expected
+
+
+def _adjacency_connectivity(f, bound=None):
+    """`connectivity_check` as an adjacency graph of `Term`s built from
+    `generator_moves` and searched from the terminal representative: the
+    reference for the union-find over interned nodes."""
+    result = enumerate_fiber(f, "sym", bound)
+    if not result.stable:
+        raise FiberNotStable(
+            f"fiber of {f} changed between bounds {result.bound} and {result.bound + 2}"
+        )
+    fiber = result.terms
+    start = terminal_representative(f)
+    if start not in fiber:
+        raise PreconditionViolation(f"terminal representative {start} missing from fiber")
+    adjacency = {t: set() for t in fiber}
+    for t in fiber:
+        for _name, _path, target in generator_moves(t):
+            if target in adjacency:
+                adjacency[t].add(target)
+                adjacency[target].add(t)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        for nxt in adjacency[current]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    unreachable = frozenset(fiber - seen)
+    return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
+
+
+CONNECT_POLYS = enumerate_R(2) + list(_up_to_relabelling(R3_SMALL))
+MOVE_NAMES = {name for name, _ in _MOVE_RULES}
+
+
+class TestConnectivityReference:
+    def test_matches_the_adjacency_search(self):
+        for f in CONNECT_POLYS:
+            assert connectivity_check(f) == _adjacency_connectivity(f), str(f)
+
+    @pytest.mark.parametrize(
+        "kept",
+        [
+            MOVE_NAMES - {"comm-plus", "comm-times"},
+            MOVE_NAMES - {"comm-plus"},
+            {"assoc-times", "assoc-times-inv", "comm-plus", "comm-times", "unit-left", "unit-right"},
+            set(),
+            # one direction of assoc only, and dist has no inverse: some edges
+            # are seen from one end only
+            {"assoc-plus", "assoc-times", "dist-left", "dist-right"},
+            {"assoc-times", "comm-times", "dist-right"},
+            {"assoc-plus-inv", "comm-plus", "dist-left"},
+        ],
+    )
+    def test_matches_the_adjacency_search_on_disconnected_fibers(self, kept, monkeypatch):
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        reports = [connectivity_check(f) for f in CONNECT_POLYS]
+        assert reports == [_adjacency_connectivity(f) for f in CONNECT_POLYS]
+        assert any(report.unreachable for report in reports)
+        for report in reports:
+            assert report.connected == (not report.unreachable)
+            assert report.terminal not in report.unreachable
+
+    def test_no_moves_leave_only_the_terminal_reachable(self, monkeypatch):
+        monkeypatch.setattr(terms, "_MOVE_RULES", ())
+        f = rpoly(3, [(1, 2), (3,)])
+        report = connectivity_check(f)
+        fiber = enumerate_fiber(f, "sym").terms
+        assert report.unreachable == fiber - {terminal_representative(f)}
+
+    def test_a_disconnected_fiber_fails_the_command(self, monkeypatch, capsys):
+        kept = MOVE_NAMES - {"comm-plus", "comm-times"}
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        code = main(["term", "connect", "--poly", "R(2): x2 + x1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "connected: False" in out.splitlines()
