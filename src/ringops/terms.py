@@ -9,8 +9,16 @@ right-nested with no zero summand, and right distributivity is fully applied.
 One walker, `_substitute`, rebuilds a tree with new variable leaves (the
 action and composition); one, `_rewrites`, yields every single-position
 coherence rewrite.  The fibers of both modes come from one leaf-count
-dynamic programme, `_bounded_fiber`; the mode only picks the pools its left
-factors and left summands are drawn from.
+dynamic programme, `_bounded_fiber`, over cells (projection key, leaf
+count).  A node's top split (operation, left leaf count, left key, right
+key) is read off the node, so a cell is the disjoint union over its splits
+of left part x right part.  Three passes run over it: one lists every
+cell's splits from the keys alone, one marks the cells that f's cells
+reach, and one builds the nodes of the marked cells only.  The mode only
+picks the pools its left factors and left summands are drawn from; in
+biperm mode a left summand is never a sum, so each cell also records how
+many of its nodes are products.  Nodes stay bare tuples until
+`enumerate_fiber` returns them as `Term`s.
 
 Zig-zag connectivity works on bare nodes: the fiber is interned as
 {node: id}, each node's rewrites are reduced and looked up there, and one
@@ -304,6 +312,27 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
     sets, the empirical signal that the fiber is complete.  Both are read
     from one run of the leaf-count table up to B + 2.
     """
+    nodes, stable, bound = _fiber_nodes(f, mode, bound)
+    return FiberResult(frozenset(_fiber_term(f.arity, node) for node in nodes), stable, bound)
+
+
+def _fiber_term(arity: int, node: Node) -> Term:
+    """A `Term` for a node of the fiber DP, without the arity check: the DP
+    builds nodes from constant leaves and the variables of f alone, so the
+    check cannot fail, and its tree walk cost more than the DP on large
+    fibers."""
+    term = object.__new__(Term)
+    object.__setattr__(term, "arity", arity)
+    object.__setattr__(term, "node", node)
+    return term
+
+
+def _fiber_nodes(
+    f: RPoly, mode: str, bound: Union[int, None]
+) -> tuple[tuple[Node, ...], bool, int]:
+    """The fiber's nodes with at most B leaves, its stability flag and B
+    (`default_bound(f)` when not given): the checks and the one DP run that
+    `enumerate_fiber` and `connectivity_check` share."""
     if mode not in ("sym", "biperm"):
         raise ValueError(f"unknown fiber mode {mode!r}")
     if bound is None:
@@ -312,39 +341,71 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
         raise PreconditionViolation(f"leaf bound must be at least 1, got {bound}")
     by_leaves = _bounded_fiber(f, mode, bound + 2)
     stable = not (by_leaves[bound + 1] or by_leaves[bound + 2])
-    return FiberResult(frozenset().union(*by_leaves[: bound + 1]), stable, bound)
+    return tuple(itertools.chain(*by_leaves[: bound + 1])), stable, bound
+
+
+_UNIT_KEY = frozenset({()})
 
 
 @lru_cache(maxsize=4096)
-def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ...]:
-    """The terms projecting to f, one frozenset per leaf count 0..bound.
+def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
+    """The nodes projecting to f, one tuple per leaf count 0..bound.
 
-    table[s] maps a projection key (the supports a node expands to) to the
-    nodes with s leaves and that key.  A node with s > 1 leaves is a product
-    or a sum of a left part with s1 leaves and a right part from
-    table[s - s1].  The mode only picks the two pools the left part comes
-    from: in sym mode both are the table; in biperm mode (the right-nested
-    normal form) a left factor is a variable and a left summand is a leaf or
-    a product, never a sum.  A unit factor is skipped by its key: ONE is the
-    only node whose key is {()}.
+    A cell is a pair (projection key, leaf count s): the key is the set of
+    supports a node expands to, and the cell holds the nodes with that key
+    and s leaves.  A node with s > 1 leaves is a product or a sum of a left
+    part with s1 leaves and a right part with s - s1, and its top split
+    (operation, s1, left key, right key) is read off the node itself.  So
+    the splits of a cell give disjoint node sets, a cell is the
+    concatenation over its splits of left part x right part, and no node is
+    built twice.  Three passes run over that recursion:
 
-    The loop ends early once the counts M + 1..2M are empty, M being the
-    largest count with a node so far: any larger count splits into two
-    parts, one of them above M, so it stays empty too.
+    1. `_split_table` lists the product and sum splits of every cell from
+       the keys alone; it builds no node.
+    2. `_demand` walks the splits down from f's key at every leaf count and
+       marks the cells the target reaches.
+    3. `_build_cells` builds the nodes of the marked cells only, in
+       increasing leaf count.
+
+    The mode only picks the pools a left part comes from: in sym mode both
+    are the whole cells; in biperm mode (the right-nested normal form) a
+    left factor is a variable and a left summand is a leaf or a product,
+    never a sum.  So a biperm cell also records how many of its nodes are
+    products: a left summand draws on those alone.  The demand pass needs no
+    such distinction (`_demand` says why).
     """
     if f.is_zero:
-        return (frozenset(), frozenset({Term(f.arity, ZERO)})) + (frozenset(),) * (bound - 1)
+        return ((), (ZERO,)) + ((),) * (bound - 1)
+    target = frozenset(_support(m) for m in f.masks)
+    products, sums = _split_table(f, mode, bound)
+    cells = _build_cells(f, mode, _demand(target, products, sums), products, sums)
+    return tuple(
+        tuple(level[target][0]) if target in level else () for level in cells
+    ) + ((),) * (bound + 1 - len(cells))
+
+
+def _leaves(f: RPoly) -> dict:
+    """The cells with one leaf, {key: node}: the unit and the variables of f."""
+    variables = sorted({i for m in f.masks for i in _support(m)})
+    return {_UNIT_KEY: ONE, **{frozenset({(i,)}): var(i) for i in variables}}
+
+
+def _split_table(f: RPoly, mode: str, bound: int) -> tuple[list[dict], list[dict]]:
+    """Pass 1: products[s] and sums[s] map each key that has nodes with s
+    leaves to its product and its sum splits (s1, left key, right key).
+    Level 1 holds the leaves, which have no split.
+
+    A unit factor is skipped by its key: ONE is the only node whose key is
+    {()}.  The loop ends early once the counts M + 1..2M are empty, M being
+    the largest count with a cell so far: any larger count splits into two
+    parts, one of them above M, so it stays empty too.
+    """
     supports = [_support(m) for m in f.masks]
-    target = frozenset(supports)
     divisors = set()
     for support in supports:
         for size in range(len(support) + 1):
             divisors.update(itertools.combinations(support, size))
     mass_bound = len(supports)
-    unit = frozenset({()})
-    variables = {
-        frozenset({(i,)}): {var(i)} for i in sorted({i for s in supports for i in s})
-    }
 
     def product_keys(p1, p2):
         out = set()
@@ -360,45 +421,97 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset[Term], ..
                 out.add(merged)
         return frozenset(out)
 
-    table: list[dict] = [{}, {unit: {ONE}, **variables}]
-    nonsums: list[dict] = [{}, table[1]]
+    leaves = dict.fromkeys(_leaves(f), ())
+    cells: list[dict] = [{}, leaves]
+    products: list[dict] = [{}, leaves]
+    sums: list[dict] = [{}, {}]
     if mode == "sym":
-        factors, summands = table, table
+        factors, summands = cells, cells
     else:
-        factors, summands = [{}, variables] + [{}] * (bound - 1), nonsums
+        variables = [key for key in leaves if key != _UNIT_KEY]
+        factors, summands = [{}, variables] + [{}] * (bound - 1), products
     largest = 1
     for s in range(2, bound + 1):
         if s > 2 * largest:
             break
-        level: dict = {}
-        products: dict = {}
+        by_product: dict = {}
+        by_sum: dict = {}
         for s1 in range(1, s):
-            right = table[s - s1].items()
-            for p1, nodes1 in factors[s1].items():
-                if p1 == unit:
+            right = cells[s - s1]
+            for p1 in factors[s1]:
+                if p1 == _UNIT_KEY:
                     continue
-                for p2, nodes2 in right:
-                    if p2 == unit or len(p1) * len(p2) > mass_bound:
+                for p2 in right:
+                    if p2 == _UNIT_KEY or len(p1) * len(p2) > mass_bound:
                         continue
                     key = product_keys(p1, p2)
                     if key is not None:
-                        new = {times(n1, n2) for n1 in nodes1 for n2 in nodes2}
-                        products.setdefault(key, set()).update(new)
-                        level.setdefault(key, set()).update(new)
-            for p1, nodes1 in summands[s1].items():
-                for p2, nodes2 in right:
+                        by_product.setdefault(key, []).append((s1, p1, p2))
+            for p1 in summands[s1]:
+                for p2 in right:
                     if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
-                        level.setdefault(p1 | p2, set()).update(
-                            plus(n1, n2) for n1 in nodes1 for n2 in nodes2
-                        )
-        table.append(level)
-        nonsums.append(products)
-        if level:
+                        by_sum.setdefault(p1 | p2, []).append((s1, p1, p2))
+        products.append(by_product)
+        sums.append(by_sum)
+        cells.append(dict.fromkeys([*by_product, *by_sum]))
+        if cells[s]:
             largest = s
+    return products, sums
 
-    return tuple(
-        frozenset(Term(f.arity, node) for node in level.get(target, ())) for level in table
-    ) + (frozenset(),) * (bound + 1 - len(table))
+
+def _demand(target: frozenset, products: list[dict], sums: list[dict]) -> list[set]:
+    """Pass 2: demand[s] holds the keys whose cell with s leaves the target
+    reaches.
+
+    The target's cells are demanded, and a demanded cell demands both parts
+    of each of its splits.  Both parts have fewer leaves than the cell, so
+    one sweep down the leaf counts reads each cell's demand only once all of
+    it is in.
+
+    In biperm mode a left summand is drawn from the products of its cell
+    alone, yet the whole cell is demanded, because the target needs it whole
+    anyway.  Let C be the left summand and R the right part of a sum split
+    of a demanded cell D.  If R holds a product or a leaf, D also has the
+    split with R on the left and C on the right.  Otherwise a node of R is a
+    sum a + r, and D has the split with the cell of a on the left and the
+    cell of C + r on the right; there C is again a left summand, beside the
+    smaller right part of r.  So C is always the right part of a demanded
+    cell, and no cell needs a product-only mark.
+    """
+    demand: list[set] = [set() for _ in products]
+    for s in range(1, len(products)):
+        if target in products[s] or target in sums[s]:
+            demand[s].add(target)
+    for s in range(len(products) - 1, 1, -1):
+        for key in demand[s]:
+            for s1, p1, p2 in products[s].get(key, []) + sums[s].get(key, []):
+                demand[s1].add(p1)
+                demand[s - s1].add(p2)
+    return demand
+
+
+def _build_cells(
+    f: RPoly, mode: str, demand: list[set], products: list[dict], sums: list[dict]
+) -> list[dict]:
+    """Pass 3: cells[s][key] = (nodes, k) for every demanded cell, its nodes
+    listed products first.  The first k may stand as a left summand: all of
+    them in sym mode, the products (or the leaf) in biperm mode."""
+    cells: list[dict] = [{}, {key: ((node,), 1) for key, node in _leaves(f).items()}]
+    for s in range(2, len(demand)):
+        level = {}
+        for key in demand[s]:
+            made = []
+            for s1, p1, p2 in products[s].get(key, ()):
+                right = cells[s - s1][p2][0]
+                made += [times(a, b) for a in cells[s1][p1][0] for b in right]
+            n_products = len(made)
+            for s1, p1, p2 in sums[s].get(key, ()):
+                lefts, k = cells[s1][p1]
+                right = cells[s - s1][p2][0]
+                made += [plus(a, b) for a in lefts[:k] for b in right]
+            level[key] = (made, len(made) if mode == "sym" else n_products)
+        cells.append(level)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +597,18 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     `generator_moves` restricted to the fiber, read without its `Term`s: a
     rewrite followed by `reduce_node` adds no variable leaf, so the arity
     check a `Term` would make cannot fail, and at one arity two terms are
-    equal exactly when their nodes are.
+    equal exactly when their nodes are.  The fiber itself comes as bare
+    nodes from the DP (`_fiber_nodes`); only the unreachable ones become
+    `Term`s.
     """
-    result = enumerate_fiber(f, "sym", bound)
-    if not result.stable:
-        raise FiberNotStable(
-            f"fiber of {f} changed between bounds {result.bound} and {result.bound + 2}"
-        )
-    fiber = list(result.terms)
+    nodes, stable, bound = _fiber_nodes(f, "sym", bound)
+    if not stable:
+        raise FiberNotStable(f"fiber of {f} changed between bounds {bound} and {bound + 2}")
     start = terminal_representative(f)
-    ids = {t.node: i for i, t in enumerate(fiber)}
+    ids = {node: i for i, node in enumerate(nodes)}
     if start.node not in ids:
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
-    parent = list(range(len(fiber)))
+    parent = list(range(len(nodes)))
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -510,8 +622,8 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
             if j is not None:
                 parent[root(i)] = root(j)
     top = root(ids[start.node])
-    unreachable = frozenset(t for i, t in enumerate(fiber) if root(i) != top)
-    return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
+    unreachable = frozenset(_fiber_term(f.arity, node) for node, i in ids.items() if root(i) != top)
+    return ConnectivityReport(not unreachable, len(nodes), start, unreachable)
 
 
 # ---------------------------------------------------------------------------

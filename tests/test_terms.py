@@ -1,5 +1,7 @@
 import itertools
+import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from ringops.cli import main
 from ringops.errors import FiberNotStable, NotReduced, PreconditionViolation
 from ringops.indexcat import E, ExtMap, validate
 from ringops.operads import check_axioms
+from ringops.parsing import parse_poly
 from ringops.polynomials import (
     enumerate_R,
     rpoly,
@@ -35,6 +38,9 @@ from ringops.terms import (
     project,
     _MOVE_RULES,
     _bounded_fiber,
+    _build_cells,
+    _demand,
+    _split_table,
     reduce_A,
     reduce_node,
     section_s,
@@ -505,6 +511,11 @@ def _two_branch_fiber(f, mode, bound):
     )
 
 
+def _as_terms(f, by_leaves):
+    """`_bounded_fiber`'s bare nodes as one frozenset of `Term`s per leaf count."""
+    return tuple(frozenset(Term(f.arity, node) for node in level) for level in by_leaves)
+
+
 def _positions(node, path=()):
     yield path, node
     if node[0] in ("+", "*"):
@@ -546,7 +557,9 @@ class TestOneFiberLoop:
     def test_matches_the_two_branch_reference(self, mode):
         for f in FIBER_POLYS:
             bound = default_bound(f) + 2
-            assert _bounded_fiber(f, mode, bound) == _two_branch_fiber(f, mode, bound), str(f)
+            assert _as_terms(f, _bounded_fiber(f, mode, bound)) == _two_branch_fiber(
+                f, mode, bound
+            ), str(f)
 
     def test_generator_moves_match_the_position_walk(self):
         for f in FIBER_POLYS:
@@ -651,3 +664,157 @@ class TestConnectivityReference:
         out = capsys.readouterr().out
         assert code == 1
         assert "connected: False" in out.splitlines()
+
+
+def _forward_fiber(f, mode, bound):
+    """The fiber DP that builds every node of every projection key up to the
+    bound and keeps the target's, one frozenset of nodes per leaf count: the
+    reference for the demand-driven `_bounded_fiber`."""
+    if f.is_zero:
+        return (frozenset(), frozenset({ZERO})) + (frozenset(),) * (bound - 1)
+    supports = [m.support for m in f.monomials]
+    target = frozenset(supports)
+    divisors = set()
+    for support in supports:
+        for size in range(len(support) + 1):
+            divisors.update(itertools.combinations(support, size))
+    mass_bound = len(supports)
+    unit = frozenset({()})
+    variables = {
+        frozenset({(i,)}): {var(i)} for i in sorted({i for s in supports for i in s})
+    }
+
+    def product_keys(p1, p2):
+        out = set()
+        for k1 in p1:
+            for k2 in p2:
+                merged = tuple(sorted(k1 + k2))
+                if len(set(merged)) != len(merged) or merged not in divisors or merged in out:
+                    return None
+                out.add(merged)
+        return frozenset(out)
+
+    table = [{}, {unit: {ONE}, **variables}]
+    nonsums = [{}, table[1]]
+    if mode == "sym":
+        factors, summands = table, table
+    else:
+        factors, summands = [{}, variables] + [{}] * (bound - 1), nonsums
+    largest = 1
+    for s in range(2, bound + 1):
+        if s > 2 * largest:
+            break
+        level = {}
+        products = {}
+        for s1 in range(1, s):
+            right = table[s - s1].items()
+            for p1, nodes1 in factors[s1].items():
+                if p1 == unit:
+                    continue
+                for p2, nodes2 in right:
+                    if p2 == unit or len(p1) * len(p2) > mass_bound:
+                        continue
+                    key = product_keys(p1, p2)
+                    if key is not None:
+                        new = {times(n1, n2) for n1 in nodes1 for n2 in nodes2}
+                        products.setdefault(key, set()).update(new)
+                        level.setdefault(key, set()).update(new)
+            for p1, nodes1 in summands[s1].items():
+                for p2, nodes2 in right:
+                    if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
+                        level.setdefault(p1 | p2, set()).update(
+                            plus(n1, n2) for n1 in nodes1 for n2 in nodes2
+                        )
+        table.append(level)
+        nonsums.append(products)
+        if level:
+            largest = s
+    return tuple(frozenset(level.get(target, ())) for level in table) + (frozenset(),) * (
+        bound + 1 - len(table)
+    )
+
+
+R3_FOUR_ORBITS = list(_up_to_relabelling([f for f in enumerate_R(3) if len(f) == 4]))
+DEMAND_POLYS = [f for n in range(3) for f in enumerate_R(n)] + R3_SMALL + R3_FOUR_ORBITS
+FIBER_SIZES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "fiber_sizes.json").read_text()
+)["sizes"]
+
+
+class TestDemandDrivenFiber:
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_matches_the_forward_dp_per_leaf_count(self, mode):
+        for f in DEMAND_POLYS:
+            for bound in (1, 2, 3, 4, default_bound(f) + 2):
+                by_leaves = _bounded_fiber(f, mode, bound)
+                assert tuple(map(frozenset, by_leaves)) == _forward_fiber(f, mode, bound), (
+                    str(f), bound
+                )
+                assert all(len(set(level)) == len(level) for level in by_leaves), (str(f), bound)
+
+    def test_sizes_match_the_recorded_golden(self):
+        assert len(FIBER_SIZES) == 107
+        for text, sizes in FIBER_SIZES.items():
+            results = [enumerate_fiber(parse_poly(text), mode) for mode in ("sym", "biperm")]
+            assert [len(result.terms) for result in results] == sizes, text
+            assert all(result.stable for result in results), text
+
+    def test_r2_sizes_by_hand(self):
+        assert [len(enumerate_fiber(f, "sym").terms) for f in enumerate_R(2)] == [
+            1, 1, 1, 2, 2, 8, 8, 40
+        ]
+        assert [len(enumerate_fiber(f, "biperm").terms) for f in enumerate_R(2)] == [
+            1, 1, 1, 2, 2, 6, 6, 20
+        ]
+
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_each_demanded_cell_is_the_sum_of_its_split_products(self, mode):
+        """A node's top split is read off the node, so a demanded cell has
+        exactly sum over its splits of |left pool| * |right cell| nodes, all
+        distinct; a left summand is drawn from the products of its cell in
+        biperm mode.  Every left part of a demanded cell is also a right
+        part of one, the argument for `_demand` needing no product-only
+        mark."""
+        for f in DEMAND_POLYS:
+            if f.is_zero:
+                continue
+            target = frozenset(m.support for m in f.monomials)
+            products, sums = _split_table(f, mode, default_bound(f) + 2)
+            demand = _demand(target, products, sums)
+            cells = _build_cells(f, mode, demand, products, sums)
+
+            def size(s, key):
+                return len(cells[s][key][0])
+
+            def summands(s, key):
+                nodes = cells[s][key][0]
+                return len(nodes) if mode == "sym" else sum(n[0] != "+" for n in nodes)
+
+            lefts = set()
+            rights = {(s, target) for s, level in enumerate(demand) if target in level}
+            for s in range(2, len(demand)):
+                assert cells[s].keys() == demand[s]
+                for key in demand[s]:
+                    nodes, usable = cells[s][key]
+                    assert usable == summands(s, key)
+                    made = 0
+                    for s1, p1, p2 in products[s].get(key, ()):
+                        made += size(s1, p1) * size(s - s1, p2)
+                        lefts.add((s1, p1))
+                        rights.add((s - s1, p2))
+                    for s1, p1, p2 in sums[s].get(key, ()):
+                        made += summands(s1, p1) * size(s - s1, p2)
+                        lefts.add((s1, p1))
+                        rights.add((s - s1, p2))
+                    assert len(set(nodes)) == len(nodes) == made, (str(f), s, key)
+            assert {cell for cell in lefts if cell[0] > 1} <= rights, str(f)
+
+    @pytest.mark.slow
+    def test_the_two_largest_four_monomial_orbits_are_connected(self):
+        for text, size in (
+            ("R(3): x3 + x2*x3 + x1*x3 + x1*x2*x3", 13648),
+            ("R(3): x2*x3 + x1*x3 + x1*x2 + x1*x2*x3", 22656),
+        ):
+            report = connectivity_check(parse_poly(text))
+            assert report.connected, text
+            assert report.fiber_size == size, text
