@@ -7,9 +7,11 @@ defining diagrams exhaustively within an arity cap, counting instances and
 aborting at a configurable budget.
 
 Every check is a section: a generator that yields one verdict per instance,
-None when the instance holds and a violation message when it does not.
-`_run` owns the loop: it ticks the budget once per verdict and stops at the
-first violation; `_check_sections` runs named sections into a CheckReport.
+None when the instance holds and a violation message when it does not.  A
+section may also yield an int n, the count of n instances that hold, so a
+block of instances checked at once costs one verdict.  `_run` owns the loop:
+it ticks the budget once per instance and stops at the first violation;
+`_check_sections` runs named sections into a CheckReport.
 A section counts the instances it cannot build (a missing gamma row) in the
 report's `skipped` and yields nothing for them.
 
@@ -91,8 +93,11 @@ class Budget:
         self.used = 0
 
     def tick(self, count: int = 1):
+        """Count `count` instances.  Past the limit, `used` is left at limit + 1,
+        where as many single ticks would have stopped."""
         self.used += count
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise SearchBudgetExceeded(
                 f"exhaustive check exceeded budget of {self.limit} instances"
             )
@@ -361,8 +366,8 @@ class _Table(dict):
 
 
 class _Tables(dict):
-    """One `_Table` of `row` per shape or morphism, made on first fetch; all
-    are dropped once `_TABLES_KEPT` are held and another is needed."""
+    """One `_Table` of `row` per shape, morphism or other key, made on first
+    fetch; all are dropped once `_TABLES_KEPT` are held and another is needed."""
 
     __slots__ = ("row",)
 
@@ -446,17 +451,22 @@ class CheckReport:
         return f"[{self.name}] {status} ({self.checked} instances, {self.skipped} skipped)"
 
 
-_Verdicts = Iterator[Union[str, None]]
+_Verdicts = Iterator[Union[str, int, None]]
 
 
 def _run(instances: _Verdicts, budget: Budget) -> tuple[int, Union[str, None]]:
-    """Tick the budget once per verdict; stop at the first violation."""
+    """Tick the budget once per instance; stop at the first violation."""
     count = 0
     for verdict in instances:
-        budget.tick()
-        count += 1
-        if verdict is not None:
-            return count, verdict
+        if verdict is None:
+            budget.tick()
+            count += 1
+        elif isinstance(verdict, int):
+            budget.tick(verdict)
+            count += verdict
+        else:
+            budget.tick()
+            return count + 1, verdict
     return count, None
 
 
@@ -926,7 +936,10 @@ class DiscreteAlgebra:
     """A finite carrier with zero and unit points and an evaluation map.
 
     theta(f, c, xs) evaluates the operator c of the component over f at the
-    carrier tuple xs (one entry per variable of f).
+    carrier tuple xs (one entry per variable of f).  Like act and gamma,
+    theta must be a function: `validate_algebra` evaluates it once per
+    (f, c, xs) and checks a block of tuples at a time, so a theta that
+    raises does so before its block is ticked against the budget.
     """
 
     carrier: tuple
@@ -947,18 +960,13 @@ def eval_rpoly_bool(f: RPoly, bits: Sequence[int]) -> int:
     return 0
 
 
-# theta of the boolean rig, memoised on (f, xs): a cap-3 algebra check makes
-# 2.8M evaluations of about a thousand distinct arguments.
-_cached_eval_bool = lru_cache(maxsize=1 << 16)(eval_rpoly_bool)
-
-
 def boolean_rig_algebra() -> DiscreteAlgebra:
     """The two-point rig {0, 1}; a strict rig object, hence a strict algebra."""
     return DiscreteAlgebra(
         carrier=(0, 1),
         zero=0,
         e=1,
-        theta=lambda f, _elt, xs: _cached_eval_bool(f, xs),
+        theta=lambda f, _elt, xs: eval_rpoly_bool(f, xs),
     )
 
 
@@ -978,11 +986,37 @@ def validate_algebra(
     _check_cap(cap)
     report = CheckReport(f"algebra over {operad.name}@cap{cap}", True, 0, 0, None)
     view = _Interned(operad)
+    thetas = _theta_tables(view, algebra)
     return _check_sections(report, budget or Budget(), (
         ("unit", _algebra_unit(view, algebra)),
-        ("associativity", _algebra_associativity(view, algebra, cap, report)),
-        ("equivariance", _algebra_equivariance(view, algebra, cap)),
+        ("associativity", _algebra_associativity(view, algebra, cap, report, thetas)),
+        ("equivariance", _algebra_equivariance(view, algebra, cap, thetas)),
     ))
+
+
+def _theta_tables(view, algebra):
+    """theta over one run's element ids, memoised two ways:
+    `rows[f, x]` is the tuple of theta(f, x, v) over the carrier tuples v in
+    product order, and `at[g, c]` maps one tuple to theta(g, c, tuple)."""
+    elements, theta, carrier = view.elements, algebra.theta, algebra.carrier
+
+    def row(_, fx):
+        f, x = fx
+        elt = elements[x]
+        return tuple([theta(f, elt, v) for v in itertools.product(carrier, repeat=f.arity)])
+
+    return _Table(row), _Tables(lambda fx, v: theta(fx[0], elements[fx[1]], v))
+
+
+def _block_verdicts(lhs, rhs, message):
+    """The verdicts of a block whose sides are aligned tuples: its size when
+    they agree, else the count before the first difference i and message(i)."""
+    if lhs == rhs:
+        yield len(lhs)
+        return
+    i = next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
+    yield i
+    yield message(i)
 
 
 def _algebra_unit(view, algebra):
@@ -993,36 +1027,45 @@ def _algebra_unit(view, algebra):
         yield None if got == x else f"theta(unit)({x!r}) != {x!r}"
 
 
-def _algebra_associativity(view, algebra, cap, report):
-    elements, theta = view.elements, algebra.theta
+def _algebra_associativity(view, algebra, cap, report, thetas):
+    """One block per composite (c, xs, composed): theta of the composite
+    against theta of g at the inner values.  The blocks of the arguments are
+    contiguous, so the product of their rows runs in the order of
+    product(carrier, repeat=total)."""
+    rows, at = thetas
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
-        blocks, total = _blocks(fs)
         for c, xs, composed in _composites(view, g, fs, report):
-            g_elt, top = elements[c], elements[composed]
-            slots = [(f, elements[x], a, b) for f, x, (a, b) in zip(fs, xs, blocks)]
-            for values in itertools.product(algebra.carrier, repeat=total):
-                lhs = theta(composite, top, values)
-                inner = tuple([theta(f, elt, values[a:b]) for f, elt, a, b in slots])
-                rhs = theta(g, g_elt, inner)
-                yield None if lhs == rhs else (
-                    f"g={g}, args={[str(f) for f in fs]}, xs={values!r}: {lhs!r} != {rhs!r}"
-                )
+            lhs = rows[composite, composed]
+            outer = at[g, c]
+            rhs = tuple(map(outer.__getitem__, itertools.product(
+                *[rows[f, x] for f, x in zip(fs, xs)]
+            )))
+            yield from _block_verdicts(lhs, rhs, lambda i: (
+                f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
+                f"{lhs[i]!r} != {rhs[i]!r}"
+            ))
 
 
-def _algebra_equivariance(view, algebra, cap):
-    elements = view.elements
+def _nth_tuple(algebra, f, i):
+    """The i-th carrier tuple over f's variables, in product order."""
+    return next(itertools.islice(itertools.product(algebra.carrier, repeat=f.arity), i, None))
+
+
+def _algebra_equivariance(view, algebra, cap, thetas):
+    """One block per (mor, c): theta of the moved operator against theta of c
+    at each pulled-back tuple."""
+    rows, at = thetas
     fillers = {0: algebra.zero, E: algebra.e}
     for mor in _all_morphisms(cap):
         act = view.act_table(mor)
+        pulled = [
+            tuple(fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images)
+            for xs in itertools.product(algebra.carrier, repeat=mor.target.arity)
+        ]
         for c in view.component[mor.source]:
-            moved = act[c]
-            for xs in itertools.product(algebra.carrier, repeat=mor.target.arity):
-                pulled = tuple(
-                    fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images
-                )
-                lhs = algebra.theta(mor.target, elements[moved], xs)
-                rhs = algebra.theta(mor.source, elements[c], pulled)
-                yield None if lhs == rhs else (
-                    f"map {mor.map} from {mor.source}: {lhs!r} != {rhs!r}"
-                )
+            lhs = rows[mor.target, act[c]]
+            rhs = tuple(map(at[mor.source, c].__getitem__, pulled))
+            yield from _block_verdicts(lhs, rhs, lambda i: (
+                f"map {mor.map} from {mor.source}: {lhs[i]!r} != {rhs[i]!r}"
+            ))

@@ -181,16 +181,6 @@ def unit_poly() -> RPoly:
     return RPoly(1, (1,))
 
 
-def additive_poly(j: int) -> RPoly:
-    """x1 + x2 + ... + xj in j variables."""
-    return rpoly(j, [(i,) for i in range(1, j + 1)])
-
-
-def multiplicative_poly(j: int) -> RPoly:
-    """x1*x2*...*xj in j variables."""
-    return rpoly(j, [tuple(range(1, j + 1))])
-
-
 def lambda_of(f: RPoly) -> tuple[Monomial, ...]:
     """The monomials of f ordered lexicographically on their exponent tuples.
 
@@ -198,11 +188,6 @@ def lambda_of(f: RPoly) -> tuple[Monomial, ...]:
     the ordering {5} < {1,4} < {1,2,3} for x1*x2*x3 + x1*x4 + x5.
     """
     return tuple(_monomial(f.arity, m) for m in f.masks)
-
-
-def gamma_of(m: Monomial) -> tuple[int, ...]:
-    """The ordered variable support of a monomial."""
-    return m.support
 
 
 def canon_str(f: RPoly) -> str:
@@ -271,10 +256,6 @@ def int_zero(arity: int) -> IntPoly:
 
 def int_const(arity: int, value: int) -> IntPoly:
     return IntPoly.make(arity, {(): value})
-
-
-def from_rpoly(f: RPoly) -> IntPoly:
-    return IntPoly.make(f.arity, {_support(m): 1 for m in f.masks})
 
 
 def membership_failure(p: IntPoly) -> Union[str, None]:

@@ -36,8 +36,8 @@ from ringops.parsing import parse_poly, parse_term, print_poly, print_term
 from ringops.polynomials import (
     Monomial,
     compose,
+    IntPoly,
     enumerate_R,
-    from_rpoly,
     is_member,
     is_nondegenerate,
     is_special,
@@ -74,6 +74,11 @@ from ringops.wreath import (
     verify_assignment_functoriality,
 )
 from ringops.polynomials import UNIT
+
+
+def from_rpoly(f):
+    """f as an IntPoly, with every monomial at coefficient 1."""
+    return IntPoly.make(f.arity, {m.support: 1 for m in f.monomials})
 
 
 def criterion(number, title):

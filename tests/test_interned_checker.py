@@ -6,6 +6,7 @@ that both paths give the same reports: the same `checked`, `skipped`,
 `sections` and `failure` text, the same E-infinity conditions, and the same
 exception at the same instance.
 """
+import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -13,7 +14,13 @@ from functools import lru_cache
 import pytest
 
 from ringops.cli import main
-from ringops.errors import ArityCapExceeded, ArityMismatch, NotAMorphism, RingopsError
+from ringops.errors import (
+    ArityCapExceeded,
+    ArityMismatch,
+    NotAMorphism,
+    RingopsError,
+    SearchBudgetExceeded,
+)
 from ringops.indexcat import (
     E,
     ExtMap,
@@ -32,6 +39,8 @@ from ringops.operads import (
     StrictRingOperad,
     TableRingOperad,
     _OUTER_DIAGRAMS,
+    _Interned,
+    _algebra_equivariance as _interned_algebra_equivariance,
     _all_morphisms,
     _arity_tuples,
     _blocks,
@@ -42,6 +51,7 @@ from ringops.operads import (
     _nondegenerate_objects,
     _poly_tuples,
     _run,
+    _theta_tables,
     boolean_rig_algebra,
     check_axioms,
     check_einfty_set,
@@ -51,7 +61,7 @@ from ringops.operads import (
     validate_algebra,
 )
 from ringops.parsing import parse_fixture, serialize_fixture
-from ringops.polynomials import compose, enumerate_R, type_of, unit_poly, zero_poly
+from ringops.polynomials import compose, enumerate_R, rpoly, type_of, unit_poly, zero_poly
 from ringops.terms import sset_operad
 
 
@@ -533,6 +543,148 @@ def test_algebra_matches_the_reference(name, algebra):
     assert interned.ok
 
 
+@pytest.mark.parametrize("algebra", [boolean_rig_algebra, one_point_algebra])
+@pytest.mark.parametrize("name", ["strict", "pset"])
+def test_algebra_matches_the_reference_at_cap1(name, algebra):
+    operad = OPERADS[name]()
+    interned = validate_algebra(operad, algebra(), 1)
+    assert _fields(interned) == _fields(reference_validate_algebra(operad, algebra(), 1))
+    assert interned.ok
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra", [boolean_rig_algebra, one_point_algebra])
+def test_strict_algebra_matches_the_reference_at_cap3(algebra):
+    interned = validate_algebra(strict_operad(), algebra(), 3)
+    assert _fields(interned) == _fields(reference_validate_algebra(strict_operad(), algebra(), 3))
+    assert interned.ok
+
+
+# The interned algebra sections check a block of carrier tuples at a time: one
+# composite (c, xs, composed), or one (morphism, c) pair.  A corrupted theta
+# must fail at the same instance, wherever in its block that instance lies.
+
+
+def _wrong_at(algebra, poly, values, element=None):
+    """The boolean rig with theta flipped at one (poly, values), and at one
+    element of poly's component when `element` is given."""
+
+    def theta(f, elt, xs):
+        got = algebra.theta(f, elt, xs)
+        hit = f == poly and tuple(xs) == values and element in (None, elt)
+        return 1 - got if hit else got
+
+    return dataclasses.replace(algebra, theta=theta)
+
+
+def _single_point_corruptions(cap):
+    for n in range(cap + 1):
+        for poly in enumerate_R(n):
+            for values in itertools.product((0, 1), repeat=n):
+                yield poly, values
+
+
+def _place_in_block(sizes, index):
+    """(position, block size) of instance `index` among blocks of `sizes`."""
+    start = 0
+    for size in sizes:
+        if index < start + size:
+            return index - start, size
+        start += size
+    raise AssertionError(f"instance {index} lies past the last block")
+
+
+def _place_kind(position, size):
+    return "first" if position == 0 else "last" if position == size - 1 else "middle"
+
+
+def test_single_point_corruptions_fail_alike():
+    # Every one-point flip of the boolean rig's theta over R(0..2): the
+    # strict cap-2 blocks have one composite per shape, so their sizes are
+    # known, and the flips land at the first, a middle and the last tuple of
+    # associativity blocks and at the last tuple of equivariance blocks.
+    sizes = {
+        "associativity": [2 ** compose(g, fs).arity for g, fs in _composition_shapes(2)],
+        "equivariance": [2 ** mor.target.arity for mor in _all_morphisms(2)],
+    }
+    places = set()
+    for poly, values in _single_point_corruptions(2):
+        algebra = _wrong_at(boolean_rig_algebra(), poly, values)
+        report = validate_algebra(strict_operad(), algebra, 2)
+        assert _fields(report) == _fields(reference_validate_algebra(strict_operad(), algebra, 2))
+        section = report.failure and report.failure.split(":")[0]
+        if section in sizes:
+            index = report.checked - 1 - sum(report.sections.values())
+            position, size = _place_in_block(sizes[section], index)
+            if size > 2:
+                places.add((section, _place_kind(position, size)))
+    assert places >= {
+        ("associativity", "first"), ("associativity", "middle"), ("associativity", "last"),
+        ("equivariance", "last"),
+    }
+
+
+def test_equivariance_blocks_fail_alike():
+    # The equivariance section on its own, against the per-tuple reference:
+    # run after associativity, most flips never reach it.
+    sizes = [2 ** mor.target.arity for mor in _all_morphisms(2)]
+    places = set()
+    for poly, values in _single_point_corruptions(2):
+        algebra = _wrong_at(boolean_rig_algebra(), poly, values)
+        view = _Interned(strict_operad())
+        got = _run(_interned_algebra_equivariance(view, algebra, 2, _theta_tables(view, algebra)), Budget())
+        assert got == _run(_algebra_equivariance(strict_operad(), algebra, 2), Budget())
+        if got[1] is not None:
+            position, size = _place_in_block(sizes, got[0] - 1)
+            if size > 2:
+                places.add(_place_kind(position, size))
+    assert places == {"first", "middle", "last"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupted_pset_thetas_fail_alike(seed):
+    # pset components have several elements, so a flip at one element of a
+    # component leaves the others' rows intact.
+    operad = OPERADS["pset"]()
+    rng = random.Random(seed)
+    poly = rng.choice(enumerate_R(2))
+    element = rng.choice(operad.component(poly))
+    values = rng.choice(list(itertools.product((0, 1), repeat=2)))
+    algebra = _wrong_at(boolean_rig_algebra(), poly, values, element)
+    report = validate_algebra(operad, algebra, 2)
+    assert _fields(report) == _fields(reference_validate_algebra(operad, algebra, 2))
+
+
+class _ThetaBroke(RingopsError):
+    pass
+
+
+@pytest.mark.parametrize("poly, values", [
+    (unit_poly(), (1,)),
+    (zero_poly(2), (1, 0)),
+    (rpoly(2, [(1, 2)]), (1, 1)),
+])
+def test_a_raising_theta_raises_alike(poly, values):
+    algebra = boolean_rig_algebra()
+
+    def theta(f, elt, xs):
+        if f == poly and tuple(xs) == values:
+            raise _ThetaBroke(f"theta broke at {f} {xs!r}")
+        return algebra.theta(f, elt, xs)
+
+    broken = dataclasses.replace(algebra, theta=theta)
+    raised = []
+    for check in (validate_algebra, reference_validate_algebra):
+        budget = Budget()
+        with pytest.raises(RingopsError) as err:
+            check(strict_operad(), broken, 2, budget)
+        raised.append((type(err.value), str(err.value), budget.used))
+    (new_type, new_text, new_used), (ref_type, ref_text, ref_used) = raised
+    assert (new_type, new_text) == (ref_type, ref_text) == (_ThetaBroke, f"theta broke at {poly} {values!r}")
+    # a block is ticked only once all of its tuples are evaluated
+    assert new_used <= ref_used
+
+
 # ---------------------------------------------------------------------------
 # Edge semantics of the view
 
@@ -616,3 +768,44 @@ def test_pset_budget_boundaries(budget, capsys):
     else:
         assert (code, err) == (0, "")
         assert out == "[axioms:pset@cap2] pass (402832 instances, 0 skipped)\n"
+
+
+# check algebra at cap 2 holds 2 unit, 786 associativity and 481 equivariance
+# instances; at cap 3 the associativity blocks of 8 tuples start at instance
+# 39 (after 2 unit instances and blocks of 1, 2 and 4 tuples).
+ALGEBRA_BUDGETS = {2: (1, 2, 3, 100, 787, 788, 1268, 1269), 3: (39, 40, 43, 46, 47)}
+
+
+@pytest.mark.parametrize("cap, budget", [
+    (cap, budget) for cap, budgets in ALGEBRA_BUDGETS.items() for budget in budgets
+])
+def test_algebra_budget_boundaries(cap, budget, capsys):
+    code = main(["check", "algebra", "--cap", str(cap), "--budget", str(budget)])
+    out, err = capsys.readouterr()
+    if budget < 1269 or cap == 3:
+        assert (code, out, err) == (
+            2, "", f"error: exhaustive check exceeded budget of {budget} instances\n"
+        )
+    else:
+        assert (code, err) == (0, "")
+        assert out == "[algebra over strict@cap2] pass (1269 instances, 0 skipped)\n"
+    # in process, a block ticked past the budget stops where single ticks do
+    outcomes = []
+    for check in (validate_algebra, reference_validate_algebra):
+        spent = Budget(budget)
+        try:
+            outcomes.append(_fields(check(strict_operad(), boolean_rig_algebra(), cap, spent)))
+        except SearchBudgetExceeded as exc:
+            outcomes.append((str(exc), spent.used))
+    assert outcomes[0] == outcomes[1]
+    if code == 2:
+        assert outcomes[0][1] == budget + 1
+
+
+def test_a_block_tick_stops_where_single_ticks_do():
+    budget = Budget(5)
+    assert _run(iter([None, 3, None]), budget) == (5, None)
+    with pytest.raises(SearchBudgetExceeded):
+        budget.tick(4)
+    assert budget.used == 6
+    assert _run(iter([2, 0, "bad", None]), Budget()) == (3, "bad")

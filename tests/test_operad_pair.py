@@ -21,15 +21,19 @@ from ringops.operad_pair import (
     terminal_pair,
     terminal_sigma_pair,
 )
-from ringops.polynomials import (
-    additive_poly,
-    enumerate_R,
-    multiplicative_poly,
-    rpoly,
-    zero_poly,
-)
+from ringops.polynomials import enumerate_R, rpoly, zero_poly
 
 F535 = rpoly(5, [(1, 2, 3), (1, 4), (5,)])
+
+
+def additive_poly(j):
+    """x1 + x2 + ... + xj in j variables."""
+    return rpoly(j, [(i,) for i in range(1, j + 1)])
+
+
+def multiplicative_poly(j):
+    """x1*x2*...*xj in j variables."""
+    return rpoly(j, [tuple(range(1, j + 1))])
 
 
 def word_restriction(word, u):

@@ -14,8 +14,6 @@ from ringops.polynomials import (
     compose,
     enumerate_R,
     extended_compose,
-    from_rpoly,
-    gamma_of,
     int_const,
     int_zero,
     is_member,
@@ -29,6 +27,16 @@ from ringops.polynomials import (
     unit_poly,
     zero_poly,
 )
+
+
+def from_rpoly(f):
+    """f as an IntPoly, with every monomial at coefficient 1."""
+    return IntPoly.make(f.arity, {m.support: 1 for m in f.monomials})
+
+
+def gamma_of(m):
+    """The ordered variable support of a monomial."""
+    return m.support
 
 
 def ip(arity, coeffs):
