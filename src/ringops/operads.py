@@ -6,14 +6,19 @@ and composes along polynomial composition.  The checkers instantiate the
 defining diagrams exhaustively within an arity cap, counting instances and
 aborting at a configurable budget.
 
-Every check is a section: a generator that yields one verdict per instance,
-None when the instance holds and a violation message when it does not.  A
-section may also yield an int n, the count of n instances that hold, so a
-block of instances checked at once costs one verdict.  `_run` owns the loop:
-it ticks the budget once per instance and stops at the first violation;
+Every check is a section: a generator of verdicts, None for one instance
+that holds, a violation message for one that does not, or an int n for a
+block of n instances that all hold.  `_run` owns the loop: it ticks the
+budget by each verdict's count and stops at the first violation;
 `_check_sections` runs named sections into a CheckReport.
-A section counts the instances it cannot build (a missing gamma row) in the
-report's `skipped` and yields nothing for them.
+The block contract: a section that checks a block of instances at once
+yields the block's size when the whole block holds, and otherwise replays
+the block through its per-instance loop, which yields one verdict per
+instance.  That loop is the one place that words violations, counts the
+instances a section cannot build (a missing gamma row) in the report's
+`skipped`, yielding nothing for them, and meets a raising row at its
+instance, before the block is ticked.  So a report, and the budget used at
+a raise, do not depend on which blocks were settled whole.
 
 Sections read the operad through `_Interned`, a view that each checker entry
 point (`check_axioms`, `check_einfty_set`, `validate_algebra`) builds fresh
@@ -29,16 +34,22 @@ for its run and drops at the end.  Its contract:
   refills on its next use with the same values, since act and gamma are
   functions;
 - every table fills lazily, calling the operad's own map once per missing
-  row, so rows fill in the order the sections first need them and a failing
-  row raises at the same instance as calling the operad directly would;
-- a missing gamma row (GammaUndefined) is stored as `_SKIP`, and an instance
-  stops at its first `_SKIP`, evaluating none of its later gammas;
+  row; a row that raises is not stored, so it raises again when the
+  per-instance replay reaches it, at the same instance as calling the
+  operad directly would;
+- a missing gamma row (GammaUndefined) is stored as `_SKIP`; a replayed
+  instance stops at its first `_SKIP`, but building its block whole may
+  already have evaluated rows past it, and in another order.  Rows are
+  functions of their keys, so that changes no value, only the order in
+  which ids are handed out, and ids never reach the output;
 - violation messages decode ids back to elements, so they name the elements
   exactly as the operad does.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
@@ -455,7 +466,8 @@ _Verdicts = Iterator[Union[str, int, None]]
 
 
 def _run(instances: _Verdicts, budget: Budget) -> tuple[int, Union[str, None]]:
-    """Tick the budget once per instance; stop at the first violation."""
+    """Tick the budget by each verdict's count of instances (one for None or
+    a violation, n for a block of n); stop at the first violation."""
     count = 0
     for verdict in instances:
         if verdict is None:
@@ -590,48 +602,104 @@ def _composites(view, g, fs, report):
             yield c, xs, composed
 
 
+def _holds_whole(size, sides, *args):
+    """Whether a block of `size` instances holds as a whole.  It must have
+    more than one instance, and sides(*args) must build its two sides as
+    flat lists in instance order, equal; sides returns None at a `_SKIP`.
+    A row that raises while they are built settles nothing: the block's
+    replay meets the row again at its instance."""
+    if size < 2:
+        return False
+    try:
+        built = sides(*args)
+    except Exception:
+        return False
+    return built is not None and built[0] == built[1]
+
+
 def _check_associativity(view, cap, report):
-    decode = view.decode
+    """One block per (g, fs, hs): every composite (c, xs, top) over g and fs,
+    then every ys over hs."""
     for g, fs in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
         tops = list(_composites(view, g, fs, report))
+        pools = [view.component[f] for f in fs]
         for hs in _poly_tuples(total, cap):
             inner_targets = [
                 compose(fs[s], hs[a:b]) if b > a else fs[s]
                 for s, (a, b) in enumerate(blocks)
             ]
-            lhs_table = view.gamma_table(composite, hs)
-            nested_tables = [
-                (view.gamma_table(fs[s], hs[a:b]), a, b)
-                for s, (a, b) in enumerate(blocks)
-            ]
-            rhs_table = view.gamma_table(g, inner_targets)
+            tables = (
+                view.gamma_table(composite, hs),
+                [(view.gamma_table(fs[s], hs[a:b]), a, b) for s, (a, b) in enumerate(blocks)],
+                view.gamma_table(g, inner_targets),
+            )
             h_pools = [view.component[h] for h in hs]
-            for c, xs, top in tops:
-                for ys in itertools.product(*h_pools):
-                    lhs = lhs_table[(top, *ys)]
-                    rhs = _SKIP
-                    if lhs is not _SKIP:
-                        nested = [c]
-                        for (table, a, b), x in zip(nested_tables, xs):
-                            inner = table[(x, *ys[a:b])]
-                            if inner is _SKIP:
-                                break
-                            nested.append(inner)
-                        else:
-                            rhs = rhs_table[tuple(nested)]
-                    if rhs is _SKIP:
-                        report.skipped += 1
-                    elif lhs != rhs:
-                        yield (
-                            f"associativity fails for g={g}, args={[str(f) for f in fs]}, "
-                            f"inner={[str(h) for h in hs]} at ({view.elements[c]!r}, "
-                            f"{decode(xs)!r}, {decode(ys)!r}): "
-                            f"{view.elements[lhs]!r} != {view.elements[rhs]!r}"
-                        )
-                    else:
-                        yield None
+            size = len(tops) * math.prod(map(len, h_pools))
+            if _holds_whole(size, _associativity_sides, tops, pools, h_pools, *tables):
+                yield size
+            else:
+                yield from _associativity_instances(
+                    view, report, (g, fs, hs), tops, h_pools, *tables
+                )
+
+
+def _associativity_sides(tops, pools, h_pools, lhs_table, nested_tables, rhs_table):
+    """gamma(composite; top, ys) against gamma(g; c, inner...), where the
+    inner rows gamma(f_s; x, ys_s) are built once per (slot, element): the
+    argument blocks of ys are contiguous, so the product of a top's inner
+    rows runs in the order of ys."""
+    top_ids = [top for _, _, top in tops]
+    lhs = list(map(lhs_table.__getitem__, itertools.product(top_ids, *h_pools)))
+    if _SKIP in lhs:
+        return None
+    rows = []
+    for pool, (table, a, b) in zip(pools, nested_tables):
+        ys_pools = h_pools[a:b]
+        row = {
+            x: list(map(table.__getitem__, itertools.product((x,), *ys_pools))) for x in pool
+        }
+        if any(_SKIP in inner for inner in row.values()):
+            return None
+        rows.append(row)
+    rhs = []
+    for c, xs, _ in tops:
+        inner = map(dict.__getitem__, rows, xs)
+        rhs += map(rhs_table.__getitem__, itertools.product((c,), *inner))
+    return lhs, rhs
+
+
+def _associativity_instances(
+    view, report, shape, tops, h_pools, lhs_table, nested_tables, rhs_table
+):
+    """The block one instance at a time, as the block contract replays it."""
+    g, fs, hs = shape
+    decode = view.decode
+    for c, xs, top in tops:
+        for ys in itertools.product(*h_pools):
+            lhs = lhs_table[(top, *ys)]
+            rhs = _SKIP
+            if lhs is not _SKIP:
+                nested = [c]
+                for (table, a, b), x in zip(nested_tables, xs):
+                    inner = table[(x, *ys[a:b])]
+                    if inner is _SKIP:
+                        break
+                    nested.append(inner)
+                else:
+                    rhs = rhs_table[tuple(nested)]
+            if rhs is _SKIP:
+                report.skipped += 1
+            elif lhs != rhs:
+                yield (
+                    f"associativity fails for g={g}, args={[str(f) for f in fs]}, "
+                    f"inner={[str(h) for h in hs]} at ({view.elements[c]!r}, "
+                    f"{decode(xs)!r}, {decode(ys)!r}): "
+                    f"{view.elements[lhs]!r} != {view.elements[rhs]!r}"
+                )
+            else:
+                yield None
 
 
 def _morphisms_within(cap):
@@ -656,7 +724,8 @@ _OUTER_DIAGRAMS = {
 
 
 def _check_outer_equivariance(view, cap, report, basepoint):
-    """Outer action by psi; slots psi sends to the basepoint take its filler."""
+    """Outer action by psi; slots psi sends to the basepoint take its filler.
+    One block per (mor, fs): every c over the source, then every xs."""
     name, map_name, covers, filler_poly, filler, reindex = _OUTER_DIAGRAMS[basepoint]
     filler_id = view.intern(filler(view.operad))
     for mor in _morphisms_within(cap):
@@ -664,6 +733,7 @@ def _check_outer_equivariance(view, cap, report, basepoint):
         if not covers(psi):
             continue
         moved_table = view.act_table(mor)
+        source = view.component[mor.source]
         # per slot, the argument index it reads, or None for the filler
         picks = [None if v == basepoint else v - 1 for v in psi.images]
         for fs in _poly_tuples(mor.target.arity, cap):
@@ -678,35 +748,73 @@ def _check_outer_equivariance(view, cap, report, basepoint):
             except (NotAMorphism, ArityMismatch):
                 yield f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}"
                 continue
-            lhs_table = view.gamma_table(mor.target, fs)
-            slot_table = view.gamma_table(mor.source, slot_polys)
-            chi_table = view.act_table(chi_mor)
+            # the slot key (c, *slot args), read off the tuple (c, *xs, filler)
+            slot_key = operator.itemgetter(
+                0, *[len(fs) + 1 if i is None else i + 1 for i in picks]
+            )
+            tables = (
+                moved_table,
+                view.gamma_table(mor.target, fs),
+                view.gamma_table(mor.source, slot_polys),
+                view.act_table(chi_mor),
+            )
             pools = [view.component[f] for f in fs]
-            for c in view.component[mor.source]:
-                moved = moved_table[c]
-                for xs in itertools.product(*pools):
-                    lhs = lhs_table[(moved, *xs)]
-                    slot = _SKIP if lhs is _SKIP else slot_table[
-                        (c, *[filler_id if i is None else xs[i] for i in picks])
-                    ]
-                    if slot is _SKIP:
-                        report.skipped += 1
-                        continue
-                    yield None if lhs == chi_table[slot] else (
-                        f"{name} equivariance fails for {psi} on {mor.source} "
-                        f"with args {[str(f) for f in fs]} at "
-                        f"{view.elements[c]!r}, {view.decode(xs)!r}"
-                    )
+            size = len(source) * math.prod(map(len, pools))
+            if _holds_whole(size, _outer_sides, source, pools, slot_key, filler_id, *tables):
+                yield size
+            else:
+                yield from _outer_instances(
+                    view, report, (name, psi, mor.source, fs),
+                    source, pools, slot_key, filler_id, *tables,
+                )
+
+
+def _outer_sides(
+    source, pools, slot_key, filler_id, moved_table, lhs_table, slot_table, chi_table
+):
+    """gamma(psi c; xs) against chi acting on gamma(c; slot args)."""
+    moved = map(moved_table.__getitem__, source)
+    lhs = list(map(lhs_table.__getitem__, itertools.product(moved, *pools)))
+    if _SKIP in lhs:
+        return None
+    keys = map(slot_key, itertools.product(source, *pools, (filler_id,)))
+    slots = list(map(slot_table.__getitem__, keys))
+    if _SKIP in slots:
+        return None
+    return lhs, list(map(chi_table.__getitem__, slots))
+
+
+def _outer_instances(
+    view, report, where, source, pools, slot_key, filler_id,
+    moved_table, lhs_table, slot_table, chi_table,
+):
+    """The block one instance at a time, as the block contract replays it."""
+    name, psi, source_poly, fs = where
+    for c in source:
+        moved = moved_table[c]
+        for xs in itertools.product(*pools):
+            lhs = lhs_table[(moved, *xs)]
+            slot = _SKIP if lhs is _SKIP else slot_table[slot_key((c, *xs, filler_id))]
+            if slot is _SKIP:
+                report.skipped += 1
+                continue
+            yield None if lhs == chi_table[slot] else (
+                f"{name} equivariance fails for {psi} on {source_poly} "
+                f"with args {[str(f) for f in fs]} at "
+                f"{view.elements[c]!r}, {view.decode(xs)!r}"
+            )
 
 
 def _check_equivariance_arguments(view, cap, report):
-    """Acting on the arguments commutes with composing along the block sum."""
+    """Acting on the arguments commutes with composing along the block sum.
+    One block per (g, mors): every c over g, then every xs."""
     morphisms = _all_morphisms(cap)
     by_shape: dict[tuple[int, int], list[RMorphism]] = {}
     for mor in morphisms:
         by_shape.setdefault((mor.source.arity, mor.target.arity), []).append(mor)
     for k in range(1, cap + 1):
         for g in enumerate_R(k):
+            g_elts = view.component[g]
             for src_arities in _arity_tuples(k, cap):
                 for tgt_arities in _arity_tuples(k, cap):
                     pools = [
@@ -727,31 +835,57 @@ def _check_equivariance_arguments(view, cap, report):
                                 f"morphism {comp_f} -> {comp_h}"
                             )
                             continue
-                        source_table = view.gamma_table(g, fs)
-                        target_table = view.gamma_table(g, hs)
-                        block_act = view.act_table(bmor)
-                        arg_acts = [view.act_table(m) for m in mors]
+                        tables = (
+                            view.gamma_table(g, fs),
+                            view.act_table(bmor),
+                            view.gamma_table(g, hs),
+                            [view.act_table(m) for m in mors],
+                        )
                         elt_pools = [view.component[f] for f in fs]
-                        for c in view.component[g]:
-                            for xs in itertools.product(*elt_pools):
-                                composed = source_table[(c, *xs)]
-                                if composed is _SKIP:
-                                    report.skipped += 1
-                                    continue
-                                lhs = block_act[composed]
-                                rhs = target_table[
-                                    (c, *[act[x] for act, x in zip(arg_acts, xs)])
-                                ]
-                                if rhs is _SKIP:
-                                    report.skipped += 1
-                                elif lhs != rhs:
-                                    yield (
-                                        f"argument equivariance fails for g={g}, "
-                                        f"maps={[str(m.map) for m in mors]} at "
-                                        f"{view.elements[c]!r}, {view.decode(xs)!r}"
-                                    )
-                                else:
-                                    yield None
+                        size = len(g_elts) * math.prod(map(len, elt_pools))
+                        if _holds_whole(size, _argument_sides, g_elts, elt_pools, *tables):
+                            yield size
+                        else:
+                            yield from _argument_instances(
+                                view, report, (g, mors), g_elts, elt_pools, *tables
+                            )
+
+
+def _argument_sides(g_elts, elt_pools, source_table, block_act, target_table, arg_acts):
+    """The block sum acting on gamma(c; xs) against gamma(c; acted xs)."""
+    composed = list(map(source_table.__getitem__, itertools.product(g_elts, *elt_pools)))
+    if _SKIP in composed:
+        return None
+    moved = [list(map(act.__getitem__, pool)) for act, pool in zip(arg_acts, elt_pools)]
+    return (
+        list(map(block_act.__getitem__, composed)),
+        list(map(target_table.__getitem__, itertools.product(g_elts, *moved))),
+    )
+
+
+def _argument_instances(
+    view, report, where, g_elts, elt_pools, source_table, block_act, target_table, arg_acts
+):
+    """The block one instance at a time, as the block contract replays it."""
+    g, mors = where
+    for c in g_elts:
+        for xs in itertools.product(*elt_pools):
+            composed = source_table[(c, *xs)]
+            if composed is _SKIP:
+                report.skipped += 1
+                continue
+            lhs = block_act[composed]
+            rhs = target_table[(c, *[act[x] for act, x in zip(arg_acts, xs)])]
+            if rhs is _SKIP:
+                report.skipped += 1
+            elif lhs != rhs:
+                yield (
+                    f"argument equivariance fails for g={g}, "
+                    f"maps={[str(m.map) for m in mors]} at "
+                    f"{view.elements[c]!r}, {view.decode(xs)!r}"
+                )
+            else:
+                yield None
 
 
 # ---------------------------------------------------------------------------

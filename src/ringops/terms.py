@@ -144,7 +144,9 @@ def reduce_node(node: Node) -> Node:
 
 
 def reduce_A(term: Term) -> Term:
-    return Term(term.arity, reduce_node(term.node))
+    """The term with the unit and nullity rewrites applied; built without the
+    arity check, since reduction only drops or moves leaves."""
+    return _fiber_term(term.arity, reduce_node(term.node))
 
 
 def is_canonical(node: Node) -> bool:
@@ -182,15 +184,21 @@ def _substitute(node: Node, leaf) -> Node:
 
 
 def act_map(phi: ExtMap, term: Term) -> Term:
-    """Relabel variables along phi (0 becomes the zero leaf, e the unit leaf)."""
+    """Relabel variables along phi (0 becomes the zero leaf, e the unit leaf).
+    Built without the arity check: ExtMap images lie in 1..target, or are
+    the 0/e leaves."""
     if phi.source_size != term.arity:
         raise ArityMismatch("map source size differs from term arity")
     images = [ZERO if j == 0 else ONE if j == E else var(j) for j in phi.images]
-    return Term(phi.target_size, reduce_node(_substitute(term.node, lambda i: images[i - 1])))
+    return _fiber_term(
+        phi.target_size, reduce_node(_substitute(term.node, lambda i: images[i - 1]))
+    )
 
 
 def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
-    """Substitute argument terms into the variable leaves with block shifts."""
+    """Substitute argument terms into the variable leaves with block shifts.
+    Built without the arity check: block offsets plus argument arities stay
+    within the total."""
     if len(args) != g_term.arity:
         raise ArityMismatch(f"{g_term.arity}-ary term applied to {len(args)} arguments")
     offsets, total = _block_offsets(a.arity for a in args)
@@ -198,7 +206,7 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
         _substitute(a.node, lambda i, offset=offset: var(i + offset))
         for a, offset in zip(args, offsets)
     ]
-    return Term(total, reduce_node(_substitute(g_term.node, lambda i: shifted[i - 1])))
+    return _fiber_term(total, reduce_node(_substitute(g_term.node, lambda i: shifted[i - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +252,10 @@ def normalize_biperm(term: Term) -> Term:
     Strategy: normalize children first, then right-nest sums, right-associate
     products and push sums out of left factors (right distributivity only;
     x * (y + z) stays fixed).  The result is idempotent and projection
-    preserving.
+    preserving.  It is built without the arity check, since normalisation
+    only drops or moves leaves.
     """
-    return Term(term.arity, _normalize(term.node))
+    return _fiber_term(term.arity, _normalize(term.node))
 
 
 def is_reduced_node(node: Node) -> bool:
@@ -317,10 +326,10 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
 
 
 def _fiber_term(arity: int, node: Node) -> Term:
-    """A `Term` for a node of the fiber DP, without the arity check: the DP
-    builds nodes from constant leaves and the variables of f alone, so the
-    check cannot fail, and its tree walk cost more than the DP on large
-    fibers."""
+    """A `Term` without the arity check, for a node whose construction shows the
+    check cannot fail.  The fiber DP builds nodes from constant leaves and
+    the variables of f alone, and the check's tree walk cost more than the
+    DP on large fibers; the structure maps argue it in their docstrings."""
     term = object.__new__(Term)
     object.__setattr__(term, "arity", arity)
     object.__setattr__(term, "node", node)

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import pytest
 
+from ringops import operads
 from ringops.cli import main
 from ringops.errors import (
     ArityCapExceeded,
@@ -655,6 +656,22 @@ def test_corrupted_pset_thetas_fail_alike(seed):
     assert _fields(report) == _fields(reference_validate_algebra(operad, algebra, 2))
 
 
+@pytest.mark.parametrize("poly", [rpoly(2, [(1,), (2,)]), rpoly(2, [(1,), (2,), (1, 2)])])
+def test_a_theta_flip_on_a_sum_diagonal_passes_cap2_and_fails_cap3(poly):
+    # A known gap in the algebra check's power: theta flipped at the diagonal
+    # tuple (1, 1) of these sums holds every cap-2 diagram, and the first
+    # diagram to catch it is a cap-3 associativity instance.
+    algebra = _wrong_at(boolean_rig_algebra(), poly, (1, 1))
+    assert _fields(validate_algebra(strict_operad(), algebra, 2)) == (
+        True, 1269, 0, {"unit": 2, "associativity": 786, "equivariance": 481}, None
+    )
+    report = validate_algebra(strict_operad(), algebra, 3)
+    assert not report.ok
+    assert report.failure == (
+        f"associativity: g=R(2): x2, args=['R(1): 0', '{poly}'], xs=(0, 1, 1): 1 != 0"
+    )
+
+
 class _ThetaBroke(RingopsError):
     pass
 
@@ -739,7 +756,14 @@ def _raising_instance(check, operad):
     return budget.used
 
 
-@pytest.mark.parametrize("source, seed", [("strict", 1), ("strict", 2), ("pset", 1), ("pset", 2)])
+# pset seeds 1, 2, 4 and 7 pick rows that an associativity block of 120, 120,
+# 6 and 400 instances first reads at its instance 112, 40, 4 and 48: the
+# whole-block build meets the raise first, and the replay must raise it again
+# at that instance.  Every gamma row of a cap-2 table is first read by units
+# or associativity, so the later sections are covered one at a time below.
+@pytest.mark.parametrize("source, seed", [
+    ("strict", 1), ("strict", 2), ("pset", 1), ("pset", 2), ("pset", 4), ("pset", 7),
+])
 def test_a_failing_row_raises_at_the_same_instance(source, seed):
     # A table filled eagerly per shape would raise at the first instance that
     # fetches the row's shape, before the instance that reads the row.
@@ -748,6 +772,80 @@ def test_a_failing_row_raises_at_the_same_instance(source, seed):
     operad = _BreaksOnOneRow(table, key)
     used = _raising_instance(check_axioms, operad)
     assert used == _raising_instance(reference_check_axioms, operad)
+
+
+def _spy_blocks(monkeypatch, budget=None):
+    """Record every block the blocked sections meet, as [size, budget used]
+    when it is offered to `_holds_whole`, plus the report's skipped count
+    when its per-instance replay starts."""
+    blocks = []
+    holds_whole = operads._holds_whole
+
+    def holds_spied(size, sides, *args):
+        blocks.append([size, budget and budget.used])
+        return holds_whole(size, sides, *args)
+
+    monkeypatch.setattr(operads, "_holds_whole", holds_spied)
+    for name in ("_associativity_instances", "_outer_instances", "_argument_instances"):
+
+        def replay_spied(view, report, *args, replay=getattr(operads, name)):
+            blocks[-1].append(report.skipped)
+            yield from replay(view, report, *args)
+
+        monkeypatch.setattr(operads, name, replay_spied)
+    return blocks
+
+
+@pytest.mark.parametrize("prune_seed, mutant_seed", [(6, 3), (7, 1)])
+def test_a_failure_after_skips_in_its_block_reads_alike(prune_seed, mutant_seed, monkeypatch):
+    # Gamma mutants of a pruned pset table whose first failure sits in a
+    # block of several instances, after skipped ones: the replay must count
+    # those skips and word the failure as the per-instance reference does.
+    blocks = _spy_blocks(monkeypatch)
+    mutants = _mutants(_pruned(_table("pset", 2), prune_seed), 2, mutant_seed)
+    gamma_mutants = [mutant for kind, mutant in mutants if kind == "gamma"]
+    for mutant in gamma_mutants:
+        report = check_axioms(mutant, 2)
+        assert _fields(report) == _fields(reference_check_axioms(mutant, 2))
+        size, _, skipped_before = blocks[-1]
+        assert report.failure.startswith("associativity: ")
+        assert size > 1 and report.skipped > skipped_before
+
+
+# The later blocked sections, each run alone on a fresh view, with the
+# reference section on the same operad.
+BLOCKED_SECTIONS = {
+    "equivariance-collapse": (
+        lambda view, report: operads._check_outer_equivariance(view, 2, report, 0),
+        lambda operad, report: _check_outer_equivariance(operad, 2, report, 0),
+    ),
+    "equivariance-singular": (
+        lambda view, report: operads._check_outer_equivariance(view, 2, report, E),
+        lambda operad, report: _check_outer_equivariance(operad, 2, report, E),
+    ),
+    "equivariance-arguments": (
+        lambda view, report: operads._check_equivariance_arguments(view, 2, report),
+        lambda operad, report: _check_equivariance_arguments(operad, 2, report),
+    ),
+}
+
+
+@pytest.mark.parametrize("section, seed", [
+    ("equivariance-collapse", 9), ("equivariance-singular", 11), ("equivariance-arguments", 8),
+])
+def test_a_row_raising_mid_block_in_a_later_section_raises_alike(section, seed, monkeypatch):
+    table = _table("pset", 2)
+    operad = _BreaksOnOneRow(table, random.Random(seed).choice(sorted(table._gamma_rows)))
+    interned, reference = BLOCKED_SECTIONS[section]
+    budget, reference_budget = Budget(), Budget()
+    blocks = _spy_blocks(monkeypatch, budget)
+    with pytest.raises(RingopsError, match="^broken row$"):
+        _run(interned(_Interned(operad), CheckReport("", True, 0, 0, None)), budget)
+    with pytest.raises(RingopsError, match="^broken row$"):
+        _run(reference(operad, CheckReport("", True, 0, 0, None)), reference_budget)
+    assert budget.used == reference_budget.used
+    size, start = blocks[-1][:2]  # the block the raise landed in, built whole first
+    assert size > 1 and 0 < budget.used - start < size
 
 
 PSET_BUDGETS = {

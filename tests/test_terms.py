@@ -818,3 +818,23 @@ class TestDemandDrivenFiber:
             report = connectivity_check(parse_poly(text))
             assert report.connected, text
             assert report.fiber_size == size, text
+
+
+@pytest.mark.parametrize("mode", ["sym", "biperm"])
+def test_structure_maps_build_terms_that_pass_the_arity_check(mode):
+    # act_map, compose_terms, normalize_biperm and reduce_A skip Term's arity
+    # walk; every term they build over R(0..2) must pass it all the same.
+    from ringops.operads import _all_morphisms, _composition_shapes
+
+    operad = sset_operad(mode)
+    built = []
+    for mor in _all_morphisms(2):
+        built += [act_map(mor.map, x) for x in operad.component(mor.source)]
+    for g, fs in _composition_shapes(2):
+        for c in operad.component(g):
+            for xs in itertools.product(*map(operad.component, fs)):
+                built.append(compose_terms(c, xs))
+    built += [normalize_biperm(x) for x in built] + [reduce_A(x) for x in built]
+    assert len(built) > 1000
+    for term in built:
+        assert Term(term.arity, term.node) == term
