@@ -264,6 +264,11 @@ def operad_to_table(
     operad: DiscreteRingOperad, cap: int, name: Union[str, None] = None
 ) -> TableRingOperad:
     """Materialize a rule-backed operad as tables up to the arity cap."""
+    if cap < 1:
+        raise PreconditionViolation(
+            f"cap must be at least 1 to hold the unit, which lives in R(1), got {cap}"
+        )
+    _check_cap(cap)
     polys = [f for n in range(cap + 1) for f in enumerate_R(n)]
     naming: dict[tuple[RPoly, object], str] = {}
     components: dict[RPoly, list[str]] = {}

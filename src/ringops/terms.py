@@ -7,21 +7,34 @@ normal form: products are right-nested with a variable on the left, sums are
 right-nested with no zero summand, and right distributivity is fully applied.
 
 One walker, `_substitute`, rebuilds a tree with new variable leaves (the
-action and composition); one, `_rewrites`, yields every single-position
-coherence rewrite.  The fibers of both modes come from one leaf-count
-dynamic programme, `_bounded_fiber`, over cells (projection key, leaf
-count).  A node's top split (operation, left leaf count, left key, right
-key) is read off the node, so a cell is the disjoint union over its splits
-of left part x right part.  Three passes run over it: one lists every
-cell's splits from the keys alone, one marks the cells that f's cells
-reach, and one builds the nodes of the marked cells only.  The mode only
-picks the pools its left factors and left summands are drawn from; in
-biperm mode a left summand is never a sum, so each cell also records how
-many of its nodes are products.  Nodes stay bare tuples until
-`enumerate_fiber` returns them as `Term`s.
+action and composition); one, `_rewrites`, lists every single-position
+coherence rewrite of a node, each already reduced, as (rule, position,
+`reduce_node` of the whole rewritten node).  It is memoised per subterm in a
+memo its caller owns for one call: a sum or product (tag, l, r) lists the
+rules that fire at its root, then l's entries lifted to
+`_reduce_top(tag, a, reduce_node(r))`, then r's lifted alike.  That equals
+`reduce_node` of the rebuilt tree because `reduce_node` works bottom up: it
+reduces both children and then applies `_reduce_top`, and each child entry
+`a` is already the reduced rewritten child.  The sibling must be reduced
+too; lifting with the raw sibling differs on non-canonical terms.  A root
+rule's result is reduced by `_memo_reduce`, which reads the reduced
+subterms the memo holds, so no rewritten tree enters `reduce_node`'s lru
+cache.  Shared subterms are walked once per call, not once per node that
+holds them.
+
+The fibers of both modes come from one leaf-count dynamic programme,
+`_bounded_fiber`, over cells (projection key, leaf count).  A node's top
+split (operation, left leaf count, left key, right key) is read off the
+node, so a cell is the disjoint union over its splits of left part x right
+part.  Three passes run over it: one lists every cell's splits from the keys
+alone, one marks the cells that f's cells reach, and one builds the nodes of
+the marked cells only.  The mode only picks the pools its left factors and
+left summands are drawn from; in biperm mode a left summand is never a sum,
+so each cell also records how many of its nodes are products.  Nodes stay
+bare tuples until `enumerate_fiber` returns them as `Term`s.
 
 Zig-zag connectivity works on bare nodes: the fiber is interned as
-{node: id}, each node's rewrites are reduced and looked up there, and one
+{node: id}, each node's reduced rewrites are looked up there, and one
 union-find over the ids joins the two ends of every move.  No `Term` is
 built per move, and none needs to be: a rewrite only moves, copies or drops
 subtrees of its node, and `reduce_node` only drops them, so no new variable
@@ -123,11 +136,14 @@ def node_str(node: Node) -> str:
 @lru_cache(maxsize=1 << 20)
 def reduce_node(node: Node) -> Node:
     """Apply the unit and nullity rewrites exhaustively, bottom up."""
-    tag = node[0]
-    if tag in ("0", "1", "v"):
+    if node[0] in ("0", "1", "v"):
         return node
-    left = reduce_node(node[1])
-    right = reduce_node(node[2])
+    return _reduce_top(node[0], reduce_node(node[1]), reduce_node(node[2]))
+
+
+def _reduce_top(tag: str, left: Node, right: Node) -> Node:
+    """The top step of `reduce_node`: the node (tag, left, right) reduced,
+    given that left and right are already reduced."""
     if tag == "+":
         if left == ZERO:
             return right
@@ -551,28 +567,70 @@ def generator_moves(term: Term) -> list[tuple[str, tuple[int, ...], Term]]:
     """Single-step coherence rewrites at every position, reduced afterwards.
 
     The distributivity moves are one-directional; unit-introduction inverses
-    are omitted because reduction cancels them immediately.
+    are omitted because reduction cancels them immediately.  The results are
+    built without the arity check, as in `connectivity_check`.
     """
     return [
-        (name, path, Term(term.arity, reduce_node(rebuilt)))
-        for name, path, rebuilt in _rewrites(term.node)
+        (name, path, _fiber_term(term.arity, reduced))
+        for name, path, reduced in _rewrites(term.node, {})
     ]
 
 
-def _rewrites(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[str, tuple[int, ...], Node]]:
-    """(rule name, position, whole rewritten node) for each rule at each
-    position: positions in preorder, rules in `_MOVE_RULES` order.  Every
-    rule rewrites a sum or a product, so a leaf has no rewrite."""
+Rewrite = tuple[str, tuple[int, ...], Node]
+
+
+def _rewrites(node: Node, memo: dict) -> list[Rewrite]:
+    """(rule name, position, `reduce_node` of the whole rewritten node) for
+    each rule at each position: positions in preorder, rules in `_MOVE_RULES`
+    order.  Every rule rewrites a sum or a product, so a leaf has no rewrite.
+
+    The children's lists come from `memo`, which the caller owns; `node`'s
+    own list is returned, not stored, so a caller walking many nodes with
+    one memo keeps only the lists of their proper subterms.
+    """
+    return _walk(node, memo)[1]
+
+
+def _walk(node: Node, memo: dict) -> tuple[Node, list[Rewrite]]:
+    """(`reduce_node(node)`, `_rewrites(node, memo)`).  A child's rewrite,
+    already reduced, is lifted under `_reduce_top` with the reduced sibling."""
     if node[0] not in ("+", "*"):
-        return
-    for name, rule in _MOVE_RULES:
-        replaced = rule(node)
-        if replaced is not None:
-            yield name, path, replaced
-    for name, inner, rebuilt in _rewrites(node[1], path + (0,)):
-        yield name, inner, (node[0], rebuilt, node[2])
-    for name, inner, rebuilt in _rewrites(node[2], path + (1,)):
-        yield name, inner, (node[0], node[1], rebuilt)
+        return node, []
+    tag, left, right = node
+    reduced_left, left_rewrites = _memo_walk(left, memo)
+    reduced_right, right_rewrites = _memo_walk(right, memo)
+    out = [
+        (name, (), _memo_reduce(replaced, memo))
+        for name, rule in _MOVE_RULES
+        if (replaced := rule(node)) is not None
+    ]
+    out += [
+        (name, (0, *path), _reduce_top(tag, reduced, reduced_right))
+        for name, path, reduced in left_rewrites
+    ]
+    out += [
+        (name, (1, *path), _reduce_top(tag, reduced_left, reduced))
+        for name, path, reduced in right_rewrites
+    ]
+    return _reduce_top(tag, reduced_left, reduced_right), out
+
+
+def _memo_reduce(node: Node, memo: dict) -> Node:
+    """`reduce_node(node)`, reading the reduced subterms that `memo` holds."""
+    if node[0] not in ("+", "*"):
+        return node
+    entry = memo.get(node)
+    if entry is not None:
+        return entry[0]
+    return _reduce_top(node[0], _memo_reduce(node[1], memo), _memo_reduce(node[2], memo))
+
+
+def _memo_walk(node: Node, memo: dict) -> tuple[Node, list[Rewrite]]:
+    """`_walk`, memoised in `memo` as {subterm: (reduced, rewrites)}."""
+    entry = memo.get(node)
+    if entry is None:
+        entry = memo[node] = _walk(node, memo)
+    return entry
 
 
 def terminal_representative(f: RPoly) -> Term:
@@ -599,11 +657,13 @@ class ConnectivityReport:
 def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> ConnectivityReport:
     """Zig-zag reachability of the whole fiber from the terminal representative.
 
-    The fiber is interned as {node: id}.  For each node, every rewrite from
-    `_rewrites`, reduced, that lands in the fiber joins the two ids in one
+    The fiber is interned as {node: id}.  For each node, every reduced
+    rewrite from `_rewrites` that lands in the fiber joins the two ids in one
     path-halving union-find; the unreachable terms are those whose root is
-    not the terminal representative's.  This is the undirected graph of
-    `generator_moves` restricted to the fiber, read without its `Term`s: a
+    not the terminal representative's.  One memo serves every node, so the
+    subterms the fiber nodes share are walked once; a node's own list is
+    dropped after use.  This is the undirected graph of `generator_moves`
+    (the same walker) restricted to the fiber, read without its `Term`s: a
     rewrite followed by `reduce_node` adds no variable leaf, so the arity
     check a `Term` would make cannot fail, and at one arity two terms are
     equal exactly when their nodes are.  The fiber itself comes as bare
@@ -625,11 +685,13 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
             i = parent[i]
         return i
 
+    memo: dict = {}
     for node, i in ids.items():
-        for _name, _path, rebuilt in _rewrites(node):
-            j = ids.get(reduce_node(rebuilt))
+        own = root(i)
+        for _name, _path, reduced in _rewrites(node, memo):
+            j = ids.get(reduced)
             if j is not None:
-                parent[root(i)] = root(j)
+                parent[root(j)] = own
     top = root(ids[start.node])
     unreachable = frozenset(_fiber_term(f.arity, node) for node, i in ids.items() if root(i) != top)
     return ConnectivityReport(not unreachable, len(nodes), start, unreachable)

@@ -1,6 +1,11 @@
 import pytest
 
-from ringops.errors import ArityCapExceeded, ArityMismatch, SearchBudgetExceeded
+from ringops.errors import (
+    ArityCapExceeded,
+    ArityMismatch,
+    PreconditionViolation,
+    SearchBudgetExceeded,
+)
 from ringops.indexcat import E, ExtMap, enumerate_hom, validate
 from ringops.operads import (
     Budget,
@@ -99,6 +104,19 @@ class TestTableOperads:
         table = operad_to_table(sset_operad("sym"), cap=1)
         report = check_axioms(table, cap=1)
         assert report.ok, report.failure
+
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_a_cap_without_the_unit_is_rejected(self, cap):
+        with pytest.raises(PreconditionViolation, match=r"unit, which lives in R\(1\)"):
+            operad_to_table(strict_operad(), cap)
+
+    def test_a_cap_above_the_enumeration_cap_is_rejected_before_any_work(self):
+        class Untouchable(StrictRingOperad):
+            def component(self, f):
+                raise AssertionError("no component may be read")
+
+        with pytest.raises(ArityCapExceeded):
+            operad_to_table(Untouchable(), 5)
 
     def test_corrupted_gamma_fails_with_named_instance(self):
         source = operad_to_table(sset_operad("sym"), cap=2)

@@ -535,7 +535,7 @@ def _reference_moves(term):
     """`generator_moves` as a position list followed by one rebuild per move."""
     out = []
     for path, sub in _positions(term.node):
-        for name, rule in _MOVE_RULES:
+        for name, rule in terms._MOVE_RULES:
             replaced = rule(sub)
             if replaced is not None:
                 rebuilt = reduce_node(_replace(term.node, path, replaced))
@@ -587,10 +587,32 @@ def test_is_canonical_needs_no_zero_scan(node):
         assert is_canonical(candidate) == expected
 
 
+SHARED_MEMO_FIBER = [
+    term.node for term in enumerate_fiber(parse_poly("R(3): x1 + x1*x2 + x1*x3"), "sym").terms
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_strategy(3))
+def test_generator_moves_match_the_position_walk_on_any_term(node):
+    """Any term, canonical or not, units and zeros included: the memoised
+    walker lifts a child's rewrite with the reduced sibling, as reducing the
+    rebuilt tree would; and a memo shared with every term of a fiber gives
+    the same list as a fresh one."""
+    term = Term(3, node)
+    assert generator_moves(term) == _reference_moves(term)
+    shared: dict = {}
+    for other in SHARED_MEMO_FIBER:
+        terms._rewrites(other, shared)
+    for walked in (node, reduce_node(node), *SHARED_MEMO_FIBER[:8]):
+        assert terms._rewrites(walked, shared) == terms._rewrites(walked, {})
+
+
 def _adjacency_connectivity(f, bound=None):
     """`connectivity_check` as an adjacency graph of `Term`s built from
-    `generator_moves` and searched from the terminal representative: the
-    reference for the union-find over interned nodes."""
+    `_reference_moves` and searched from the terminal representative: the
+    reference for the union-find over interned nodes, sharing no code with
+    the memoised walker it checks."""
     result = enumerate_fiber(f, "sym", bound)
     if not result.stable:
         raise FiberNotStable(
@@ -602,7 +624,7 @@ def _adjacency_connectivity(f, bound=None):
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
     adjacency = {t: set() for t in fiber}
     for t in fiber:
-        for _name, _path, target in generator_moves(t):
+        for _name, _path, target in _reference_moves(t):
             if target in adjacency:
                 adjacency[t].add(target)
                 adjacency[target].add(t)
