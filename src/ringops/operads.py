@@ -37,6 +37,11 @@ for its run and drops at the end.  Its contract:
   row; a row that raises is not stored, so it raises again when the
   per-instance replay reaches it, at the same instance as calling the
   operad directly would;
+- `gamma_row(shape, key)` is the one function the gamma tables fill from.
+  `validate_algebra` calls it directly and keeps no gamma table: its
+  associativity reads each shape's rows once, one composite at a time, so
+  a table per shape would be filled once and read once.  `check_axioms`
+  keeps the tables, because its sections read one shape's rows again;
 - a missing gamma row (GammaUndefined) is stored as `_SKIP`; a replayed
   instance stops at its first `_SKIP`, but building its block whole may
   already have evaluated rows past it, and in another order.  Rows are
@@ -50,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, partial
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -79,6 +84,9 @@ from .polynomials import (
     ENUMERATION_CAP,
     RPoly,
     _block_offsets,
+    _lambda_sorted,
+    _products,
+    _slot,
     _substitute,
     compose,
     enumerate_R,
@@ -100,6 +108,8 @@ class Budget:
     """Instance counter with a hard abort threshold."""
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
+        if limit < 0:
+            raise PreconditionViolation(f"budget must be non-negative, got {limit}")
         self.limit = limit
         self.used = 0
 
@@ -286,10 +296,7 @@ def operad_to_table(
             key = (mor.source, mor.map.images, mor.target, naming[(mor.source, elt)])
             action_rows[key] = naming[(mor.target, operad.act(mor, elt))]
     gamma_rows = {}
-    for g, arg_polys in _composition_shapes(cap):
-        if not arg_polys:
-            continue
-        target = compose(g, arg_polys)
+    for g, arg_polys, target in _composition_shapes(cap):
         for g_elt in operad.component(g):
             pools = [operad.component(f) for f in arg_polys]
             for xs in itertools.product(*pools):
@@ -321,12 +328,28 @@ def _poly_tuples(k: int, total_cap: int) -> Iterator[tuple[RPoly, ...]]:
         yield from itertools.product(*pools)
 
 
-def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...]]]:
-    """Pairs (g, args) with |g| in 1..cap and total argument arity <= cap."""
+def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...], RPoly]]:
+    """The composition-shape plan: triples (g, args, g(args)) with |g| in
+    1..cap and total argument arity <= cap; g in `enumerate_R` order, then
+    the arity tuples in `_arity_tuples` order, then the argument tuples in
+    product order, as `_poly_tuples` lists them.
+
+    The shifted slot masks of every argument are built once per arity
+    tuple and serve every g, so a composite is one `_products` expansion.
+    Composites never go through `compose`, whose cache would keep one entry
+    per shape (70,750 at cap 3) for 139 distinct composites.
+    """
     for k in range(1, cap + 1):
+        blocks = []
+        for arities in _arity_tuples(k, cap):
+            offsets, total = _block_offsets(arities)
+            pools = [enumerate_R(j) for j in arities]
+            slot_pools = [[_slot(f, o) for f in pool] for pool, o in zip(pools, offsets)]
+            blocks.append((total, pools, slot_pools))
         for g in enumerate_R(k):
-            for args in _poly_tuples(k, cap):
-                yield g, args
+            for total, pools, slot_pools in blocks:
+                for args, slots in zip(itertools.product(*pools), itertools.product(*slot_pools)):
+                    yield g, args, _lambda_sorted(total, _products(g.masks, slots))
 
 
 def _blocks(fs: Sequence[RPoly]) -> tuple[list[tuple[int, int]], int]:
@@ -362,7 +385,8 @@ def _all_morphisms(cap: int) -> tuple[RMorphism, ...]:
 
 _SKIP = object()  # the gamma-table entry of a missing gamma row
 # Tables kept per kind: every table of a cap-2 run (223 gamma, 160 act) fits,
-# and a cap-3 run, with 70,750 composition shapes, stays in bounded memory.
+# and a cap-3 axiom check, over 70,750 composition shapes, stays in bounded
+# memory.
 _TABLES_KEPT = 4096
 
 
@@ -434,6 +458,7 @@ class _Interned:
         self.intern = intern
         self.component = components = _Table(component_row)
         self.members = _Table(lambda _, f: frozenset(components[f]))
+        self.gamma_row = gamma_row
         self._gamma = _Tables(gamma_row)
         self._act = _Tables(act_row)
 
@@ -595,12 +620,12 @@ def _check_units(view, cap, report):
                 )
 
 
-def _composites(view, g, fs, report):
-    """Each (c, xs, gamma) id triple over g and fs; missing rows are skipped."""
-    table = view.gamma_table(g, fs)
+def _composites(view, g, fs, report, gamma):
+    """Each (c, xs, gamma) id triple over g and fs, where gamma((c, *xs)) is
+    the id of the composite; missing rows are skipped."""
     for c in view.component[g]:
         for xs in itertools.product(*(view.component[f] for f in fs)):
-            composed = table[(c, *xs)]
+            composed = gamma((c, *xs))
             if composed is _SKIP:
                 report.skipped += 1
                 continue
@@ -625,10 +650,9 @@ def _holds_whole(size, sides, *args):
 def _check_associativity(view, cap, report):
     """One block per (g, fs, hs): every composite (c, xs, top) over g and fs,
     then every ys over hs."""
-    for g, fs in _composition_shapes(cap):
-        composite = compose(g, fs)
+    for g, fs, composite in _composition_shapes(cap):
         blocks, total = _blocks(fs)
-        tops = list(_composites(view, g, fs, report))
+        tops = list(_composites(view, g, fs, report, view.gamma_table(g, fs).__getitem__))
         pools = [view.component[f] for f in fs]
         for hs in _poly_tuples(total, cap):
             inner_targets = [
@@ -1170,11 +1194,12 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
     """One block per composite (c, xs, composed): theta of the composite
     against theta of g at the inner values.  The blocks of the arguments are
     contiguous, so the product of their rows runs in the order of
-    product(carrier, repeat=total)."""
+    product(carrier, repeat=total).  Each gamma row is read once here, so it
+    comes straight from the view's `gamma_row`, with no table per shape."""
     rows, at = thetas
-    for g, fs in _composition_shapes(cap):
-        composite = compose(g, fs)
-        for c, xs, composed in _composites(view, g, fs, report):
+    for g, fs, composite in _composition_shapes(cap):
+        gamma = partial(view.gamma_row, (g, fs))
+        for c, xs, composed in _composites(view, g, fs, report, gamma):
             lhs = rows[composite, composed]
             outer = at[g, c]
             rhs = tuple(map(outer.__getitem__, itertools.product(
@@ -1193,15 +1218,20 @@ def _nth_tuple(algebra, f, i):
 
 def _algebra_equivariance(view, algebra, cap, thetas):
     """One block per (mor, c): theta of the moved operator against theta of c
-    at each pulled-back tuple."""
+    at each pulled-back tuple.  The pulled-back tuples depend only on the map,
+    and many morphisms share one (11,806 morphisms over 296 maps at cap 3)."""
     rows, at = thetas
     fillers = {0: algebra.zero, E: algebra.e}
+    pulled_by_map = {}
     for mor in _all_morphisms(cap):
         act = view.act_table(mor)
-        pulled = [
-            tuple(fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images)
-            for xs in itertools.product(algebra.carrier, repeat=mor.target.arity)
-        ]
+        key = mor.map.images, mor.map.target_size
+        if key not in pulled_by_map:
+            pulled_by_map[key] = [
+                tuple(fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images)
+                for xs in itertools.product(algebra.carrier, repeat=mor.map.target_size)
+            ]
+        pulled = pulled_by_map[key]
         for c in view.component[mor.source]:
             lhs = rows[mor.target, act[c]]
             rhs = tuple(map(at[mor.source, c].__getitem__, pulled))

@@ -327,6 +327,12 @@ def _block_offsets(widths: Iterable[int]) -> tuple[list[int], int]:
     return offsets, total
 
 
+def _slot(arg: Union[RPoly, _UnitMarker], offset: int) -> tuple[int, ...]:
+    """The masks one argument contributes to `_products` from the block at
+    offset: an RPoly's masks shifted left into it, (0,) for UNIT."""
+    return (0,) if arg is UNIT else tuple(m << offset for m in arg.masks)
+
+
 def _products(outer: Sequence[int], slots: Sequence[Sequence[int]]) -> list[int]:
     """Multiply out outer monomials over per-slot lists of shifted masks.
 
@@ -411,7 +417,12 @@ def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
 
 @lru_cache(maxsize=200000)
 def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> RPoly:
-    """g(args), cached per shape; a UNIT argument is the constant 1.
+    """g(args); a UNIT argument is the constant 1.
+
+    The lru cache keeps up to 200,000 (g, args) pairs for callers that compose
+    the same pairs again, such as the axiom checks' inner composites.  The
+    composition-shape plan, `operads._composition_shapes`, expands its one
+    composite per shape from `_slot` and `_products` and leaves it alone.
 
     With RPoly arguments the products are the composite's masks (see the
     module docstring) and are only sorted.  With a UNIT slot they can repeat
@@ -420,11 +431,7 @@ def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> R
     benchmark's tracer (perfbench/tracer.py) reads this cache's cache_info().
     """
     offsets, total = _block_offsets(0 if a is UNIT else a.arity for a in args)
-    slots = [
-        (0,) if a is UNIT else [m << offset for m in a.masks]
-        for a, offset in zip(args, offsets)
-    ]
-    products = _products(g.masks, slots)
+    products = _products(g.masks, [_slot(a, offset) for a, offset in zip(args, offsets)])
     if UNIT in args:
         return to_rpoly(IntPoly.make(total, Counter(map(_support, products))))
     return _lambda_sorted(total, products)

@@ -246,6 +246,39 @@ def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+CHECKS_AT_CAP1 = [
+    ["check", "axioms", "--builtin", "strict", "--cap", "1"],
+    ["check", "einfty", "--builtin", "strict", "--cap", "1"],
+    ["check", "algebra", "--cap", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", CHECKS_AT_CAP1)
+def test_a_negative_budget_is_a_usage_error(argv, capsys):
+    # A negative budget used to run and fail with "exceeded budget of -3".
+    code = main(argv + ["--budget", "-3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: budget must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("argv", CHECKS_AT_CAP1)
+def test_a_zero_budget_stops_at_the_first_instance(argv, capsys):
+    code = main(argv + ["--budget", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: exhaustive check exceeded budget of 0 instances\n"
+
+
+def test_a_negative_budget_is_rejected_in_process():
+    from ringops.errors import PreconditionViolation
+    from ringops.operads import Budget
+
+    with pytest.raises(PreconditionViolation, match="^budget must be non-negative, got -3$"):
+        Budget(-3)
+    assert Budget(0).limit == 0
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_fixture_unit_outside_the_unit_component_is_rejected(json_flag, capsys, tmp_path):
     # A unit that no component of R(1): x1 holds used to pass vacuously,

@@ -152,7 +152,7 @@ def _check_associativity(operad, cap, report):
             component_cache[f] = elements
         return elements
 
-    for g, fs in _composition_shapes(cap):
+    for g, fs, _ in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
         tops = list(_composites(operad, g, fs, pool, report))
@@ -387,7 +387,7 @@ def _algebra_unit(operad, algebra):
 
 
 def _algebra_associativity(operad, algebra, cap, report):
-    for g, fs in _composition_shapes(cap):
+    for g, fs, _ in _composition_shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
         for g_elt, f_elts, composed in _composites(operad, g, fs, operad.component, report):
@@ -553,6 +553,53 @@ def test_algebra_matches_the_reference_at_cap1(name, algebra):
     assert interned.ok
 
 
+@pytest.mark.parametrize("source", ["strict", "pset"])
+def test_algebra_skips_missing_gamma_rows_alike(source):
+    pruned = _pruned(_table(source, 2), seed=6)
+    report = validate_algebra(pruned, boolean_rig_algebra(), 2)
+    assert _fields(report) == _fields(reference_validate_algebra(pruned, boolean_rig_algebra(), 2))
+    assert report.ok and report.skipped > 0
+
+
+@pytest.mark.parametrize("source, seed", [("strict", 1), ("pset", 1), ("pset", 4)])
+def test_a_failing_row_raises_alike_in_the_algebra_check(source, seed):
+    table = _table(source, 2)
+    operad = _BreaksOnOneRow(table, random.Random(seed).choice(sorted(table._gamma_rows)))
+    raised = []
+    for check in (validate_algebra, reference_validate_algebra):
+        budget = Budget()
+        with pytest.raises(RingopsError) as err:
+            check(operad, boolean_rig_algebra(), 2, budget)
+        raised.append((type(err.value), str(err.value), budget.used))
+    (new_type, new_text, new_used), (ref_type, ref_text, ref_used) = raised
+    assert (new_type, new_text) == (ref_type, ref_text) == (RingopsError, "broken row")
+    assert new_used <= ref_used
+
+
+def test_the_algebra_check_keeps_no_gamma_table(monkeypatch):
+    # Each gamma row of the algebra check is read once, so it is fetched
+    # through the view's row function, never through a per-shape table.
+    def no_table(view, g, fs):
+        raise AssertionError(f"gamma table fetched for {g}")
+
+    monkeypatch.setattr(_Interned, "gamma_table", no_table)
+    assert validate_algebra(OPERADS["pset"](), boolean_rig_algebra(), 2).ok
+
+
+@pytest.mark.slow
+def test_the_cap3_algebra_check_leaves_the_compose_cache_alone():
+    # The composites come from the shape plan: without it, every one of the
+    # 70,750 cap-3 shapes would leave an entry in compose's cache.
+    from ringops.polynomials import _compose_intpoly
+
+    _compose_intpoly.cache_clear()
+    report = validate_algebra(strict_operad(), boolean_rig_algebra(), 3)
+    assert _fields(report) == (
+        True, 612400, 0, {"unit": 2, "associativity": 541074, "equivariance": 71324}, None
+    )
+    assert _compose_intpoly.cache_info().currsize < 1000
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("algebra", [boolean_rig_algebra, one_point_algebra])
 def test_strict_algebra_matches_the_reference_at_cap3(algebra):
@@ -605,7 +652,7 @@ def test_single_point_corruptions_fail_alike():
     # known, and the flips land at the first, a middle and the last tuple of
     # associativity blocks and at the last tuple of equivariance blocks.
     sizes = {
-        "associativity": [2 ** compose(g, fs).arity for g, fs in _composition_shapes(2)],
+        "associativity": [2 ** composite.arity for _, _, composite in _composition_shapes(2)],
         "equivariance": [2 ** mor.target.arity for mor in _all_morphisms(2)],
     }
     places = set()

@@ -211,6 +211,15 @@ class TestFixtureFormat:
         text = (ROOT / "perfbench" / "data" / "pset_cap2.fixture").read_text()
         assert serialize_fixture(parse_fixture(text)) == text
 
+    def test_real_table_is_the_pset_table_at_cap2(self):
+        # The benchmark's fixture was generated by this call; the composition
+        # shapes behind its gamma rows must still give it byte for byte.
+        from ringops.terms import sset_operad
+
+        data = (ROOT / "perfbench" / "data" / "pset_cap2.fixture").read_bytes()
+        generated = serialize_fixture(operad_to_table(sset_operad("biperm"), 2))
+        assert generated.encode("utf-8") == data
+
     @pytest.mark.parametrize(
         "text",
         [

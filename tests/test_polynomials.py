@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ringops.errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
-from ringops.operads import _composition_shapes
+from ringops.operads import _arity_tuples, _composition_shapes
 from ringops.polynomials import (
     IntPoly,
     Monomial,
@@ -302,8 +302,31 @@ class TestKernelDifferential:
 
     def test_compose_matches_reference_on_a_cap3_sample(self):
         shapes = random.Random(3).sample(list(_composition_shapes(3)), 2000)
-        for g, args in shapes:
+        for g, args, _ in shapes:
             assert compose(g, list(args)) == to_rpoly(_reference_expansion(g, args))
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_plan_composites_match_reference(self, cap):
+        for g, args, composite in _composition_shapes(cap):
+            assert composite == to_rpoly(_reference_expansion(g, args))
+
+    def test_plan_composites_match_compose_at_cap3(self):
+        shapes = 0
+        for g, args, composite in _composition_shapes(3):
+            assert composite == compose(g, args)
+            shapes += 1
+        assert shapes == 70750
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_plan_lists_shapes_in_the_nested_order(self, cap):
+        nested = [
+            (g, args)
+            for k in range(1, cap + 1)
+            for g in enumerate_R(k)
+            for arities in _arity_tuples(k, cap)
+            for args in itertools.product(*map(enumerate_R, arities))
+        ]
+        assert [(g, args) for g, args, _ in _composition_shapes(cap)] == nested
 
     def test_extended_compose_matches_reference(self):
         pool = [UNIT] + enumerate_R(0) + enumerate_R(1)

@@ -852,7 +852,7 @@ def test_structure_maps_build_terms_that_pass_the_arity_check(mode):
     built = []
     for mor in _all_morphisms(2):
         built += [act_map(mor.map, x) for x in operad.component(mor.source)]
-    for g, fs in _composition_shapes(2):
+    for g, fs, _ in _composition_shapes(2):
         for c in operad.component(g):
             for xs in itertools.product(*map(operad.component, fs)):
                 built.append(compose_terms(c, xs))
