@@ -9,37 +9,49 @@ right-nested with no zero summand, and right distributivity is fully applied.
 One walker, `_substitute`, rebuilds a tree with new variable leaves (the
 action and composition); one, `_rewrites`, lists every single-position
 coherence rewrite of a node, each already reduced, as (rule, position,
-`reduce_node` of the whole rewritten node).  It is memoised per subterm in a
-memo its caller owns for one call: a sum or product (tag, l, r) lists the
-rules that fire at its root, then l's entries lifted to
-`_reduce_top(tag, a, reduce_node(r))`, then r's lifted alike.  That equals
-`reduce_node` of the rebuilt tree because `reduce_node` works bottom up: it
-reduces both children and then applies `_reduce_top`, and each child entry
-`a` is already the reduced rewritten child.  The sibling must be reduced
-too; lifting with the raw sibling differs on non-canonical terms.  A root
-rule's result is reduced by `_memo_reduce`, which reads the reduced
-subterms the memo holds, so no rewritten tree enters `reduce_node`'s lru
-cache.  Shared subterms are walked once per call, not once per node that
-holds them.
+`reduce_node` of the whole rewritten node).  It backs `generator_moves` and
+is the oracle the id walker of `connectivity_check` is tested against.  It
+is memoised per subterm in a memo its caller owns for one call: a sum or
+product (tag, l, r) lists the rules that fire at its root, then l's entries
+lifted to `_reduce_top(tag, a, reduce_node(r))`, then r's lifted alike.
+That equals `reduce_node` of the rebuilt tree because `reduce_node` works
+bottom up: it reduces both children and then applies `_reduce_top`, and
+each child entry `a` is already the reduced rewritten child.  The sibling
+must be reduced too; lifting with the raw sibling differs on non-canonical
+terms.  A root rule's result is reduced by `_memo_reduce`, which reads the
+reduced subterms the memo holds, so no rewritten tree enters
+`reduce_node`'s lru cache.
 
 The fibers of both modes come from one leaf-count dynamic programme,
-`_bounded_fiber`, over cells (projection key, leaf count).  A node's top
+`_fiber_table`, over cells (projection key, leaf count).  A node's top
 split (operation, left leaf count, left key, right key) is read off the
 node, so a cell is the disjoint union over its splits of left part x right
 part.  Three passes run over it: one lists every cell's splits from the keys
 alone, one marks the cells that f's cells reach, and one builds the nodes of
 the marked cells only.  The mode only picks the pools its left factors and
 left summands are drawn from; in biperm mode a left summand is never a sum,
-so each cell also records how many of its nodes are products.  Nodes stay
-bare tuples until `enumerate_fiber` returns them as `Term`s.
+so each cell also records how many of its nodes are products.  The last
+pass hash-conses what it builds: each node gets an int id in one table,
+whose entry is the leaf tuple for a leaf and (tag, left id, right id)
+otherwise.  A cell's nodes get consecutive ids and children come before
+parents, so ids follow build order, and since no node is built twice, equal
+trees have equal ids.  `_bounded_fiber` decodes the ids into bare tuples in
+one forward pass; nodes stay bare tuples until `enumerate_fiber` returns
+them as `Term`s.
 
-Zig-zag connectivity works on bare nodes: the fiber is interned as
-{node: id}, each node's reduced rewrites are looked up there, and one
-union-find over the ids joins the two ends of every move.  No `Term` is
-built per move, and none needs to be: a rewrite only moves, copies or drops
-subtrees of its node, and `reduce_node` only drops them, so no new variable
-leaf appears and the arity check of `Term` cannot fail; at a fixed arity,
-`Term` equality is node equality.
+Zig-zag connectivity never builds a tree: `connectivity_check` reads the
+sym table through a cons dict {entry: id} made for that call alone, and
+`_fiber_moves` lists each node's reduced rewrites as ids, from its root
+rules (instantiated once per root shape by `_root_templates`) and its
+children's lists lifted by `_reduce_top` on ids.  A rewritten subterm whose
+entry is not in the dict was never built, and since `_reduce_top` drops
+only 0/1 parts it stays in the whole reduced tree, which then is not a
+fiber node: every subterm of a fiber node is built.  So a miss prunes the
+rewrite and all its lifts.  One union-find over the ids joins the two ends
+of every move.  No `Term` is built per move, and none needs to be: a
+rewrite only moves, copies or drops subtrees of its node, and `reduce_node`
+only drops them, so no new variable leaf appears and the arity check of
+`Term` cannot fail; at a fixed arity, `Term` equality is node equality.
 """
 from __future__ import annotations
 
@@ -337,8 +349,10 @@ def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None)
     sets, the empirical signal that the fiber is complete.  Both are read
     from one run of the leaf-count table up to B + 2.
     """
-    nodes, stable, bound = _fiber_nodes(f, mode, bound)
-    return FiberResult(frozenset(_fiber_term(f.arity, node) for node in nodes), stable, bound)
+    bound = _fiber_bound(f, mode, bound)
+    levels, stable = _up_to(_bounded_fiber(f, mode, bound + 2), bound)
+    found = frozenset(_fiber_term(f.arity, node) for level in levels for node in level)
+    return FiberResult(found, stable, bound)
 
 
 def _fiber_term(arity: int, node: Node) -> Term:
@@ -352,21 +366,24 @@ def _fiber_term(arity: int, node: Node) -> Term:
     return term
 
 
-def _fiber_nodes(
-    f: RPoly, mode: str, bound: Union[int, None]
-) -> tuple[tuple[Node, ...], bool, int]:
-    """The fiber's nodes with at most B leaves, its stability flag and B
-    (`default_bound(f)` when not given): the checks and the one DP run that
-    `enumerate_fiber` and `connectivity_check` share."""
+def _fiber_bound(f: RPoly, mode: str, bound: Union[int, None]) -> int:
+    """The checked leaf bound B (`default_bound(f)` when not given), which
+    `enumerate_fiber` and `connectivity_check` both read the DP up to B + 2
+    with."""
     if mode not in ("sym", "biperm"):
-        raise ValueError(f"unknown fiber mode {mode!r}")
+        raise PreconditionViolation(f"unknown fiber mode {mode!r}")
     if bound is None:
         bound = default_bound(f)
     if bound < 1:
         raise PreconditionViolation(f"leaf bound must be at least 1, got {bound}")
-    by_leaves = _bounded_fiber(f, mode, bound + 2)
-    stable = not (by_leaves[bound + 1] or by_leaves[bound + 2])
-    return tuple(itertools.chain(*by_leaves[: bound + 1])), stable, bound
+    return bound
+
+
+def _up_to(by_leaves: Sequence, bound: int) -> tuple[Sequence, bool]:
+    """The DP's levels 0..B and its stability flag: whether B + 1 and B + 2
+    are empty.  The DP stops at its last level, so the counts past it read
+    as empty."""
+    return by_leaves[: bound + 1], not any(by_leaves[bound + 1 :])
 
 
 _UNIT_KEY = frozenset({()})
@@ -374,7 +391,16 @@ _UNIT_KEY = frozenset({()})
 
 @lru_cache(maxsize=4096)
 def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
-    """The nodes projecting to f, one tuple per leaf count 0..bound.
+    """The nodes projecting to f, one tuple per leaf count from 0 to the
+    DP's last level (at most `bound`): `_fiber_table`'s ids, decoded."""
+    table, by_leaves = _fiber_table(f, mode, bound)
+    nodes = _decode(table)
+    return tuple(tuple(nodes[ids.start : ids.stop]) for ids in by_leaves)
+
+
+def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ...]]:
+    """The hash-consed nodes of the DP and the ids projecting to f, one
+    range per leaf count from 0 to the DP's last level (at most `bound`).
 
     A cell is a pair (projection key, leaf count s): the key is the set of
     supports a node expands to, and the cell holds the nodes with that key
@@ -390,7 +416,7 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], .
     2. `_demand` walks the splits down from f's key at every leaf count and
        marks the cells the target reaches.
     3. `_build_cells` builds the nodes of the marked cells only, in
-       increasing leaf count.
+       increasing leaf count, as ids into one table.
 
     The mode only picks the pools a left part comes from: in sym mode both
     are the whole cells; in biperm mode (the right-nested normal form) a
@@ -400,13 +426,24 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], .
     such distinction (`_demand` says why).
     """
     if f.is_zero:
-        return ((), (ZERO,)) + ((),) * (bound - 1)
+        return [ZERO], (range(0), range(1))
     target = frozenset(_support(m) for m in f.masks)
     products, sums = _split_table(f, mode, bound)
-    cells = _build_cells(f, mode, _demand(target, products, sums), products, sums)
-    return tuple(
-        tuple(level[target][0]) if target in level else () for level in cells
-    ) + ((),) * (bound + 1 - len(cells))
+    table, cells = _build_cells(f, mode, _demand(target, products, sums), products, sums)
+    return table, tuple(level[target][0] if target in level else range(0) for level in cells)
+
+
+def _decode(table: list) -> list[Node]:
+    """The bare tuple node of every id of the table, in one forward pass:
+    a node's children have smaller ids."""
+    nodes: list = []
+    append = nodes.append
+    for entry in table:
+        if len(entry) == 3:
+            tag, left, right = entry
+            entry = (tag, nodes[left], nodes[right])
+        append(entry)
+    return nodes
 
 
 def _leaves(f: RPoly) -> dict:
@@ -454,7 +491,7 @@ def _split_table(f: RPoly, mode: str, bound: int) -> tuple[list[dict], list[dict
         factors, summands = cells, cells
     else:
         variables = [key for key in leaves if key != _UNIT_KEY]
-        factors, summands = [{}, variables] + [{}] * (bound - 1), products
+        factors, summands = [{}, variables], products
     largest = 1
     for s in range(2, bound + 1):
         if s > 2 * largest:
@@ -463,7 +500,7 @@ def _split_table(f: RPoly, mode: str, bound: int) -> tuple[list[dict], list[dict
         by_sum: dict = {}
         for s1 in range(1, s):
             right = cells[s - s1]
-            for p1 in factors[s1]:
+            for p1 in factors[s1] if s1 < len(factors) else ():
                 if p1 == _UNIT_KEY:
                     continue
                 for p2 in right:
@@ -517,32 +554,41 @@ def _demand(target: frozenset, products: list[dict], sums: list[dict]) -> list[s
 
 def _build_cells(
     f: RPoly, mode: str, demand: list[set], products: list[dict], sums: list[dict]
-) -> list[dict]:
-    """Pass 3: cells[s][key] = (nodes, k) for every demanded cell, its nodes
-    listed products first.  The first k may stand as a left summand: all of
-    them in sym mode, the products (or the leaf) in biperm mode."""
-    cells: list[dict] = [{}, {key: ((node,), 1) for key, node in _leaves(f).items()}]
+) -> tuple[list, list[dict]]:
+    """Pass 3: the node table and cells[s][key] = (ids, k) for every
+    demanded cell.  The table lists each leaf as its tuple and each sum or
+    product as (tag, left id, right id); a cell's nodes get consecutive ids,
+    products first, so its ids are a range.  The first k of them may stand
+    as a left summand: all of them in sym mode, the products (or the leaf)
+    in biperm mode."""
+    leaves = _leaves(f)
+    table: list = list(leaves.values())
+    cells: list[dict] = [{}, {key: (range(i, i + 1), 1) for i, key in enumerate(leaves)}]
     for s in range(2, len(demand)):
         level = {}
         for key in demand[s]:
-            made = []
+            start = len(table)
             for s1, p1, p2 in products[s].get(key, ()):
                 right = cells[s - s1][p2][0]
-                made += [times(a, b) for a in cells[s1][p1][0] for b in right]
-            n_products = len(made)
+                table += [("*", a, b) for a in cells[s1][p1][0] for b in right]
+            n_products = len(table) - start
             for s1, p1, p2 in sums[s].get(key, ()):
                 lefts, k = cells[s1][p1]
                 right = cells[s - s1][p2][0]
-                made += [plus(a, b) for a in lefts[:k] for b in right]
-            level[key] = (made, len(made) if mode == "sym" else n_products)
+                table += [("+", a, b) for a in lefts[:k] for b in right]
+            ids = range(start, len(table))
+            level[key] = (ids, len(ids) if mode == "sym" else n_products)
         cells.append(level)
-    return cells
+    return table, cells
 
 
 # ---------------------------------------------------------------------------
 # Generator moves and coherence connectivity
 
 
+# A rule reads only its node's tag, its children and their tags, and builds
+# its result from the node's parts with + and x: `_root_templates` runs it
+# once per root shape on placeholder grandchildren.
 _MOVE_RULES = (
     ("assoc-times", lambda n: times(times(n[1], n[2][1]), n[2][2])
         if n[0] == "*" and n[2][0] == "*" else None),
@@ -657,44 +703,182 @@ class ConnectivityReport:
 def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> ConnectivityReport:
     """Zig-zag reachability of the whole fiber from the terminal representative.
 
-    The fiber is interned as {node: id}.  For each node, every reduced
-    rewrite from `_rewrites` that lands in the fiber joins the two ids in one
+    The ids are those of the sym DP's table (`_fiber_table`): a leaf's entry
+    is its tuple, a sum's or product's is (tag, left id, right id), children
+    have smaller ids, and equal trees have equal ids, since the DP builds no
+    node twice.  The table is read through a cons dict {entry: id} made for
+    this call alone and dropped with it.  For each fiber id, `_fiber_moves`
+    gives the ids of its reduced rewrites, and each joins the two ids in one
     path-halving union-find; the unreachable terms are those whose root is
-    not the terminal representative's.  One memo serves every node, so the
-    subterms the fiber nodes share are walked once; a node's own list is
-    dropped after use.  This is the undirected graph of `generator_moves`
-    (the same walker) restricted to the fiber, read without its `Term`s: a
-    rewrite followed by `reduce_node` adds no variable leaf, so the arity
-    check a `Term` would make cannot fail, and at one arity two terms are
-    equal exactly when their nodes are.  The fiber itself comes as bare
-    nodes from the DP (`_fiber_nodes`); only the unreachable ones become
-    `Term`s.
+    not the terminal representative's.  Only they are decoded into `Term`s.
+
+    This is the undirected graph of `generator_moves` (`_rewrites`, the
+    oracle) restricted to the fiber.  A rewrite whose rewritten subterm, once
+    reduced, has no entry in the dict is pruned with every lift of it, and
+    loses no edge: that subterm is a sum or a product, and `_reduce_top`
+    drops only 0/1 parts, so it stays a subterm of the whole reduced tree;
+    every subterm of a fiber node is a built node, so that tree is not in
+    the fiber.  Every hit at the root is in the fiber: it projects to f, and
+    a stable table holds no node above the bound.  A rewrite followed by
+    `reduce_node` adds no variable leaf, so the arity check a `Term` would
+    make cannot fail, and at one arity two terms are equal exactly when
+    their nodes are.
     """
-    nodes, stable, bound = _fiber_nodes(f, "sym", bound)
+    bound = _fiber_bound(f, "sym", bound)
+    table, by_leaves = _fiber_table(f, "sym", bound + 2)
+    levels, stable = _up_to(by_leaves, bound)
     if not stable:
         raise FiberNotStable(f"fiber of {f} changed between bounds {bound} and {bound + 2}")
     start = terminal_representative(f)
-    ids = {node: i for i, node in enumerate(nodes)}
-    if start.node not in ids:
+    cons = {entry: i for i, entry in enumerate(table)}
+    first = _encode(start.node, cons)
+    if first is None or not any(first in ids for ids in levels):
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
-    parent = list(range(len(nodes)))
+    parent = list(range(len(table)))
 
     def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
+        while (up := parent[i]) != i:
+            parent[i] = i = parent[up]
         return i
 
-    memo: dict = {}
-    for node, i in ids.items():
-        own = root(i)
-        for _name, _path, reduced in _rewrites(node, memo):
-            j = ids.get(reduced)
-            if j is not None:
-                parent[root(j)] = own
-    top = root(ids[start.node])
-    unreachable = frozenset(_fiber_term(f.arity, node) for node, i in ids.items() if root(i) != top)
-    return ConnectivityReport(not unreachable, len(nodes), start, unreachable)
+    for i, targets in _fiber_moves(table, cons, levels):
+        i = root(i)
+        for j in targets:
+            while (up := parent[j]) != j:  # root(j), inlined: most of the calls
+                parent[j] = j = parent[up]
+            parent[j] = i
+    top = root(first)
+    unreachable = [i for ids in levels for i in ids if root(i) != top]
+    if unreachable:
+        nodes = _decode(table)
+        unreachable = [_fiber_term(f.arity, nodes[i]) for i in unreachable]
+    size = sum(map(len, levels))
+    return ConnectivityReport(not unreachable, size, start, frozenset(unreachable))
+
+
+def _encode(node: Node, cons: dict) -> Union[int, None]:
+    """The id of the node in the cons dict, or None when some subterm of it
+    was never built."""
+    if len(node) == 3:
+        left = _encode(node[1], cons)
+        right = _encode(node[2], cons)
+        if left is None or right is None:
+            return None
+        node = (node[0], left, right)
+    return cons.get(node)
+
+
+def _fiber_moves(
+    table: list, cons: dict, levels: Sequence[range]
+) -> Iterator[tuple[int, list[int]]]:
+    """(id, ids of its reduced rewrites) for each fiber id of a stable sym
+    table, `levels` holding the fiber's ids and `cons` being {entry: id}.
+
+    This is `_rewrites` on ids, pruned as `connectivity_check` says.  Ids
+    run in build order, so one forward sweep sees a node's children before
+    it and keeps, for every proper subterm, the ids of its reduced
+    rewrites.  A node (tag, l, r) lists the rules that fire at its root,
+    replayed from `_root_templates`, then l's ids lifted to (tag, a, r), then
+    r's lifted alike, each looked up in `cons`.  A lift needs no unit step:
+    a rewrite keeps its subterm's projection, so it is 0 or 1 only if the
+    subterm is, and leaves have no rewrites; nor is a factor's sibling ever
+    1 in the DP.  Fiber nodes are never proper subterms (their key is all of
+    f's), so their own lists are not kept.
+    """
+    in_fiber = bytearray(len(table))
+    for ids in levels:
+        in_fiber[ids.start : ids.stop] = b"\x01" * len(ids)
+    get = cons.get
+    one = get(ONE)
+    templates: dict = {}
+    kinds: list = []  # per id: its tag, or the leaf itself
+    below: list = []  # per id: its reduced rewrites' ids; None for fiber ids
+    slots: list = []  # per node: l, r, their children, then step results
+    for i, entry in enumerate(table):
+        if len(entry) != 3:
+            kinds.append(entry)
+            below.append(())
+            continue
+        tag, l, r = entry
+        kinds.append(tag)
+        shape = (tag, kinds[l], kinds[r])
+        plans = templates.get(shape)
+        if plans is None:
+            plans = templates[shape] = _root_templates(shape)
+            slots += [None] * (6 + max((len(s) for s, _ in plans), default=0) - len(slots))
+        slots[0], slots[1] = l, r
+        if len(left := table[l]) == 3:
+            _, slots[2], slots[3] = left
+        if len(right := table[r]) == 3:
+            _, slots[4], slots[5] = right
+        out = []
+        for steps, result in plans:
+            for op, a, b, dest in steps:
+                x, y = slots[a], slots[b]
+                if op == "*" and x == one:
+                    v = y
+                elif op == "*" and y == one:
+                    v = x
+                else:
+                    v = get((op, x, y))
+                    if v is None:
+                        break
+                slots[dest] = v
+            else:
+                out.append(slots[result])
+        out += [j for a in below[l] if (j := get((tag, a, r))) is not None]
+        out += [j for b in below[r] if (j := get((tag, l, b))) is not None]
+        if in_fiber[i]:
+            below.append(None)
+            yield i, out
+        else:
+            below.append(out)
+
+
+def _root_templates(shape: tuple) -> list[tuple[tuple, int]]:
+    """The rules of `_MOVE_RULES` that fire at the root of a node of this
+    shape, each as (steps, result slot) to replay on ids.
+
+    A shape is (tag, left kind, right kind), a kind being a child's tag or
+    the leaf itself; that is all a rule reads.  Each rule runs once on a
+    stand-in node whose grandchildren are placeholders, and its result is
+    compiled by identity into steps (tag, slot, slot, result slot) over the
+    slots left, right, left's two children, right's two children (0..5),
+    then the steps' own results.  Replaying a step applies `_reduce_top` on
+    ids, so the result is the rewritten node reduced, as `_memo_reduce`
+    gives it.
+    """
+    tag, *kinds = shape
+    slots: dict = {}
+    parts = []
+    for k, kind in enumerate(kinds):
+        if kind in ("+", "*"):
+            grand = (object(), object())
+            slots[id(grand[0])], slots[id(grand[1])] = 2 + 2 * k, 3 + 2 * k
+            part = (kind, *grand)
+        else:
+            part = tuple([*kind])  # a fresh copy, told apart by identity
+        slots[id(part)] = k
+        parts.append(part)
+    node = (tag, *parts)
+    plans = []
+    for _name, rule in _MOVE_RULES:
+        replaced = rule(node)
+        if replaced is None:
+            continue
+        steps: list = []
+
+        def emit(sub) -> int:
+            slot = slots.get(id(sub))
+            if slot is None:
+                left, right = emit(sub[1]), emit(sub[2])
+                slot = 6 + len(steps)
+                steps.append((sub[0], left, right, slot))
+            return slot
+
+        result = emit(replaced)
+        plans.append((tuple(steps), result))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +909,7 @@ class TermRingOperad(DiscreteRingOperad):
 
     def __init__(self, mode: str):
         if mode not in ("sym", "biperm"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise PreconditionViolation(f"unknown mode {mode!r}")
         self.mode = mode
         self.name = "sset" if mode == "sym" else "pset"
 

@@ -246,6 +246,25 @@ def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("action", ["fiber", "connect"])
+def test_a_huge_bound_gives_the_default_bound_answer(action, json_flag, capsys):
+    # The fiber DP used to pad its result to the bound: a MemoryError.
+    argv = [*json_flag, "term", action, "--poly", "R(2): x1 + x2"]
+    default_code = main(argv)
+    default = capsys.readouterr()
+    code = main(argv + ["--bound", str(10**11)])
+    huge = capsys.readouterr()
+    assert code == default_code == 0
+    assert huge.err == default.err == ""
+    expected = default.out
+    if action == "fiber":  # the output names the bound: 3 * 2 + 4 by default
+        expected = expected.replace('"bound": 10,', f'"bound": {10**11},')
+        expected = expected.replace("(bound 10)", f"(bound {10**11})")
+        assert expected != default.out
+    assert huge.out == expected
+
+
 CHECKS_AT_CAP1 = [
     ["check", "axioms", "--builtin", "strict", "--cap", "1"],
     ["check", "einfty", "--builtin", "strict", "--cap", "1"],

@@ -511,9 +511,18 @@ def _two_branch_fiber(f, mode, bound):
     )
 
 
-def _as_terms(f, by_leaves):
+def _padded(by_leaves, bound):
+    """`_bounded_fiber`'s levels as one frozenset per leaf count 0..bound:
+    the DP stops at its last level, and the counts past it are empty."""
+    assert len(by_leaves) <= bound + 1
+    return tuple(map(frozenset, by_leaves)) + (frozenset(),) * (bound + 1 - len(by_leaves))
+
+
+def _as_terms(f, by_leaves, bound):
     """`_bounded_fiber`'s bare nodes as one frozenset of `Term`s per leaf count."""
-    return tuple(frozenset(Term(f.arity, node) for node in level) for level in by_leaves)
+    return tuple(
+        frozenset(Term(f.arity, node) for node in level) for level in _padded(by_leaves, bound)
+    )
 
 
 def _positions(node, path=()):
@@ -557,7 +566,7 @@ class TestOneFiberLoop:
     def test_matches_the_two_branch_reference(self, mode):
         for f in FIBER_POLYS:
             bound = default_bound(f) + 2
-            assert _as_terms(f, _bounded_fiber(f, mode, bound)) == _two_branch_fiber(
+            assert _as_terms(f, _bounded_fiber(f, mode, bound), bound) == _two_branch_fiber(
                 f, mode, bound
             ), str(f)
 
@@ -574,7 +583,10 @@ class TestOneFiberLoop:
             assert time.perf_counter() - start < 10
             assert result.stable
             assert result.terms == enumerate_fiber(f, mode).terms
-            assert len(_bounded_fiber(f, mode, 10**5 + 2)) == 10**5 + 3
+            # the DP stops at its last level, below the default bound
+            by_leaves = _bounded_fiber(f, mode, 10**5 + 2)
+            assert by_leaves == _bounded_fiber(f, mode, default_bound(f) + 2)
+            assert len(by_leaves) < default_bound(f) + 3
 
 
 @settings(max_examples=500, deadline=None)
@@ -763,13 +775,60 @@ FIBER_SIZES = json.loads(
 )["sizes"]
 
 
+def _sym_table(f):
+    """The stable sym table of f, its fiber's ids per leaf count and the
+    cons dict {entry: id}, as `connectivity_check` reads them."""
+    bound = default_bound(f)
+    table, by_leaves = terms._fiber_table(f, "sym", bound + 2)
+    assert not any(by_leaves[bound + 1 :]), str(f)
+    return table, by_leaves[: bound + 1], {entry: i for i, entry in enumerate(table)}
+
+
+class TestIdWalker:
+    def test_matches_the_tuple_walker(self):
+        """For each fiber node, `_fiber_moves` gives exactly the ids of the
+        rewrites `_rewrites` lists that land in the fiber."""
+        for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
+            table, levels, cons = _sym_table(f)
+            nodes = terms._decode(table)
+            fiber = {nodes[i] for ids in levels for i in ids}
+            memo: dict = {}
+            walked = set()
+            for i, targets in terms._fiber_moves(table, cons, levels):
+                expected = {reduced for _, _, reduced in terms._rewrites(nodes[i], memo)}
+                assert {nodes[j] for j in targets} == expected & fiber, (str(f), nodes[i])
+                walked.add(nodes[i])
+            assert walked == {node for node in fiber if node[0] in ("+", "*")}, str(f)
+
+    def test_every_subterm_of_a_fiber_node_has_an_id(self):
+        """The pruning argument: a rewritten subterm with no id cannot lie
+        inside a fiber node.  Equal trees also share one id."""
+        for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
+            table, levels, cons = _sym_table(f)
+            nodes = terms._decode(table)
+            assert len(cons) == len(table) == len(set(nodes)), str(f)
+            for ids in levels:
+                for i in ids:
+                    assert terms._encode(nodes[i], cons) == i
+                    for _path, sub in _positions(nodes[i]):
+                        assert terms._encode(sub, cons) is not None, (str(f), sub)
+
+
+def test_an_unknown_mode_is_a_precondition_violation():
+    f = rpoly(2, [(1,), (2,)])
+    with pytest.raises(PreconditionViolation, match="unknown fiber mode 'bogus'"):
+        enumerate_fiber(f, "bogus")
+    with pytest.raises(PreconditionViolation, match="unknown mode 'bogus'"):
+        sset_operad("bogus")
+
+
 class TestDemandDrivenFiber:
     @pytest.mark.parametrize("mode", ["sym", "biperm"])
     def test_matches_the_forward_dp_per_leaf_count(self, mode):
         for f in DEMAND_POLYS:
             for bound in (1, 2, 3, 4, default_bound(f) + 2):
                 by_leaves = _bounded_fiber(f, mode, bound)
-                assert tuple(map(frozenset, by_leaves)) == _forward_fiber(f, mode, bound), (
+                assert _padded(by_leaves, bound) == _forward_fiber(f, mode, bound), (
                     str(f), bound
                 )
                 assert all(len(set(level)) == len(level) for level in by_leaves), (str(f), bound)
@@ -803,13 +862,13 @@ class TestDemandDrivenFiber:
             target = frozenset(m.support for m in f.monomials)
             products, sums = _split_table(f, mode, default_bound(f) + 2)
             demand = _demand(target, products, sums)
-            cells = _build_cells(f, mode, demand, products, sums)
+            table, cells = _build_cells(f, mode, demand, products, sums)
 
             def size(s, key):
                 return len(cells[s][key][0])
 
             def summands(s, key):
-                nodes = cells[s][key][0]
+                nodes = [table[i] for i in cells[s][key][0]]
                 return len(nodes) if mode == "sym" else sum(n[0] != "+" for n in nodes)
 
             lefts = set()
@@ -817,7 +876,8 @@ class TestDemandDrivenFiber:
             for s in range(2, len(demand)):
                 assert cells[s].keys() == demand[s]
                 for key in demand[s]:
-                    nodes, usable = cells[s][key]
+                    ids, usable = cells[s][key]
+                    nodes = [table[i] for i in ids]
                     assert usable == summands(s, key)
                     made = 0
                     for s1, p1, p2 in products[s].get(key, ()):
