@@ -861,23 +861,22 @@ def _root_templates(shape: tuple) -> list[tuple[tuple, int]]:
         slots[id(part)] = k
         parts.append(part)
     node = (tag, *parts)
+
+    def emit(sub, steps: list) -> int:
+        slot = slots.get(id(sub))
+        if slot is None:
+            left, right = emit(sub[1], steps), emit(sub[2], steps)
+            slot = 6 + len(steps)
+            steps.append((sub[0], left, right, slot))
+        return slot
+
     plans = []
     for _name, rule in _MOVE_RULES:
         replaced = rule(node)
-        if replaced is None:
-            continue
-        steps: list = []
-
-        def emit(sub) -> int:
-            slot = slots.get(id(sub))
-            if slot is None:
-                left, right = emit(sub[1]), emit(sub[2])
-                slot = 6 + len(steps)
-                steps.append((sub[0], left, right, slot))
-            return slot
-
-        result = emit(replaced)
-        plans.append((tuple(steps), result))
+        if replaced is not None:
+            steps: list = []
+            result = emit(replaced, steps)
+            plans.append((tuple(steps), result))
     return plans
 
 
