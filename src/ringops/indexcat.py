@@ -251,7 +251,7 @@ def enumerate_hom(f: RPoly, g: RPoly, kind: str = "all") -> list[RMorphism]:
             assert phi.is_surjective, "effective map between non-degenerate objects"
             out.append(RMorphism(f, phi, g))
         return out
-    raise ValueError(f"unknown hom class {kind!r}")
+    raise PreconditionViolation(f"unknown hom class {kind!r}")
 
 
 def has_effective_hom(f: RPoly, g: RPoly) -> bool:

@@ -32,7 +32,7 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, Union
 
-from .errors import FixtureError, NotInR, ParseFailure, RingopsError
+from .errors import ArityMismatch, FixtureError, NotInR, ParseFailure, RingopsError
 from .indexcat import E, ExtMap, RMorphism, validate
 from .operads import TableRingOperad
 from .polynomials import RPoly, TypeSignature, canon_str, rpoly, zero_poly
@@ -220,30 +220,60 @@ def print_morphism(mor: RMorphism) -> str:
 # Terms
 
 
+# The deepest term `parse_term` accepts, in sums and products on one path
+# and in nested parentheses alike.  The parser recurses three frames per
+# parenthesis, and reduction, normalisation, projection and printing one or
+# two frames per level, so every `term` command answers within Python's
+# default recursion limit of 1000 frames at this depth.
+MAX_TERM_DEPTH = 200
+
+
 def parse_term(text: str, arity: int) -> Term:
+    if arity < 0:
+        raise ArityMismatch("arity must be non-negative")
     scanner = _Scanner(text)
-    node = _parse_sum(scanner, arity)
+    node = _parse_sum(scanner, arity, 0)
     scanner.finish()
+    if _depth(node) > MAX_TERM_DEPTH:
+        raise ParseFailure(f"term nested deeper than {MAX_TERM_DEPTH} levels", 0)
     return Term(arity, node)
 
 
-def _parse_sum(scanner: _Scanner, arity: int):
-    node = _parse_product(scanner, arity)
+def _depth(node) -> int:
+    """The most sums and products on one root-to-leaf path, counted
+    without recursion."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if len(node) == 3:
+            stack += [(node[1], depth + 1), (node[2], depth + 1)]
+        elif depth > deepest:
+            deepest = depth
+    return deepest
+
+
+def _parse_sum(scanner: _Scanner, arity: int, parens: int):
+    node = _parse_product(scanner, arity, parens)
     while scanner.try_take("+"):
-        node = plus(node, _parse_product(scanner, arity))
+        node = plus(node, _parse_product(scanner, arity, parens))
     return node
 
 
-def _parse_product(scanner: _Scanner, arity: int):
-    node = _parse_atom(scanner, arity)
+def _parse_product(scanner: _Scanner, arity: int, parens: int):
+    node = _parse_atom(scanner, arity, parens)
     while scanner.try_take("*"):
-        node = times(node, _parse_atom(scanner, arity))
+        node = times(node, _parse_atom(scanner, arity, parens))
     return node
 
 
-def _parse_atom(scanner: _Scanner, arity: int):
+def _parse_atom(scanner: _Scanner, arity: int, parens: int):
     if scanner.try_take("("):
-        node = _parse_sum(scanner, arity)
+        if parens == MAX_TERM_DEPTH:
+            raise ParseFailure(
+                f"parentheses nested deeper than {MAX_TERM_DEPTH} levels", scanner.pos - 1
+            )
+        node = _parse_sum(scanner, arity, parens + 1)
         scanner.expect(")")
         return node
     if scanner.try_take("0"):

@@ -6,21 +6,8 @@ only as the whole term); reduced terms additionally carry the bipermutative
 normal form: products are right-nested with a variable on the left, sums are
 right-nested with no zero summand, and right distributivity is fully applied.
 
-One walker, `_substitute`, rebuilds a tree with new variable leaves (the
-action and composition); one, `_rewrites`, lists every single-position
-coherence rewrite of a node, each already reduced, as (rule, position,
-`reduce_node` of the whole rewritten node).  It backs `generator_moves` and
-is the oracle the id walker of `connectivity_check` is tested against.  It
-is memoised per subterm in a memo its caller owns for one call: a sum or
-product (tag, l, r) lists the rules that fire at its root, then l's entries
-lifted to `_reduce_top(tag, a, reduce_node(r))`, then r's lifted alike.
-That equals `reduce_node` of the rebuilt tree because `reduce_node` works
-bottom up: it reduces both children and then applies `_reduce_top`, and
-each child entry `a` is already the reduced rewritten child.  The sibling
-must be reduced too; lifting with the raw sibling differs on non-canonical
-terms.  A root rule's result is reduced by `_memo_reduce`, which reads the
-reduced subterms the memo holds, so no rewritten tree enters
-`reduce_node`'s lru cache.
+`_substitute` rebuilds a tree with new variable leaves; the action and
+composition both go through it.
 
 The fibers of both modes come from one leaf-count dynamic programme,
 `_fiber_table`, over cells (projection key, leaf count).  A node's top
@@ -583,12 +570,16 @@ def _build_cells(
 
 
 # ---------------------------------------------------------------------------
-# Generator moves and coherence connectivity
+# Coherence moves and connectivity
 
 
-# A rule reads only its node's tag, its children and their tags, and builds
-# its result from the node's parts with + and x: `_root_templates` runs it
-# once per root shape on placeholder grandchildren.
+# The coherence moves, each a rewrite at the root of a node.  A move at any
+# position of a term is followed by `reduce_node`, and zig-zag connectivity
+# reads the undirected graph of those moves.  The distributivity moves are
+# one-directional; unit-introduction inverses are omitted because reduction
+# cancels them immediately.  A rule reads only its node's tag, its children
+# and their tags, and builds its result from the node's parts with + and x:
+# `_root_templates` runs it once per root shape on placeholder grandchildren.
 _MOVE_RULES = (
     ("assoc-times", lambda n: times(times(n[1], n[2][1]), n[2][2])
         if n[0] == "*" and n[2][0] == "*" else None),
@@ -607,76 +598,6 @@ _MOVE_RULES = (
     ("dist-right", lambda n: plus(times(n[1][1], n[2]), times(n[1][2], n[2]))
         if n[0] == "*" and n[1][0] == "+" else None),
 )
-
-
-def generator_moves(term: Term) -> list[tuple[str, tuple[int, ...], Term]]:
-    """Single-step coherence rewrites at every position, reduced afterwards.
-
-    The distributivity moves are one-directional; unit-introduction inverses
-    are omitted because reduction cancels them immediately.  The results are
-    built without the arity check, as in `connectivity_check`.
-    """
-    return [
-        (name, path, _fiber_term(term.arity, reduced))
-        for name, path, reduced in _rewrites(term.node, {})
-    ]
-
-
-Rewrite = tuple[str, tuple[int, ...], Node]
-
-
-def _rewrites(node: Node, memo: dict) -> list[Rewrite]:
-    """(rule name, position, `reduce_node` of the whole rewritten node) for
-    each rule at each position: positions in preorder, rules in `_MOVE_RULES`
-    order.  Every rule rewrites a sum or a product, so a leaf has no rewrite.
-
-    The children's lists come from `memo`, which the caller owns; `node`'s
-    own list is returned, not stored, so a caller walking many nodes with
-    one memo keeps only the lists of their proper subterms.
-    """
-    return _walk(node, memo)[1]
-
-
-def _walk(node: Node, memo: dict) -> tuple[Node, list[Rewrite]]:
-    """(`reduce_node(node)`, `_rewrites(node, memo)`).  A child's rewrite,
-    already reduced, is lifted under `_reduce_top` with the reduced sibling."""
-    if node[0] not in ("+", "*"):
-        return node, []
-    tag, left, right = node
-    reduced_left, left_rewrites = _memo_walk(left, memo)
-    reduced_right, right_rewrites = _memo_walk(right, memo)
-    out = [
-        (name, (), _memo_reduce(replaced, memo))
-        for name, rule in _MOVE_RULES
-        if (replaced := rule(node)) is not None
-    ]
-    out += [
-        (name, (0, *path), _reduce_top(tag, reduced, reduced_right))
-        for name, path, reduced in left_rewrites
-    ]
-    out += [
-        (name, (1, *path), _reduce_top(tag, reduced_left, reduced))
-        for name, path, reduced in right_rewrites
-    ]
-    return _reduce_top(tag, reduced_left, reduced_right), out
-
-
-def _memo_reduce(node: Node, memo: dict) -> Node:
-    """`reduce_node(node)`, reading the reduced subterms that `memo` holds."""
-    if node[0] not in ("+", "*"):
-        return node
-    entry = memo.get(node)
-    if entry is not None:
-        return entry[0]
-    return _reduce_top(node[0], _memo_reduce(node[1], memo), _memo_reduce(node[2], memo))
-
-
-def _memo_walk(node: Node, memo: dict) -> tuple[Node, list[Rewrite]]:
-    """`_walk`, memoised in `memo` as {subterm: (reduced, rewrites)}."""
-    entry = memo.get(node)
-    if entry is None:
-        entry = memo[node] = _walk(node, memo)
-    return entry
 
 
 def terminal_representative(f: RPoly) -> Term:
@@ -712,17 +633,17 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     path-halving union-find; the unreachable terms are those whose root is
     not the terminal representative's.  Only they are decoded into `Term`s.
 
-    This is the undirected graph of `generator_moves` (`_rewrites`, the
-    oracle) restricted to the fiber.  A rewrite whose rewritten subterm, once
-    reduced, has no entry in the dict is pruned with every lift of it, and
-    loses no edge: that subterm is a sum or a product, and `_reduce_top`
-    drops only 0/1 parts, so it stays a subterm of the whole reduced tree;
-    every subterm of a fiber node is a built node, so that tree is not in
-    the fiber.  Every hit at the root is in the fiber: it projects to f, and
-    a stable table holds no node above the bound.  A rewrite followed by
-    `reduce_node` adds no variable leaf, so the arity check a `Term` would
-    make cannot fail, and at one arity two terms are equal exactly when
-    their nodes are.
+    The graph is that of the single-position `_MOVE_RULES` rewrites, each
+    followed by `reduce_node`, taken undirected and restricted to the fiber.
+    A rewrite whose rewritten subterm, once reduced, has no entry in the
+    dict is pruned with every lift of it, and loses no edge: that subterm is
+    a sum or a product, and `_reduce_top` drops only 0/1 parts, so it stays
+    a subterm of the whole reduced tree; every subterm of a fiber node is a
+    built node, so that tree is not in the fiber.  Every hit at the root is
+    in the fiber: it projects to f, and a stable table holds no node above
+    the bound.  A rewrite followed by `reduce_node` adds no variable leaf,
+    so the arity check a `Term` would make cannot fail, and at one arity two
+    terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
     table, by_leaves = _fiber_table(f, "sym", bound + 2)
@@ -774,16 +695,17 @@ def _fiber_moves(
     """(id, ids of its reduced rewrites) for each fiber id of a stable sym
     table, `levels` holding the fiber's ids and `cons` being {entry: id}.
 
-    This is `_rewrites` on ids, pruned as `connectivity_check` says.  Ids
-    run in build order, so one forward sweep sees a node's children before
-    it and keeps, for every proper subterm, the ids of its reduced
-    rewrites.  A node (tag, l, r) lists the rules that fire at its root,
-    replayed from `_root_templates`, then l's ids lifted to (tag, a, r), then
-    r's lifted alike, each looked up in `cons`.  A lift needs no unit step:
-    a rewrite keeps its subterm's projection, so it is 0 or 1 only if the
-    subterm is, and leaves have no rewrites; nor is a factor's sibling ever
-    1 in the DP.  Fiber nodes are never proper subterms (their key is all of
-    f's), so their own lists are not kept.
+    The rewrites are those of `_MOVE_RULES` at every position, each followed
+    by `reduce_node`, computed on ids and pruned as `connectivity_check`
+    says.  Ids run in build order, so one forward sweep sees a node's
+    children before it and keeps, for every proper subterm, the ids of its
+    reduced rewrites.  A node (tag, l, r) lists the rules that fire at its
+    root, replayed from `_root_templates`, then l's ids lifted to
+    (tag, a, r), then r's lifted alike, each looked up in `cons`.  A lift
+    needs no unit step: a rewrite keeps its subterm's projection, so it is 0
+    or 1 only if the subterm is, and leaves have no rewrites; nor is a
+    factor's sibling ever 1 in the DP.  Fiber nodes are never proper
+    subterms (their key is all of f's), so their own lists are not kept.
     """
     in_fiber = bytearray(len(table))
     for ids in levels:
@@ -845,8 +767,8 @@ def _root_templates(shape: tuple) -> list[tuple[tuple, int]]:
     compiled by identity into steps (tag, slot, slot, result slot) over the
     slots left, right, left's two children, right's two children (0..5),
     then the steps' own results.  Replaying a step applies `_reduce_top` on
-    ids, so the result is the rewritten node reduced, as `_memo_reduce`
-    gives it.
+    ids, so the result is `reduce_node` of the rewritten node, given that
+    its parts are reduced.
     """
     tag, *kinds = shape
     slots: dict = {}

@@ -7,6 +7,8 @@ import itertools
 import random
 import time
 
+from position_walk import position_moves
+
 from ringops.indexcat import (
     E,
     ExtMap,
@@ -53,7 +55,6 @@ from ringops.terms import (
     ZERO,
     connectivity_check,
     enumerate_fiber,
-    generator_moves,
     is_reduced,
     normalize_biperm,
     plus,
@@ -414,9 +415,9 @@ def test_criterion_11_rewriting():
         arity = rng.randint(1, 3)
         term = reduce_A(Term(arity, _random_node(rng, arity, rng.randint(1, 10))))
         direct = normalize_biperm(term)
-        for name, _path, moved in generator_moves(term):
+        for name, _path, moved in position_moves(term.node):
             if name in relation_moves:
-                assert normalize_biperm(moved) == direct
+                assert normalize_biperm(Term(arity, moved)) == direct
 
 
 @criterion(12, "coherence connectivity over R(2) with the stated terminal object")

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringops.cli import main
+from ringops.parsing import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -365,3 +369,87 @@ def test_a_bad_fixture_row_is_named_by_its_line(command, text, message, json_fla
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
 
+
+TERM_COMMANDS = [
+    ["term", "normalize", "--mode", "sym"],
+    ["term", "normalize", "--mode", "biperm"],
+    ["term", "project"],
+]
+# Each builds a term of depth n: n sums or products on one path, and in
+# the last two also n nested parentheses.
+DEEP_TERMS = {
+    "left-nested sum": lambda n: "+".join(["x1"] * (n + 1)),
+    "left-nested product": lambda n: "*".join(["x1"] * (n + 1)),
+    "nested parentheses": lambda n: "(" * n + "x1" + "+x1)" * n,
+    "bare parentheses": lambda n: "(" * n + "x1" + ")" * n,
+}
+
+
+def _term_argv(command, text, arity):
+    return [*command[:2], text, "--arity", str(arity), *command[2:]]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+@pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)
+def test_every_term_command_answers_at_the_depth_limit(command, shape, json_flag, capsys):
+    # Much deeper terms exhaust Python's recursion limit, which would end in
+    # a traceback with exit 1, the "check failed" code.
+    make = DEEP_TERMS[shape]
+    code = main(json_flag + _term_argv(command, make(MAX_TERM_DEPTH), 1))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    code = main(json_flag + _term_argv(command, make(MAX_TERM_DEPTH + 1), 1))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    what = "term" if shape.startswith("left") else "parentheses"
+    assert captured.err.startswith(f"error: {what} nested deeper than {MAX_TERM_DEPTH} levels")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)
+def test_a_negative_arity_is_a_usage_error(command, capsys):
+    code = main(_term_argv(command, "0", -2))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: arity must be non-negative\n"
+
+
+# The characters of the term and polynomial grammars, and ways to nest a
+# drawn text: in parentheses, as the last of many summands, as the first of
+# many factors, and as the innermost of nested sums.  Nesting goes to ten
+# times the limit because Hypothesis raises the recursion limit by 2,000
+# frames while a test runs.
+GRAMMAR_CHARS = "x0123456789+*() R:"
+NESTINGS = [
+    lambda text, n: "(" * n + text + ")" * n,
+    lambda text, n: "x1+" * n + text,
+    lambda text, n: text + "*x1" * n,
+    lambda text, n: "(" * n + text + "+x1)" * n,
+]
+
+
+@st.composite
+def cli_inputs(draw):
+    text = draw(st.text(alphabet=GRAMMAR_CHARS, max_size=24))
+    if draw(st.booleans()):
+        nest = draw(st.sampled_from(NESTINGS))
+        text = nest(text, draw(st.integers(0, 10 * MAX_TERM_DEPTH)))
+    command = draw(st.sampled_from(TERM_COMMANDS + [["poly", "member"], ["poly", "type"]]))
+    if command[0] == "poly":
+        return [*command, text]
+    return _term_argv(command, text, draw(st.integers(-3, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), cli_inputs())
+def test_arbitrary_text_gets_a_documented_exit_code(json_flag, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main((["--json"] if json_flag else []) + argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if argv[0] == "term" and int(argv[4]) < 0:
+        assert code == 2

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ringops.errors import NotAMorphism, NotSpecial, SearchBudgetExceeded
+from ringops.errors import NotAMorphism, NotSpecial, PreconditionViolation, SearchBudgetExceeded
 from ringops.indexcat import (
     E,
     ExtMap,
@@ -112,6 +112,12 @@ class TestHomEnumeration:
         wide = rpoly(12, [tuple(range(1, 13))])
         with pytest.raises(SearchBudgetExceeded):
             enumerate_hom(wide, rpoly(3, [(1, 2, 3)]), "all")
+
+    def test_an_unknown_kind_is_a_precondition_violation(self):
+        # The CLI turns only a RingopsError into an exit code and an error line.
+        s2 = rpoly(2, [(1,), (2,)])
+        with pytest.raises(PreconditionViolation, match="^unknown hom class 'bogus'$"):
+            enumerate_hom(s2, s2, "bogus")
 
     def test_nondegenerate_class_is_surjective(self):
         f3 = rpoly(3, [(1,), (2, 3)])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from position_walk import position_moves, positions
 from ringops import terms
 from ringops.cli import main
 from ringops.errors import FiberNotStable, NotReduced, PreconditionViolation
@@ -30,7 +31,6 @@ from ringops.terms import (
     default_bound,
     enumerate_fiber,
     fiber_member,
-    generator_moves,
     is_canonical,
     is_reduced,
     normalize_biperm,
@@ -246,9 +246,9 @@ class TestNormalizeBiperm:
         }
         term = reduce_A(t(3, node))
         direct = normalize_biperm(term)
-        for name, _path, moved in generator_moves(term):
+        for name, _path, moved in position_moves(term.node):
             if name in relation_moves:
-                assert normalize_biperm(moved) == direct
+                assert normalize_biperm(t(3, moved)) == direct
 
     @settings(max_examples=300, deadline=None)
     @given(node_strategy(2))
@@ -325,22 +325,17 @@ class TestFiberEnumeration:
 
 class TestGeneratorMoves:
     def test_distribute_at_root(self):
-        term = t(3, times(var(1), plus(var(2), var(3))))
-        results = {
-            (name, path): moved for name, path, moved in generator_moves(term)
-        }
-        assert results[("dist-left", ())] == t(
-            3, plus(times(var(1), var(2)), times(var(1), var(3)))
-        )
+        node = times(var(1), plus(var(2), var(3)))
+        results = {(name, path): moved for name, path, moved in position_moves(node)}
+        assert results[("dist-left", ())] == plus(times(var(1), var(2)), times(var(1), var(3)))
 
     def test_commutativity(self):
-        term = t(2, plus(var(1), var(2)))
-        moves = {(name, moved) for name, _path, moved in generator_moves(term)}
-        assert ("comm-plus", t(2, plus(var(2), var(1)))) in moves
+        moves = {(name, moved) for name, _path, moved in position_moves(plus(var(1), var(2)))}
+        assert ("comm-plus", plus(var(2), var(1))) in moves
 
     def test_no_inverse_distribution(self):
-        term = t(3, plus(times(var(1), var(2)), times(var(1), var(3))))
-        names = {name for name, _path, _res in generator_moves(term)}
+        node = plus(times(var(1), var(2)), times(var(1), var(3)))
+        names = {name for name, _path, _res in position_moves(node)}
         assert "dist-left" not in names
         assert "dist-right" not in names
         assert {"comm-plus", "comm-times"} <= names
@@ -348,8 +343,8 @@ class TestGeneratorMoves:
     def test_moves_preserve_projection(self):
         f = rpoly(2, [(2,), (1, 2)])
         for term in enumerate_fiber(f, "sym").terms:
-            for _name, _path, moved in generator_moves(term):
-                assert project(moved).coeffs() == project(term).coeffs()
+            for _name, _path, moved in position_moves(term.node):
+                assert project(t(2, moved)).coeffs() == project(term).coeffs()
 
 
 class TestConnectivity:
@@ -525,33 +520,6 @@ def _as_terms(f, by_leaves, bound):
     )
 
 
-def _positions(node, path=()):
-    yield path, node
-    if node[0] in ("+", "*"):
-        yield from _positions(node[1], path + (0,))
-        yield from _positions(node[2], path + (1,))
-
-
-def _replace(node, path, replacement):
-    if not path:
-        return replacement
-    if path[0] == 0:
-        return (node[0], _replace(node[1], path[1:], replacement), node[2])
-    return (node[0], node[1], _replace(node[2], path[1:], replacement))
-
-
-def _reference_moves(term):
-    """`generator_moves` as a position list followed by one rebuild per move."""
-    out = []
-    for path, sub in _positions(term.node):
-        for name, rule in terms._MOVE_RULES:
-            replaced = rule(sub)
-            if replaced is not None:
-                rebuilt = reduce_node(_replace(term.node, path, replaced))
-                out.append((name, path, Term(term.arity, rebuilt)))
-    return out
-
-
 def _contains_zero(node):
     if node == ZERO:
         return True
@@ -569,11 +537,6 @@ class TestOneFiberLoop:
             assert _as_terms(f, _bounded_fiber(f, mode, bound), bound) == _two_branch_fiber(
                 f, mode, bound
             ), str(f)
-
-    def test_generator_moves_match_the_position_walk(self):
-        for f in FIBER_POLYS:
-            for term in enumerate_fiber(f, "sym").terms:
-                assert generator_moves(term) == _reference_moves(term), str(term)
 
     @pytest.mark.parametrize("mode", ["sym", "biperm"])
     def test_a_huge_bound_stops_after_the_last_leaf_count(self, mode):
@@ -599,56 +562,35 @@ def test_is_canonical_needs_no_zero_scan(node):
         assert is_canonical(candidate) == expected
 
 
-SHARED_MEMO_FIBER = [
-    term.node for term in enumerate_fiber(parse_poly("R(3): x1 + x1*x2 + x1*x3"), "sym").terms
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(node_strategy(3))
-def test_generator_moves_match_the_position_walk_on_any_term(node):
-    """Any term, canonical or not, units and zeros included: the memoised
-    walker lifts a child's rewrite with the reduced sibling, as reducing the
-    rebuilt tree would; and a memo shared with every term of a fiber gives
-    the same list as a fresh one."""
-    term = Term(3, node)
-    assert generator_moves(term) == _reference_moves(term)
-    shared: dict = {}
-    for other in SHARED_MEMO_FIBER:
-        terms._rewrites(other, shared)
-    for walked in (node, reduce_node(node), *SHARED_MEMO_FIBER[:8]):
-        assert terms._rewrites(walked, shared) == terms._rewrites(walked, {})
-
-
 def _adjacency_connectivity(f, bound=None):
-    """`connectivity_check` as an adjacency graph of `Term`s built from
-    `_reference_moves` and searched from the terminal representative: the
-    reference for the union-find over interned nodes, sharing no code with
-    the memoised walker it checks."""
+    """`connectivity_check` as an adjacency graph of nodes built from
+    `position_moves` and searched from the terminal representative: the
+    reference for the union-find over interned ids, sharing no code with
+    the id walker it checks."""
     result = enumerate_fiber(f, "sym", bound)
     if not result.stable:
         raise FiberNotStable(
             f"fiber of {f} changed between bounds {result.bound} and {result.bound + 2}"
         )
-    fiber = result.terms
+    fiber = {term.node for term in result.terms}
     start = terminal_representative(f)
-    if start not in fiber:
+    if start.node not in fiber:
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
-    adjacency = {t: set() for t in fiber}
-    for t in fiber:
-        for _name, _path, target in _reference_moves(t):
+    adjacency = {node: set() for node in fiber}
+    for node in fiber:
+        for _name, _path, target in position_moves(node):
             if target in adjacency:
-                adjacency[t].add(target)
-                adjacency[target].add(t)
-    seen = {start}
-    frontier = [start]
+                adjacency[node].add(target)
+                adjacency[target].add(node)
+    seen = {start.node}
+    frontier = [start.node]
     while frontier:
         current = frontier.pop()
         for nxt in adjacency[current]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    unreachable = frozenset(fiber - seen)
+    unreachable = frozenset(Term(f.arity, node) for node in fiber - seen)
     return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
 
 
@@ -785,17 +727,16 @@ def _sym_table(f):
 
 
 class TestIdWalker:
-    def test_matches_the_tuple_walker(self):
+    def test_matches_the_position_walk(self):
         """For each fiber node, `_fiber_moves` gives exactly the ids of the
-        rewrites `_rewrites` lists that land in the fiber."""
+        rewrites `position_moves` lists that land in the fiber."""
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
             table, levels, cons = _sym_table(f)
             nodes = terms._decode(table)
             fiber = {nodes[i] for ids in levels for i in ids}
-            memo: dict = {}
             walked = set()
             for i, targets in terms._fiber_moves(table, cons, levels):
-                expected = {reduced for _, _, reduced in terms._rewrites(nodes[i], memo)}
+                expected = {reduced for _, _, reduced in position_moves(nodes[i])}
                 assert {nodes[j] for j in targets} == expected & fiber, (str(f), nodes[i])
                 walked.add(nodes[i])
             assert walked == {node for node in fiber if node[0] in ("+", "*")}, str(f)
@@ -810,7 +751,7 @@ class TestIdWalker:
             for ids in levels:
                 for i in ids:
                     assert terms._encode(nodes[i], cons) == i
-                    for _path, sub in _positions(nodes[i]):
+                    for _path, sub in positions(nodes[i]):
                         assert terms._encode(sub, cons) is not None, (str(f), sub)
 
 
