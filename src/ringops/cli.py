@@ -39,6 +39,11 @@ def _builtin_operad(name: str):
     raise RingopsError(f"unknown builtin operad {name!r}")
 
 
+def _builtin_algebra(name: str):
+    """The algebra of a `--carrier`/`--algebra` choice: boolean or point."""
+    return operads.boolean_rig_algebra() if name == "boolean" else operads.one_point_algebra()
+
+
 def _resolve_pair(spec: str):
     if spec in ("terminal:terminal", "terminal,terminal"):
         return terminal_pair()
@@ -282,11 +287,7 @@ def _run_check(args) -> int:
         )
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     operad = _builtin_operad(args.operad)
-    algebra = (
-        operads.boolean_rig_algebra()
-        if args.carrier == "boolean"
-        else operads.one_point_algebra()
-    )
+    algebra = _builtin_algebra(args.carrier)
     report = operads.validate_algebra(operad, algebra, cap=args.cap, budget=operads.Budget(args.budget))
     _emit(
         {"ok": report.ok, "checked": report.checked, "failure": report.failure},
@@ -440,11 +441,7 @@ def _run_fwrf(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     mor = parsing.parse_ff_morphism(args.morphism)
     operad = operads.strict_operad()
-    algebra = (
-        operads.boolean_rig_algebra()
-        if args.algebra == "boolean"
-        else operads.one_point_algebra()
-    )
+    algebra = _builtin_algebra(args.algebra)
     by_name = {str(x): x for x in algebra.carrier}
     inputs = []
     for chunk in args.inputs.split(","):

@@ -13,12 +13,13 @@ The fibers of both modes come from one leaf-count dynamic programme,
 `_fiber_table`, over cells (projection key, leaf count).  A node's top
 split (operation, left leaf count, left key, right key) is read off the
 node, so a cell is the disjoint union over its splits of left part x right
-part.  Three passes run over it: one lists every cell's splits from the keys
-alone, one marks the cells that f's cells reach, and one builds the nodes of
-the marked cells only.  The mode only picks the pools its left factors and
-left summands are drawn from; in biperm mode a left summand is never a sum,
-so each cell also records how many of its nodes are products.  The last
-pass hash-conses what it builds: each node gets an int id in one table,
+part.  A memoised walk down from f's key reads each reached key's splits
+off the key itself, with the leaf counts at which it has nodes; one loop
+then builds the cells of the reached keys in increasing leaf count, up to
+f's last count within the bound.  The mode only picks the pools its left
+factors and left summands are drawn from; in biperm mode a left summand is
+never a sum, so each cell also records how many of its nodes are products.
+The build hash-conses what it makes: each node gets an int id in one table,
 whose entry is the leaf tuple for a leaf and (tag, left id, right id)
 otherwise.  A cell's nodes get consecutive ids and children come before
 parents, so ids follow build order, and since no node is built twice, equal
@@ -42,7 +43,6 @@ only drops them, so no new variable leaf appears and the arity check of
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator, Sequence, Union
@@ -118,14 +118,24 @@ def _leaf_count(node: Node) -> int:
 
 
 def node_str(node: Node) -> str:
-    if node == ZERO:
-        return "0"
-    if node == ONE:
-        return "1"
-    if node[0] == "v":
+    """The node fully parenthesised.  A right-nested chain, the shape of
+    every normal form, is walked with a loop, so a long sum or product
+    prints without a frame per part."""
+    tag = node[0]
+    if tag == "v":
         return f"x{node[1]}"
-    op = node[0]
-    return f"({node_str(node[1])} {op} {node_str(node[2])})"
+    if len(node) == 1:
+        return tag
+    right = node[2]
+    if len(right) != 3:
+        return f"({node_str(node[1])} {tag} {node_str(right)})"
+    head = f"({node_str(node[1])} {tag} "
+    depth = 1
+    while len(right) == 3:
+        head += f"({node_str(right[1])} {right[0]} "
+        right = right[2]
+        depth += 1
+    return head + node_str(right) + ")" * depth
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +239,41 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
 
 
 def _norm_plus(left: Node, right: Node) -> Node:
-    if left == ZERO:
-        return right
+    """The chain of normal form left's summands, then right's.  This and
+    `_norm_times` walk left's chain with a loop: a wide term's chain is as
+    long as its leaf count."""
     if right == ZERO:
         return left
-    if left[0] == "+":
-        return _norm_plus(left[1], _norm_plus(left[2], right))
-    return ("+", left, right)
+    summands = []
+    while left[0] == "+":
+        summands.append(left[1])
+        left = left[2]
+    if left != ZERO:
+        right = ("+", left, right)
+    for summand in reversed(summands):
+        right = ("+", summand, right)
+    return right
 
 
 def _norm_times(left: Node, right: Node) -> Node:
+    """Normal forms left x right, left's sums distributed over and its
+    products right-associated."""
     if left == ZERO or right == ZERO:
         return ZERO
     if left == ONE:
         return right
     if right == ONE:
         return left
-    if left[0] == "+":
-        return _norm_plus(_norm_times(left[1], right), _norm_times(left[2], right))
-    if left[0] == "*":
-        return _norm_times(left[1], _norm_times(left[2], right))
-    return ("*", left, right)
+    if left[0] not in ("+", "*"):
+        return ("*", left, right)
+    tag, parts = left[0], []
+    while left[0] == tag:
+        parts.append(left[1])
+        left = left[2]
+    out = _norm_times(left, right)
+    for part in reversed(parts):
+        out = _norm_plus(_norm_times(part, right), out) if tag == "+" else _norm_times(part, out)
+    return out
 
 
 @lru_cache(maxsize=1 << 20)
@@ -368,18 +392,15 @@ def _fiber_bound(f: RPoly, mode: str, bound: Union[int, None]) -> int:
 
 def _up_to(by_leaves: Sequence, bound: int) -> tuple[Sequence, bool]:
     """The DP's levels 0..B and its stability flag: whether B + 1 and B + 2
-    are empty.  The DP stops at its last level, so the counts past it read
-    as empty."""
+    are empty.  The DP stops at f's last non-empty count, so the counts past
+    it read as empty."""
     return by_leaves[: bound + 1], not any(by_leaves[bound + 1 :])
-
-
-_UNIT_KEY = frozenset({()})
 
 
 @lru_cache(maxsize=4096)
 def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
-    """The nodes projecting to f, one tuple per leaf count from 0 to the
-    DP's last level (at most `bound`): `_fiber_table`'s ids, decoded."""
+    """The nodes projecting to f, one tuple per leaf count from 0 to f's last
+    non-empty count up to `bound`: `_fiber_table`'s ids, decoded."""
     table, by_leaves = _fiber_table(f, mode, bound)
     nodes = _decode(table)
     return tuple(tuple(nodes[ids.start : ids.stop]) for ids in by_leaves)
@@ -387,7 +408,7 @@ def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], .
 
 def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ...]]:
     """The hash-consed nodes of the DP and the ids projecting to f, one
-    range per leaf count from 0 to the DP's last level (at most `bound`).
+    range per leaf count from 0 to f's last non-empty count up to `bound`.
 
     A cell is a pair (projection key, leaf count s): the key is the set of
     supports a node expands to, and the cell holds the nodes with that key
@@ -396,28 +417,33 @@ def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ..
     (operation, s1, left key, right key) is read off the node itself.  So
     the splits of a cell give disjoint node sets, a cell is the
     concatenation over its splits of left part x right part, and no node is
-    built twice.  Three passes run over that recursion:
-
-    1. `_split_table` lists the product and sum splits of every cell from
-       the keys alone; it builds no node.
-    2. `_demand` walks the splits down from f's key at every leaf count and
-       marks the cells the target reaches.
-    3. `_build_cells` builds the nodes of the marked cells only, in
-       increasing leaf count, as ids into one table.
+    built twice.  `_reach` reads the splits of f's key, and of every key
+    they reach, off the keys alone, and `_build_cells` builds the reached
+    keys' cells in increasing leaf count.
 
     The mode only picks the pools a left part comes from: in sym mode both
     are the whole cells; in biperm mode (the right-nested normal form) a
     left factor is a variable and a left summand is a leaf or a product,
     never a sum.  So a biperm cell also records how many of its nodes are
-    products: a left summand draws on those alone.  The demand pass needs no
-    such distinction (`_demand` says why).
+    products: a left summand draws on those alone.
+
+    Every reached key has nodes (the sum of its monomials is one), and every
+    cell of one is part of a cell of f: a right part or a factor sits beside
+    every cell of its sibling, and a left summand's key, a proper subset of
+    a reached key P, is also a right part (P splits off one monomial of the
+    rest on the left, and so on down to it).  So with the bound at or past
+    f's last count, the cells built are exactly those f's cells are made
+    of.  Below it, `_room` keeps out the cells that no cell of f within the
+    bound can use.
     """
     if f.is_zero:
         return [ZERO], (range(0), range(1))
     target = frozenset(_support(m) for m in f.masks)
-    products, sums = _split_table(f, mode, bound)
-    table, cells = _build_cells(f, mode, _demand(target, products, sums), products, sums)
-    return table, tuple(level[target][0] if target in level else range(0) for level in cells)
+    leaves = _leaves(f)
+    keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
+    last = max((s for s in _reach(target, mode, keys)[0] if s <= bound), default=0)
+    table, cells = _build_cells(leaves, mode, keys, _room(target, keys, bound), last)
+    return table, tuple(cells.get((target, s), (range(0),))[0] for s in range(last + 1))
 
 
 def _decode(table: list) -> list[Node]:
@@ -436,136 +462,109 @@ def _decode(table: list) -> list[Node]:
 def _leaves(f: RPoly) -> dict:
     """The cells with one leaf, {key: node}: the unit and the variables of f."""
     variables = sorted({i for m in f.masks for i in _support(m)})
-    return {_UNIT_KEY: ONE, **{frozenset({(i,)}): var(i) for i in variables}}
+    return {frozenset({()}): ONE, **{frozenset({(i,)}): var(i) for i in variables}}
 
 
-def _split_table(f: RPoly, mode: str, bound: int) -> tuple[list[dict], list[dict]]:
-    """Pass 1: products[s] and sums[s] map each key that has nodes with s
-    leaves to its product and its sum splits (s1, left key, right key).
-    Level 1 holds the leaves, which have no split.
+def _reach(key: frozenset, mode: str, keys: dict) -> tuple:
+    """keys[key] = (counts, lefts, products, sums) for the key and every key
+    its splits reach, keys already there being kept: the leaf counts at
+    which the key has nodes, those at which it has left-summand nodes, and
+    its product and sum splits as (left key, right key).
 
-    A unit factor is skipped by its key: ONE is the only node whose key is
-    {()}.  The loop ends early once the counts M + 1..2M are empty, M being
-    the largest count with a cell so far: any larger count splits into two
-    parts, one of them above M, so it stays empty too.
+    Every coefficient is 1, so a sum's parts expand to disjoint sets of
+    monomials, and a sum split is an ordered partition of the key's
+    supports into two non-empty sets.  A product's parts share no variable,
+    which would be squared in some monomial, so a product split is an
+    ordered partition of the key's variables into two non-empty sets whose
+    cuts {m & Vi : m in key} multiply back to the key; m -> (m & V1, m & V2)
+    maps the key one-to-one into cut1 x cut2, whose pairs have distinct
+    unions, so that is when |cut1| * |cut2| == |key|.  Each cut holds a
+    variable, so neither is the unit's key.  In biperm mode the left cut
+    must be one variable, and a sum split whose left key has no
+    left-summand nodes is dropped; its keys are reached anyway.
     """
-    supports = [_support(m) for m in f.masks]
-    divisors = set()
-    for support in supports:
-        for size in range(len(support) + 1):
-            divisors.update(itertools.combinations(support, size))
-    mass_bound = len(supports)
-
-    def product_keys(p1, p2):
-        out = set()
-        for k1 in p1:
-            for k2 in p2:
-                merged = tuple(sorted(k1 + k2))
-                if len(set(merged)) != len(merged):
-                    return None
-                if merged not in divisors:
-                    return None
-                if merged in out:
-                    return None
-                out.add(merged)
-        return frozenset(out)
-
-    leaves = dict.fromkeys(_leaves(f), ())
-    cells: list[dict] = [{}, leaves]
-    products: list[dict] = [{}, leaves]
-    sums: list[dict] = [{}, {}]
-    if mode == "sym":
-        factors, summands = cells, cells
-    else:
-        variables = [key for key in leaves if key != _UNIT_KEY]
-        factors, summands = [{}, variables], products
-    largest = 1
-    for s in range(2, bound + 1):
-        if s > 2 * largest:
-            break
-        by_product: dict = {}
-        by_sum: dict = {}
-        for s1 in range(1, s):
-            right = cells[s - s1]
-            for p1 in factors[s1] if s1 < len(factors) else ():
-                if p1 == _UNIT_KEY:
-                    continue
-                for p2 in right:
-                    if p2 == _UNIT_KEY or len(p1) * len(p2) > mass_bound:
-                        continue
-                    key = product_keys(p1, p2)
-                    if key is not None:
-                        by_product.setdefault(key, []).append((s1, p1, p2))
-            for p1 in summands[s1]:
-                for p2 in right:
-                    if not (p1 & p2) and len(p1) + len(p2) <= mass_bound:
-                        by_sum.setdefault(p1 | p2, []).append((s1, p1, p2))
-        products.append(by_product)
-        sums.append(by_sum)
-        cells.append(dict.fromkeys([*by_product, *by_sum]))
-        if cells[s]:
-            largest = s
-    return products, sums
+    found = keys.get(key)
+    if found is not None:
+        return found
+    supports = sorted(key)
+    products, sums, product_counts, counts = [], [], set(), set()
+    for part, _ in _halves(sorted({i for m in supports for i in m})):
+        cut1 = frozenset(tuple(i for i in m if i in part) for m in supports)
+        cut2 = frozenset(tuple(i for i in m if i not in part) for m in supports)
+        if len(cut1) * len(cut2) == len(supports) and (
+            mode == "sym" or len(part) == len(cut1) == 1
+        ):
+            products.append((cut1, cut2))
+            right = _reach(cut2, mode, keys)[0]
+            product_counts.update(a + b for a in _reach(cut1, mode, keys)[0] for b in right)
+    counts.update(product_counts)
+    for part, rest in _halves(supports):
+        left = _reach(frozenset(part), mode, keys)[1]
+        if left:
+            sums.append((frozenset(part), frozenset(rest)))
+            right = _reach(frozenset(rest), mode, keys)[0]
+            counts.update(a + b for a in left for b in right)
+    counts = tuple(sorted(counts))
+    lefts = counts if mode == "sym" else tuple(sorted(product_counts))
+    found = keys[key] = (counts, lefts, products, sums)
+    return found
 
 
-def _demand(target: frozenset, products: list[dict], sums: list[dict]) -> list[set]:
-    """Pass 2: demand[s] holds the keys whose cell with s leaves the target
-    reaches.
+def _halves(items: list) -> Iterator[tuple[list, list]]:
+    """Each ordered partition of the items into two non-empty lists."""
+    for mask in range(1, (1 << len(items)) - 1):
+        yield (
+            [x for b, x in enumerate(items) if mask >> b & 1],
+            [x for b, x in enumerate(items) if not mask >> b & 1],
+        )
 
-    The target's cells are demanded, and a demanded cell demands both parts
-    of each of its splits.  Both parts have fewer leaves than the cell, so
-    one sweep down the leaf counts reads each cell's demand only once all of
-    it is in.
 
-    In biperm mode a left summand is drawn from the products of its cell
-    alone, yet the whole cell is demanded, because the target needs it whole
-    anyway.  Let C be the left summand and R the right part of a sum split
-    of a demanded cell D.  If R holds a product or a leaf, D also has the
-    split with R on the left and C on the right.  Otherwise a node of R is a
-    sum a + r, and D has the split with the cell of a on the left and the
-    cell of C + r on the right; there C is again a left summand, beside the
-    smaller right part of r.  So C is always the right part of a demanded
-    cell, and no cell needs a product-only mark.
-    """
-    demand: list[set] = [set() for _ in products]
-    for s in range(1, len(products)):
-        if target in products[s] or target in sums[s]:
-            demand[s].add(target)
-    for s in range(len(products) - 1, 1, -1):
-        for key in demand[s]:
-            for s1, p1, p2 in products[s].get(key, []) + sums[s].get(key, []):
-                demand[s1].add(p1)
-                demand[s - s1].add(p2)
-    return demand
+def _room(target: frozenset, keys: dict, bound: int) -> dict:
+    """{key: the bound less the fewest leaves beside the key on a path of
+    splits up to f}, the most a cell of the key may have to be part of a
+    cell of f within the bound.  A part of a cell within its room is within
+    its own.  A biperm left summand's room holds for all its key's cells,
+    though only products take part, so it may let a few more in.  The keys
+    reversed come parents first, as `_reach` adds each after those below."""
+    room = {target: bound}
+    for key in reversed(keys):
+        if key in room:
+            for k1, k2 in (*keys[key][2], *keys[key][3]):
+                room[k1] = max(room.get(k1, 0), room[key] - keys[k2][0][0])
+                room[k2] = max(room.get(k2, 0), room[key] - keys[k1][1][0])
+    return room
 
 
 def _build_cells(
-    f: RPoly, mode: str, demand: list[set], products: list[dict], sums: list[dict]
-) -> tuple[list, list[dict]]:
-    """Pass 3: the node table and cells[s][key] = (ids, k) for every
-    demanded cell.  The table lists each leaf as its tuple and each sum or
-    product as (tag, left id, right id); a cell's nodes get consecutive ids,
-    products first, so its ids are a range.  The first k of them may stand
-    as a left summand: all of them in sym mode, the products (or the leaf)
-    in biperm mode."""
-    leaves = _leaves(f)
+    leaves: dict, mode: str, keys: dict, room: dict, last: int
+) -> tuple[list, dict]:
+    """The node table and cells[key, s] = (ids, k) for the leaves, and for
+    every reached key and every count 1 < s <= min(last, room[key]) at
+    which it has nodes, built in increasing leaf count.  The table lists
+    each leaf as its tuple and each sum or product as (tag, left id, right
+    id); a cell's nodes get consecutive ids, products first, so its ids are
+    a range.  The first k of them may stand as a left part: all of them in
+    sym mode, the products (or the leaf) in biperm mode."""
     table: list = list(leaves.values())
-    cells: list[dict] = [{}, {key: (range(i, i + 1), 1) for i, key in enumerate(leaves)}]
-    for s in range(2, len(demand)):
-        level = {}
-        for key in demand[s]:
+    cells = {(key, 1): (range(i, i + 1), 1) for i, key in enumerate(leaves)}
+    levels: list[list] = [[] for _ in range(last + 1)]
+    for key, space in room.items():
+        for s in keys[key][0]:
+            if 1 < s <= min(last, space):
+                levels[s].append(key)
+    for s, level in enumerate(levels):
+        for key in level:
             start = len(table)
-            for s1, p1, p2 in products[s].get(key, ()):
-                right = cells[s - s1][p2][0]
-                table += [("*", a, b) for a in cells[s1][p1][0] for b in right]
-            n_products = len(table) - start
-            for s1, p1, p2 in sums[s].get(key, ()):
-                lefts, k = cells[s1][p1]
-                right = cells[s - s1][p2][0]
-                table += [("+", a, b) for a in lefts[:k] for b in right]
+            for tag, splits in (("*", keys[key][2]), ("+", keys[key][3])):
+                n_products = len(table) - start  # on the sums' turn: the products made
+                for k1, k2 in splits:
+                    for s1 in keys[k1][1]:
+                        right = cells.get((k2, s - s1))
+                        if right is not None:
+                            pool, k = cells[k1, s1]
+                            table += [(tag, a, b) for a in pool[:k] for b in right[0]]
             ids = range(start, len(table))
-            level[key] = (ids, len(ids) if mode == "sym" else n_products)
-        cells.append(level)
+            cells[key, s] = (ids, len(ids) if mode == "sym" else n_products)
     return table, cells
 
 

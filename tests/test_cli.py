@@ -407,6 +407,30 @@ def test_every_term_command_answers_at_the_depth_limit(command, shape, json_flag
     assert len(captured.err.splitlines()) == 1
 
 
+def _balanced_sum(leaves):
+    """The balanced sum of `leaves` x1 leaves, a power of two, as printed."""
+    text = "x1"
+    while leaves > 1:
+        text, leaves = f"({text} + {text})", leaves // 2
+    return text
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("leaves", [1024, 2048])
+@pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)
+def test_every_term_command_answers_on_a_wide_term(command, leaves, json_flag, capsys):
+    # The term is only 10 or 11 deep, but its bipermutative normal form is a
+    # chain of `leaves` summands, deeper than Python's recursion limit.
+    code = main(json_flag + _term_argv(command, _balanced_sum(leaves), 1))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if command[1] == "normalize":
+        chain = "(x1 + " * (leaves - 1) + "x1" + ")" * (leaves - 1)
+        result = _balanced_sum(leaves) if command[-1] == "sym" else chain
+        payload = json.dumps({"result": result}, indent=2) if json_flag else result
+        assert captured.out == payload + "\n"
+
+
 @pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)
 def test_a_negative_arity_is_a_usage_error(command, capsys):
     code = main(_term_argv(command, "0", -2))

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -38,9 +40,7 @@ from ringops.terms import (
     project,
     _MOVE_RULES,
     _bounded_fiber,
-    _build_cells,
-    _demand,
-    _split_table,
+    node_str,
     reduce_A,
     reduce_node,
     section_s,
@@ -201,6 +201,23 @@ class TestNormalizeBiperm:
     def test_sum_right_nesting(self):
         term = t(3, plus(plus(var(1), var(2)), var(3)))
         assert normalize_biperm(term) == t(3, plus(var(1), plus(var(2), var(3))))
+
+    def test_wide_terms_normalise_to_long_chains(self):
+        # A balanced tree of 2,048 leaves is 11 deep, but its normal form is
+        # a chain of 2,048 parts, past Python's default recursion limit.
+        # Chains that deep are compared as printed: tuple equality recurses.
+        def balanced(op, n):
+            node = var(1)
+            while n > 1:
+                node, n = (op, node, node), n // 2
+            return node
+
+        n = 2048
+        chain = "(x1 + " * (n - 1) + "x1" + ")" * (n - 1)
+        assert str(normalize_biperm(t(1, balanced("+", n)))) == chain
+        assert str(normalize_biperm(t(1, balanced("*", n)))) == chain.replace("+", "*")
+        wide = normalize_biperm(t(2, times(balanced("+", n), var(2))))
+        assert str(wide) == chain.replace("x1", "(x1 * x2)")
 
     def test_projection_preserved_exhaustively(self):
         leaves = [ZERO, ONE, var(1), var(2)]
@@ -712,6 +729,7 @@ def _forward_fiber(f, mode, bound):
 
 R3_FOUR_ORBITS = list(_up_to_relabelling([f for f in enumerate_R(3) if len(f) == 4]))
 DEMAND_POLYS = [f for n in range(3) for f in enumerate_R(n)] + R3_SMALL + R3_FOUR_ORBITS
+R4_SAMPLE = random.Random(4).sample([f for f in enumerate_R(4) if 0 < len(f) <= 3], 6)
 FIBER_SIZES = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "fiber_sizes.json").read_text()
 )["sizes"]
@@ -791,46 +809,63 @@ class TestDemandDrivenFiber:
 
     @pytest.mark.parametrize("mode", ["sym", "biperm"])
     def test_each_demanded_cell_is_the_sum_of_its_split_products(self, mode):
-        """A node's top split is read off the node, so a demanded cell has
+        """A node's top split is read off the node, so a built cell has
         exactly sum over its splits of |left pool| * |right cell| nodes, all
         distinct; a left summand is drawn from the products of its cell in
-        biperm mode.  Every left part of a demanded cell is also a right
-        part of one, the argument for `_demand` needing no product-only
-        mark."""
+        biperm mode.  Past f's last count, the cells built are the non-empty
+        ones of every key the walk reaches."""
         for f in DEMAND_POLYS:
             if f.is_zero:
                 continue
             target = frozenset(m.support for m in f.monomials)
-            products, sums = _split_table(f, mode, default_bound(f) + 2)
-            demand = _demand(target, products, sums)
-            table, cells = _build_cells(f, mode, demand, products, sums)
+            bound = default_bound(f) + 2
+            leaves = terms._leaves(f)
+            keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
+            last = max(terms._reach(target, mode, keys)[0])
+            room = terms._room(target, keys, bound)
+            table, cells = terms._build_cells(leaves, mode, keys, room, last)
+            assert last <= bound
 
-            def size(s, key):
-                return len(cells[s][key][0])
+            def size(key, s):
+                return len(cells.get((key, s), ((),))[0])
 
-            def summands(s, key):
-                nodes = [table[i] for i in cells[s][key][0]]
+            def summands(key, s):
+                nodes = [table[i] for i in cells.get((key, s), ((),))[0]]
                 return len(nodes) if mode == "sym" else sum(n[0] != "+" for n in nodes)
 
-            lefts = set()
-            rights = {(s, target) for s, level in enumerate(demand) if target in level}
-            for s in range(2, len(demand)):
-                assert cells[s].keys() == demand[s]
-                for key in demand[s]:
-                    ids, usable = cells[s][key]
-                    nodes = [table[i] for i in ids]
-                    assert usable == summands(s, key)
-                    made = 0
-                    for s1, p1, p2 in products[s].get(key, ()):
-                        made += size(s1, p1) * size(s - s1, p2)
-                        lefts.add((s1, p1))
-                        rights.add((s - s1, p2))
-                    for s1, p1, p2 in sums[s].get(key, ()):
-                        made += summands(s1, p1) * size(s - s1, p2)
-                        lefts.add((s1, p1))
-                        rights.add((s - s1, p2))
-                    assert len(set(nodes)) == len(nodes) == made, (str(f), s, key)
-            assert {cell for cell in lefts if cell[0] > 1} <= rights, str(f)
+            assert {cell for cell in cells if cell[1] > 1} == {
+                (key, s) for key, (counts, *_) in keys.items() for s in counts if s > 1
+            }, str(f)
+            for (key, s), (ids, usable) in cells.items():
+                if s == 1:
+                    continue
+                _, _, products, sums = keys[key]
+                nodes = [table[i] for i in ids]
+                assert usable == summands(key, s)
+                made = 0
+                for s1 in range(1, s):
+                    for p1, p2 in products:
+                        made += size(p1, s1) * size(p2, s - s1)
+                    for p1, p2 in sums:
+                        made += summands(p1, s1) * size(p2, s - s1)
+                assert len(set(nodes)) == len(nodes) == made > 0, (str(f), s, key)
+
+    @pytest.mark.parametrize("mode", ["sym", "biperm"])
+    def test_matches_the_forward_dp_on_arity_four(self, mode):
+        for f in R4_SAMPLE:
+            bound = default_bound(f) + 2
+            assert _padded(_bounded_fiber(f, mode, bound), bound) == _forward_fiber(
+                f, mode, bound
+            ), str(f)
+
+    def test_the_fiber_table_leaves_no_reference_cycles(self):
+        # A table is freed as soon as its last reference goes, not at the
+        # collector's next run.
+        f = parse_poly("R(3): x2*x3 + x1 + x1*x3 + x1*x2*x3")
+        for mode in ("sym", "biperm"):
+            gc.collect()
+            terms._fiber_table(f, mode, default_bound(f) + 2)
+            assert gc.collect() == 0, mode
 
     @pytest.mark.slow
     def test_the_two_largest_four_monomial_orbits_are_connected(self):
