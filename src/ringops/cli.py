@@ -14,7 +14,7 @@ from functools import cache
 from typing import Union
 
 from . import indexcat, operads, parsing, polynomials, terms, wreath
-from .errors import RingopsError
+from .errors import PreconditionViolation, RingopsError
 from .operad_pair import (
     build_RCG,
     component_signature,
@@ -27,6 +27,11 @@ from .polynomials import UNIT
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# The most leaves `term normalize --mode biperm` builds and prints.  Right
+# distributivity copies a right factor once per summand on its left, so a
+# product of k copies of (x1 + x1) has a normal form of 2^(k+1) - 2 leaves.
+MAX_NORMAL_FORM_LEAVES = 1 << 16
 
 
 def _builtin_operad(name: str):
@@ -334,9 +339,56 @@ def _run_rcg(args) -> int:
     return EXIT_OK
 
 
+_ZERO_FORM, _ONE_FORM = (1, 0, 0), (1, 1, 1)
+
+
+def _biperm_leaves(node) -> int:
+    """The leaf count of the node's bipermutative normal form, counted
+    bottom up without building it.  A normal form is summarised as
+    (leaves, tails, ones): its tails are the ends of its product chains,
+    where `terms._norm_times` puts a right factor, and `ones` of them are
+    the leaf 1, which the factor replaces.  A sum adds the summaries, and a
+    product with neither factor 0 or 1 keeps the left leaves but its 1
+    tails, adds the right's leaves once per left tail and multiplies the
+    tail counts.  0 is (1, 0, 0), the only form without tails, and 1 is
+    (1, 1, 1)."""
+    done = []
+    stack = [(node, False)]
+    while stack:
+        node, parts_done = stack.pop()
+        if len(node) < 3:
+            done.append(
+                _ZERO_FORM if node == terms.ZERO else _ONE_FORM if node == terms.ONE else (1, 1, 0)
+            )
+        elif not parts_done:
+            stack += ((node, True), (node[2], False), (node[1], False))
+        else:
+            right, left = done.pop(), done.pop()
+            if node[0] == "+":
+                done.append(
+                    right if left == _ZERO_FORM else left if right == _ZERO_FORM
+                    else tuple(a + b for a, b in zip(left, right))
+                )
+            elif _ZERO_FORM in (left, right):
+                done.append(_ZERO_FORM)
+            elif _ONE_FORM in (left, right):
+                done.append(right if left == _ONE_FORM else left)
+            else:
+                (leaves, tails, ones), (right_leaves, right_tails, right_ones) = left, right
+                done.append((leaves - ones + tails * right_leaves, tails * right_tails, tails * right_ones))
+    return done[0][0]
+
+
 def _run_term(args) -> int:
     if args.action == "normalize":
         term = parsing.parse_term(args.term, args.arity)
+        if args.mode == "biperm":
+            leaves = _biperm_leaves(term.node)
+            if leaves > MAX_NORMAL_FORM_LEAVES:
+                raise PreconditionViolation(
+                    f"the bipermutative normal form has {leaves} leaves, "
+                    f"more than {MAX_NORMAL_FORM_LEAVES}"
+                )
         result = (
             terms.reduce_A(term)
             if args.mode == "sym"

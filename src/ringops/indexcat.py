@@ -29,7 +29,7 @@ from .polynomials import (
     RPoly,
     TypeSignature,
     _block_offsets,
-    _image_mask,
+    _images_of,
     _monomial,
     _substitute,
     _support,
@@ -389,7 +389,7 @@ def induced_lambda_maps(mor: RMorphism) -> LambdaMaps:
     phi_prime: dict[Monomial, Monomial] = {}
     per_monomial: dict[Monomial, dict[int, int]] = {}
     for mask in mor.source.masks:
-        image = _image_mask(phi.images, mask)
+        image = _images_of(phi.images)[mask]
         if image is None:
             continue
         target_mono = _monomial(target_arity, image)

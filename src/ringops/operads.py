@@ -39,9 +39,10 @@ for its run and drops at the end.  Its contract:
   operad directly would;
 - `gamma_row(shape, key)` is the one function the gamma tables fill from.
   `validate_algebra` calls it directly and keeps no gamma table: its
-  associativity reads each shape's rows once, one composite at a time, so
-  a table per shape would be filled once and read once.  `check_axioms`
-  keeps the tables, because its sections read one shape's rows again;
+  associativity builds one (g, arity tuple) block of the plan at a time and
+  reads each shape's rows once per build, so a table per shape would be
+  filled once and read once.  `check_axioms` keeps the tables, because its
+  sections read one shape's rows again;
 - a missing gamma row (GammaUndefined) is stored as `_SKIP`; a replayed
   instance stops at its first `_SKIP`, but building its block whole may
   already have evaluated rows past it, and in another order.  Rows are
@@ -332,13 +333,21 @@ def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...], RP
     """The composition-shape plan: triples (g, args, g(args)) with |g| in
     1..cap and total argument arity <= cap; g in `enumerate_R` order, then
     the arity tuples in `_arity_tuples` order, then the argument tuples in
-    product order, as `_poly_tuples` lists them.
+    product order, as `_poly_tuples` lists them."""
+    for g, shapes in _composition_blocks(cap):
+        for args, composite in shapes:
+            yield g, args, composite
 
-    The shifted slot masks of every argument are built once per arity
-    tuple and serve every g, so a composite is one `_products` expansion.
-    Composites never go through `compose`, whose cache would keep one entry
-    per shape (70,750 at cap 3) for 139 distinct composites.
-    """
+
+def _composition_blocks(cap: int) -> Iterator[tuple[RPoly, list]]:
+    """The plan as one block per (g, arity tuple): g and its list of
+    (args, g(args)) pairs.  A composite is the union over g's monomials u
+    of the products of u's slots, which `_products` expands once per run
+    for each (u of several slots, argument tuple); slot masks are shifted
+    once per arity tuple.  Composites never go through `compose`, whose
+    cache would keep one entry per shape (70,750 at cap 3) for 139
+    distinct composites."""
+    products: dict = {}
     for k in range(1, cap + 1):
         blocks = []
         for arities in _arity_tuples(k, cap):
@@ -348,8 +357,19 @@ def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...], RP
             blocks.append((total, pools, slot_pools))
         for g in enumerate_R(k):
             for total, pools, slot_pools in blocks:
+                shapes = []
                 for args, slots in zip(itertools.product(*pools), itertools.product(*slot_pools)):
-                    yield g, args, _lambda_sorted(total, _products(g.masks, slots))
+                    masks = []
+                    for u in g.masks:
+                        if u & (u - 1):
+                            key = u, slots
+                            if key not in products:
+                                products[key] = _products((u,), slots)
+                            masks += products[key]
+                        else:
+                            masks += slots[u.bit_length() - 1]
+                    shapes.append((args, _lambda_sorted(total, masks)))
+                yield g, shapes
 
 
 def _blocks(fs: Sequence[RPoly]) -> tuple[list[tuple[int, int]], int]:
@@ -369,11 +389,15 @@ def _check_cap(cap: int) -> None:
 
 @lru_cache(maxsize=8)
 def _all_morphisms(cap: int) -> tuple[RMorphism, ...]:
+    """Every morphism between arities <= cap: by source in `enumerate_R`
+    order, then target arity, then map in `_all_maps` order.  Each
+    `_all_maps(m, n)` is listed once, for every f of arity m."""
     out = []
     for m in range(cap + 1):
+        maps = [tuple(_all_maps(m, n)) for n in range(cap + 1)]
         for f in enumerate_R(m):
-            for n in range(cap + 1):
-                for phi in _all_maps(m, n):
+            for n, phis in enumerate(maps):
+                for phi in phis:
                     g = _substitute(phi.images, n, f)
                     if g is not None:
                         out.append(RMorphism(f, phi, g))
@@ -635,16 +659,20 @@ def _composites(view, g, fs, report, gamma):
 def _holds_whole(size, sides, *args):
     """Whether a block of `size` instances holds as a whole.  It must have
     more than one instance, and sides(*args) must build its two sides as
-    flat lists in instance order, equal; sides returns None at a `_SKIP`.
-    A row that raises while they are built settles nothing: the block's
-    replay meets the row again at its instance."""
+    flat lists in instance order, equal; sides returns None at a `_SKIP`."""
     if size < 2:
         return False
-    try:
-        built = sides(*args)
-    except Exception:
-        return False
+    built = _whole_sides(sides, *args)
     return built is not None and built[0] == built[1]
+
+
+def _whole_sides(sides, *args):
+    """sides(*args), or None if a row raises while they are built.  Such a
+    row settles nothing: the block's replay meets it again at its instance."""
+    try:
+        return sides(*args)
+    except Exception:
+        return None
 
 
 def _check_associativity(view, cap, report):
@@ -1191,24 +1219,48 @@ def _algebra_unit(view, algebra):
 
 
 def _algebra_associativity(view, algebra, cap, report, thetas):
-    """One block per composite (c, xs, composed): theta of the composite
-    against theta of g at the inner values.  The blocks of the arguments are
-    contiguous, so the product of their rows runs in the order of
-    product(carrier, repeat=total).  Each gamma row is read once here, so it
-    comes straight from the view's `gamma_row`, with no table per shape."""
+    """One block per (g, arity tuple) of the plan: theta of each composite
+    (c, xs, composed) against theta of g at the inner values, replayed one
+    composite at a time unless it holds whole.  Gamma rows come straight
+    from the view's `gamma_row`, with no table per shape."""
     rows, at = thetas
-    for g, fs, composite in _composition_shapes(cap):
-        gamma = partial(view.gamma_row, (g, fs))
-        for c, xs, composed in _composites(view, g, fs, report, gamma):
-            lhs = rows[composite, composed]
-            outer = at[g, c]
-            rhs = tuple(map(outer.__getitem__, itertools.product(
-                *[rows[f, x] for f, x in zip(fs, xs)]
-            )))
-            yield from _block_verdicts(lhs, rhs, lambda i: (
-                f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
-                f"{lhs[i]!r} != {rhs[i]!r}"
-            ))
+    for g, shapes in _composition_blocks(cap):
+        built = _whole_sides(_algebra_sides, view, g, shapes, thetas)
+        if built is not None and built[0] == built[1]:
+            yield len(built[0])
+            continue
+        for fs, composite in shapes:
+            gamma = partial(view.gamma_row, (g, fs))
+            for c, xs, composed in _composites(view, g, fs, report, gamma):
+                lhs = rows[composite, composed]
+                outer = at[g, c]
+                rhs = tuple(map(outer.__getitem__, itertools.product(
+                    *[rows[f, x] for f, x in zip(fs, xs)]
+                )))
+                yield from _block_verdicts(lhs, rhs, lambda i: (
+                    f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
+                    f"{lhs[i]!r} != {rhs[i]!r}"
+                ))
+
+
+def _algebra_sides(view, g, shapes, thetas):
+    """Both sides of one block as flat lists, composite by composite; None
+    at a `_SKIP`.  The argument blocks are contiguous, so the product of
+    their rows runs in the order of product(carrier, repeat=total)."""
+    rows, at = thetas
+    component, gamma = view.component, view.gamma_row
+    lhs, rhs = [], []
+    for fs, composite in shapes:
+        pools = [component[f] for f in fs]
+        for c in component[g]:
+            outer = at[g, c].__getitem__
+            for xs in itertools.product(*pools):
+                composed = gamma((g, fs), (c, *xs))
+                if composed is _SKIP:
+                    return None
+                lhs += rows[composite, composed]
+                rhs += map(outer, itertools.product(*[rows[f, x] for f, x in zip(fs, xs)]))
+    return lhs, rhs
 
 
 def _nth_tuple(algebra, f, i):

@@ -31,6 +31,8 @@ composition with UNIT counts its products into an IntPoly and re-checks.
 A based map acts on a monomial by substitution, where an image 0 kills the
 monomial and an image e (-1) drops the variable: `_image_key` substitutes one
 monomial keeping squares visible, and `_image_mask` maps it onto a mask.
+`_substitute` is the one substitution kernel: it reads each mask's image
+from the map's table (`_images_of`), built once per images tuple.
 """
 from __future__ import annotations
 
@@ -388,12 +390,34 @@ def _image_mask(images: Sequence[int], mask: int) -> Union[int, None]:
     return _mask(key) if len(set(key)) == len(key) else -1
 
 
-def _substitute(images: Sequence[int], target_arity: int, f: RPoly) -> Union[RPoly, None]:
+class _Images(dict):
+    """One map's image table: mask -> `_image_mask(images, mask)`, each
+    entry computed on its first lookup."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, mask: int) -> Union[int, None]:
+        image = self[mask] = _image_mask(self.images, mask)
+        return image
+
+
+# One image table per map: 156 of them serve the 11,806 morphisms of cap 3.
+_images_of = lru_cache(maxsize=1 << 12)(_Images)
+
+
+def _substitute(images: tuple[int, ...], target_arity: int, f: RPoly) -> Union[RPoly, None]:
     """f(a_phi(1), ..., a_phi(m)) as an RPoly, or None when it is not in R
-    (a square, a repeated monomial or a constant term)."""
+    (a square, a repeated monomial or a constant term).  Each monomial's
+    image is read from the map's table, so a map shared by many sources
+    substitutes each mask once."""
+    table = _images_of(images)
     out = []
     for mask in f.masks:
-        image = _image_mask(images, mask)
+        image = table[mask]
         if image is None:
             continue
         if image <= 0:

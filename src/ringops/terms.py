@@ -103,18 +103,25 @@ class Term:
         return _leaf_count(self.node)
 
 
+def _leaves_of(node: Node) -> Iterator[Node]:
+    """The leaves of the node from left to right.  This, `_project` and
+    `is_reduced_node` walk with an explicit stack, since a normal form's
+    chain can be as long as its leaf count."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if len(node) == 3:
+            stack += (node[2], node[1])
+        else:
+            yield node
+
+
 def _variables(node: Node) -> Iterator[int]:
-    if node[0] == "v":
-        yield node[1]
-    elif node[0] in ("+", "*"):
-        yield from _variables(node[1])
-        yield from _variables(node[2])
+    return (leaf[1] for leaf in _leaves_of(node) if leaf[0] == "v")
 
 
 def _leaf_count(node: Node) -> int:
-    if node[0] in ("0", "1", "v"):
-        return 1
-    return _leaf_count(node[1]) + _leaf_count(node[2])
+    return sum(1 for _ in _leaves_of(node))
 
 
 def node_str(node: Node) -> str:
@@ -188,15 +195,25 @@ def project(term: Term) -> IntPoly:
 
 
 def _project(node: Node, arity: int) -> IntPoly:
-    if node == ZERO:
-        return int_zero(arity)
-    if node == ONE:
-        return int_const(arity, 1)
-    if node[0] == "v":
-        return IntPoly.make(arity, {(node[1],): 1})
-    left = _project(node[1], arity)
-    right = _project(node[2], arity)
-    return left.add(right) if node[0] == "+" else left.mul(right)
+    """Bottom up with an explicit stack: a node is pushed once to expand
+    its parts and once more to combine their projections."""
+    done: list[IntPoly] = []
+    stack = [(node, False)]
+    while stack:
+        node, parts_done = stack.pop()
+        if node == ZERO:
+            done.append(int_zero(arity))
+        elif node == ONE:
+            done.append(int_const(arity, 1))
+        elif node[0] == "v":
+            done.append(IntPoly.make(arity, {(node[1],): 1}))
+        elif not parts_done:
+            stack += ((node, True), (node[2], False), (node[1], False))
+        else:
+            right = done.pop()
+            left = done.pop()
+            done.append(left.add(right) if node[0] == "+" else left.mul(right))
+    return done[0]
 
 
 def _substitute(node: Node, leaf) -> Node:
@@ -298,23 +315,21 @@ def normalize_biperm(term: Term) -> Term:
 
 
 def is_reduced_node(node: Node) -> bool:
-    if node in (ZERO, ONE) or node[0] == "v":
-        return True
-    if node[0] == "*":
+    """Every product has a variable on the left and no 0/1 on the right,
+    and every sum has no 0 part and no sum on the left."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if len(node) < 3:
+            continue
         left, right = node[1], node[2]
-        return (
-            left[0] == "v"
-            and right not in (ZERO, ONE)
-            and is_reduced_node(right)
-        )
-    left, right = node[1], node[2]
-    return (
-        left != ZERO
-        and right != ZERO
-        and left[0] != "+"
-        and is_reduced_node(left)
-        and is_reduced_node(right)
-    )
+        if node[0] == "*":
+            if left[0] != "v" or right in (ZERO, ONE):
+                return False
+        elif left == ZERO or right == ZERO or left[0] == "+":
+            return False
+        stack += (right, left)
+    return True
 
 
 def is_reduced(term: Term) -> bool:

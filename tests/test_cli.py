@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringops.cli import main
+from ringops.cli import MAX_NORMAL_FORM_LEAVES, _biperm_leaves, main
 from ringops.parsing import MAX_TERM_DEPTH
+from ringops.terms import ONE, ZERO, Term, normalize_biperm, var
 
 
 def run(capsys, *argv):
@@ -429,6 +431,37 @@ def test_every_term_command_answers_on_a_wide_term(command, leaves, json_flag, c
         result = _balanced_sum(leaves) if command[-1] == "sym" else chain
         payload = json.dumps({"result": result}, indent=2) if json_flag else result
         assert captured.out == payload + "\n"
+
+
+def _random_node(rng, leaves):
+    if leaves == 1:
+        return rng.choice([ZERO, ONE, var(1), var(2)])
+    left = rng.randint(1, leaves - 1)
+    return (rng.choice("+*"), _random_node(rng, left), _random_node(rng, leaves - left))
+
+
+def test_the_normal_form_leaf_count_matches_the_built_normal_form():
+    rng = random.Random(18)
+    for _ in range(3000):
+        node = _random_node(rng, rng.randint(1, 12))
+        assert _biperm_leaves(node) == normalize_biperm(Term(2, node)).leaves
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("factors, leaves", [(15, 65534), (16, 131070), (30, 2**31 - 2)])
+def test_a_normal_form_past_the_leaf_limit_is_a_usage_error(factors, leaves, json_flag, capsys):
+    # A product of k copies of (x1+x1) has 2^(k+1) - 2 leaves in normal form.
+    text = "*".join(["(x1+x1)"] * factors)
+    code = main(json_flag + ["term", "normalize", text, "--arity", "1", "--mode", "biperm"])
+    captured = capsys.readouterr()
+    if leaves <= MAX_NORMAL_FORM_LEAVES:
+        assert (code, captured.err) == (0, "")
+        return
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: the bipermutative normal form has {leaves} leaves, "
+        f"more than {MAX_NORMAL_FORM_LEAVES}\n"
+    )
 
 
 @pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)

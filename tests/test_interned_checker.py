@@ -8,6 +8,7 @@ exception at the same instance.
 """
 import dataclasses
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -47,6 +48,7 @@ from ringops.operads import (
     _blocks,
     _check_cap,
     _check_sections,
+    _composition_blocks,
     _composition_shapes,
     _morphisms_within,
     _nondegenerate_objects,
@@ -561,19 +563,41 @@ def test_algebra_skips_missing_gamma_rows_alike(source):
     assert report.ok and report.skipped > 0
 
 
-@pytest.mark.parametrize("source, seed", [("strict", 1), ("pset", 1), ("pset", 4)])
-def test_a_failing_row_raises_alike_in_the_algebra_check(source, seed):
-    table = _table(source, 2)
-    operad = _BreaksOnOneRow(table, random.Random(seed).choice(sorted(table._gamma_rows)))
+def _assert_raises_alike(operad):
+    """Both algebra checks raise the broken row's error, with equal budgets used."""
     raised = []
     for check in (validate_algebra, reference_validate_algebra):
         budget = Budget()
         with pytest.raises(RingopsError) as err:
             check(operad, boolean_rig_algebra(), 2, budget)
         raised.append((type(err.value), str(err.value), budget.used))
-    (new_type, new_text, new_used), (ref_type, ref_text, ref_used) = raised
-    assert (new_type, new_text) == (ref_type, ref_text) == (RingopsError, "broken row")
-    assert new_used <= ref_used
+    assert raised[0] == raised[1]
+    assert raised[0][:2] == (RingopsError, "broken row")
+
+
+@pytest.mark.parametrize("source, seed", [("strict", 1), ("pset", 1), ("pset", 4)])
+def test_a_failing_row_raises_alike_in_the_algebra_check(source, seed):
+    table = _table(source, 2)
+    _assert_raises_alike(_BreaksOnOneRow(table, random.Random(seed).choice(sorted(table._gamma_rows))))
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_a_failing_row_raises_alike_anywhere_in_a_block(place):
+    # The associativity blocks are (g, arity tuple) pairs of the plan; a
+    # block that raises is replayed composite by composite from its start.
+    table = _table("pset", 2)
+    g, shapes = next(
+        (g, shapes) for g, shapes in _composition_blocks(2)
+        if len(shapes) > 2 and len(table.component(g)) > 1
+    )
+    rows = [
+        (c, xs)
+        for fs, _ in shapes
+        for c in table.component(g)
+        for xs in itertools.product(*map(table.component, fs))
+    ]
+    key = rows[{"first": 0, "middle": len(rows) // 2, "last": -1}[place]]
+    _assert_raises_alike(_BreaksOnOneRow(table, key))
 
 
 def test_the_algebra_check_keeps_no_gamma_table(monkeypatch):
@@ -717,6 +741,42 @@ def test_a_theta_flip_on_a_sum_diagonal_passes_cap2_and_fails_cap3(poly):
     assert report.failure == (
         f"associativity: g=R(2): x2, args=['R(1): 0', '{poly}'], xs=(0, 1, 1): 1 != 0"
     )
+
+
+def _composite_place(operad, cap, index):
+    """(position, count) of the composite holding associativity instance
+    `index` among the composites of its (g, arity tuple) block."""
+    start = 0
+    for g, shapes in _composition_blocks(cap):
+        sizes = [
+            2 ** composite.arity
+            for fs, composite in shapes
+            for _ in range(len(operad.component(g)) * math.prod(len(operad.component(f)) for f in fs))
+        ]
+        for position, size in enumerate(sizes):
+            if index < start + size:
+                return position, len(sizes)
+            start += size
+    raise AssertionError(f"instance {index} lies past the last block")
+
+
+@pytest.mark.parametrize("poly, element, values, place", [
+    (zero_poly(2), "0", (0, 0), "first"),
+    (rpoly(2, [(2,)]), "x2", (1, 1), "middle"),
+    (rpoly(2, [(1, 2)]), "(x2 * x1)", (0, 1), "last"),
+])
+def test_theta_flips_fail_alike_anywhere_in_a_block(poly, element, values, place):
+    # pset blocks hold several composites per argument tuple, so a flip at
+    # one element fails at one composite of a block settled whole elsewhere.
+    operad = OPERADS["pset"]()
+    (elt,) = [x for x in operad.component(poly) if str(x) == element]
+    algebra = _wrong_at(boolean_rig_algebra(), poly, values, elt)
+    report = validate_algebra(operad, algebra, 2)
+    assert _fields(report) == _fields(reference_validate_algebra(operad, algebra, 2))
+    assert report.failure.startswith("associativity: ")
+    index = report.checked - 1 - sum(report.sections.values())
+    position, count = _composite_place(operad, 2, index)
+    assert count > 2 and _place_kind(position, count) == place
 
 
 class _ThetaBroke(RingopsError):

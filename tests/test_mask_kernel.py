@@ -5,7 +5,8 @@ support tuples, the way the kernel stored it before monomials became bit
 masks, and computes lambda order, printing, the enumeration order, type,
 non-degeneracy and boolean evaluation from that.  Each test
 compares the mask kernel with it on all of R(0..3), and the enumeration
-order on R(4) too.
+order on R(4) too.  The substitution kernel, which reads one image table per
+map, is also compared with the per-monomial loop it replaced.
 """
 import itertools
 import os
@@ -17,10 +18,13 @@ import pytest
 
 import ringops
 from ringops.errors import NotInR
-from ringops.operads import eval_rpoly_bool
+from ringops.indexcat import RMorphism, _all_maps
+from ringops.operads import _all_morphisms, eval_rpoly_bool
 from ringops.polynomials import (
     TypeSignature,
     _expand,
+    _image_mask,
+    _lambda_sorted,
     _products,
     _substitute,
     canon_str,
@@ -124,8 +128,23 @@ def test_classification_matches_reference():
         assert is_nondegenerate(f) == ref_is_nondegenerate(f.arity, supports)
 
 
+def _per_monomial_substitute(images, n, f):
+    """`_substitute` as it read each monomial's image before image tables."""
+    out = []
+    for mask in f.masks:
+        image = _image_mask(images, mask)
+        if image is None:
+            continue
+        if image <= 0:
+            return None
+        out.append(image)
+    return None if len(set(out)) != len(out) else _lambda_sorted(n, out)
+
+
 def test_member_substitution_matches_the_integer_one():
-    # substitute_images is compared with the Monomial-set loop in test_polynomials
+    # substitute_images is compared with the Monomial-set loop in
+    # test_polynomials; the per-monomial loop is `_substitute` before it read
+    # one image table per map.
     pairs = 0
     for f in POLYS:
         for n in range(4):
@@ -134,9 +153,23 @@ def test_member_substitution_matches_the_integer_one():
                     member = to_rpoly(substitute_images(images, n, f))
                 except NotInR:
                     member = None
-                assert _substitute(images, n, f) == member
+                assert _substitute(images, n, f) == member == _per_monomial_substitute(images, n, f)
                 pairs += 1
     assert pairs == 29136
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_all_morphisms_match_a_per_source_listing(cap):
+    listed = tuple(
+        RMorphism(f, phi, g)
+        for m in range(cap + 1)
+        for f in enumerate_R(m)
+        for n in range(cap + 1)
+        for phi in _all_maps(m, n)
+        for g in [_per_monomial_substitute(phi.images, n, f)]
+        if g is not None
+    )
+    assert _all_morphisms(cap) == listed
 
 
 def test_boolean_evaluation_matches_reference():

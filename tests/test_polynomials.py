@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ringops.errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
-from ringops.operads import _arity_tuples, _composition_shapes
+from ringops.operads import _arity_tuples, _composition_blocks, _composition_shapes
 from ringops.polynomials import (
     IntPoly,
     Monomial,
@@ -327,6 +327,17 @@ class TestKernelDifferential:
             for args in itertools.product(*map(enumerate_R, arities))
         ]
         assert [(g, args) for g, args, _ in _composition_shapes(cap)] == nested
+
+    @pytest.mark.parametrize("cap, count", [(1, 4), (2, 54), (3, 2648)])
+    def test_plan_blocks_are_its_shapes_grouped_by_g_and_arity_tuple(self, cap, count):
+        blocks = list(_composition_blocks(cap))
+        assert len(blocks) == count
+        keys = [(g, tuple(f.arity for f in shapes[0][0])) for g, shapes in blocks]
+        assert len(set(keys)) == count
+        for (g, arities), (_, shapes) in zip(keys, blocks):
+            assert all(tuple(f.arity for f in args) == arities for args, _ in shapes)
+        flat = [(g, args, composite) for g, shapes in blocks for args, composite in shapes]
+        assert flat == list(_composition_shapes(cap))
 
     def test_extended_compose_matches_reference(self):
         pool = [UNIT] + enumerate_R(0) + enumerate_R(1)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from position_walk import position_moves, positions
 from ringops import terms
 from ringops.cli import main
-from ringops.errors import FiberNotStable, NotReduced, PreconditionViolation
+from ringops.errors import ArityMismatch, FiberNotStable, NotReduced, PreconditionViolation
 from ringops.indexcat import E, ExtMap, validate
 from ringops.operads import check_axioms
 from ringops.parsing import parse_poly
@@ -218,6 +218,19 @@ class TestNormalizeBiperm:
         assert str(normalize_biperm(t(1, balanced("*", n)))) == chain.replace("+", "*")
         wide = normalize_biperm(t(2, times(balanced("+", n), var(2))))
         assert str(wide) == chain.replace("x1", "(x1 * x2)")
+
+    def test_term_helpers_walk_a_deep_normal_form(self):
+        # The normal form of a balanced sum of 2,048 x1 leaves is a chain of
+        # 2,048 summands; no helper may recurse once per part.
+        node = var(1)
+        for _ in range(11):
+            node = plus(node, node)
+        nf = normalize_biperm(t(1, node))
+        assert is_reduced(nf)
+        assert Term(1, nf.node).leaves == nf.leaves == 2048
+        assert project(nf).coeffs() == {(1,): 2048}
+        with pytest.raises(ArityMismatch):
+            Term(0, nf.node)
 
     def test_projection_preserved_exhaustively(self):
         leaves = [ZERO, ONE, var(1), var(2)]
