@@ -32,6 +32,10 @@ EXIT_USAGE = 2
 # distributivity copies a right factor once per summand on its left, so a
 # product of k copies of (x1 + x1) has a normal form of 2^(k+1) - 2 leaves.
 MAX_NORMAL_FORM_LEAVES = 1 << 16
+# The most monomials of any partial expansion `term project` builds.  A
+# product of k copies of a sum of n variables expands to C(k+n-1, n-1)
+# monomials: 20 copies of a 6-variable sum give 53,130, 21 give 65,780.
+MAX_PROJECTION_MONOMIALS = 1 << 16
 
 
 def _builtin_operad(name: str):
@@ -398,7 +402,7 @@ def _run_term(args) -> int:
         return EXIT_OK
     if args.action == "project":
         term = parsing.parse_term(args.term, args.arity)
-        projection = terms.project(term)
+        projection = terms.project(term, MAX_PROJECTION_MONOMIALS)
         try:
             as_poly = parsing.print_poly(polynomials.to_rpoly(projection))
             payload = {"in_R": True, "poly": as_poly}

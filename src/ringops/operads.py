@@ -43,6 +43,15 @@ for its run and drops at the end.  Its contract:
   reads each shape's rows once per build, so a table per shape would be
   filled once and read once.  `check_axioms` keeps the tables, because its
   sections read one shape's rows again;
+- the row tables hold ids of rows, tuples of gamma ids interned by value
+  for the whole run, so two row ids are equal exactly when their rows are;
+  a row that holds a `_SKIP`, or is built from one that does, has the id
+  None.  `composed_rows[p, hs]` maps x to the id of the row gamma(p; x, ys)
+  over the product of hs's components, and `nested_rows[g, targets]` maps
+  (c, *row ids) to the id of the row gamma(g; c, inner) over the product of
+  those rows.  They are `_Tables` kept like the gamma tables, and fetch
+  their gamma table through the view at each row they fill, so a dropped
+  gamma table is never kept alive;
 - a missing gamma row (GammaUndefined) is stored as `_SKIP`; a replayed
   instance stops at its first `_SKIP`, but building its block whole may
   already have evaluated rows past it, and in another order.  Rows are
@@ -447,8 +456,9 @@ class _Tables(dict):
 
 
 class _Interned:
-    """Element ids, components as id tuples, and lazy int tables for act and
-    gamma over one operad; the module docstring states the contract."""
+    """Element ids, components as id tuples, and lazy int tables for act,
+    gamma and rows of gamma over one operad; the module docstring states the
+    contract."""
 
     def __init__(self, operad: DiscreteRingOperad):
         ids: dict = {}
@@ -475,6 +485,28 @@ class _Interned:
         def act_row(mor, x):
             return intern(operad.act(mor, elements[x]))
 
+        row_ids: dict = {}
+        rows: list = []
+
+        def row_id(row):
+            if _SKIP in row:
+                return None
+            index = row_ids.get(row)
+            if index is None:
+                index = row_ids[row] = len(rows)
+                rows.append(row)
+            return index
+
+        def composed_row(shape, x):
+            keys = itertools.product((x,), *map(components.__getitem__, shape[1]))
+            return row_id(tuple(map(gammas[shape].__getitem__, keys)))
+
+        def nested_row(shape, key):
+            if None in key:
+                return None
+            keys = itertools.product(key[:1], *map(rows.__getitem__, key[1:]))
+            return row_id(tuple(map(gammas[shape].__getitem__, keys)))
+
         # The rows close over these locals, never over self, so a dropped
         # view is freed at once rather than by the cycle collector.
         self.operad = operad
@@ -483,8 +515,10 @@ class _Interned:
         self.component = components = _Table(component_row)
         self.members = _Table(lambda _, f: frozenset(components[f]))
         self.gamma_row = gamma_row
-        self._gamma = _Tables(gamma_row)
+        self._gamma = gammas = _Tables(gamma_row)
         self._act = _Tables(act_row)
+        self.composed_rows = _Tables(composed_row)
+        self.nested_rows = _Tables(nested_row)
 
     def gamma_table(self, g: RPoly, fs: Sequence[RPoly]) -> dict:
         return self._gamma[g, tuple(fs)]
@@ -659,7 +693,8 @@ def _composites(view, g, fs, report, gamma):
 def _holds_whole(size, sides, *args):
     """Whether a block of `size` instances holds as a whole.  It must have
     more than one instance, and sides(*args) must build its two sides as
-    flat lists in instance order, equal; sides returns None at a `_SKIP`."""
+    lists that are equal only when every instance holds; sides returns None
+    at a `_SKIP`."""
     if size < 2:
         return False
     built = _whole_sides(sides, *args)
@@ -677,54 +712,54 @@ def _whole_sides(sides, *args):
 
 def _check_associativity(view, cap, report):
     """One block per (g, fs, hs): every composite (c, xs, top) over g and fs,
-    then every ys over hs."""
+    then every ys over hs.
+
+    A block is settled on row ids, one per top and side.  The left row is
+    gamma(composite; top, ys) over every ys; the right row is
+    gamma(g; c, inner...) over the product of the inner rows
+    gamma(f_s; x_s, ys_s), which runs in the order of ys because the
+    argument blocks of ys are contiguous.  Rows are interned by value, so
+    equal ids mean equal rows, which means every instance of that top
+    holds; a block whose id lists are equal and hold no None (a row that
+    reads a `_SKIP`) holds whole.  The top ids and the c and x columns of a
+    (g, fs) are read off its tops once."""
     for g, fs, composite in _composition_shapes(cap):
         blocks, total = _blocks(fs)
         tops = list(_composites(view, g, fs, report, view.gamma_table(g, fs).__getitem__))
-        pools = [view.component[f] for f in fs]
+        columns = list(zip(*[(top, c, *xs) for c, xs, top in tops]))
         for hs in _poly_tuples(total, cap):
-            inner_targets = [
+            inner_targets = tuple(
                 compose(fs[s], hs[a:b]) if b > a else fs[s]
                 for s, (a, b) in enumerate(blocks)
-            ]
+            )
+            h_pools = [view.component[h] for h in hs]
+            size = len(tops) * math.prod(map(len, h_pools))
+            shape = g, fs, hs
+            sides = view, shape, composite, blocks, inner_targets, columns
+            if _holds_whole(size, _associativity_ids, *sides):
+                yield size
+                continue
             tables = (
                 view.gamma_table(composite, hs),
                 [(view.gamma_table(fs[s], hs[a:b]), a, b) for s, (a, b) in enumerate(blocks)],
                 view.gamma_table(g, inner_targets),
             )
-            h_pools = [view.component[h] for h in hs]
-            size = len(tops) * math.prod(map(len, h_pools))
-            if _holds_whole(size, _associativity_sides, tops, pools, h_pools, *tables):
-                yield size
-            else:
-                yield from _associativity_instances(
-                    view, report, (g, fs, hs), tops, h_pools, *tables
-                )
+            yield from _associativity_instances(view, report, shape, tops, h_pools, *tables)
 
 
-def _associativity_sides(tops, pools, h_pools, lhs_table, nested_tables, rhs_table):
-    """gamma(composite; top, ys) against gamma(g; c, inner...), where the
-    inner rows gamma(f_s; x, ys_s) are built once per (slot, element): the
-    argument blocks of ys are contiguous, so the product of a top's inner
-    rows runs in the order of ys."""
-    top_ids = [top for _, _, top in tops]
-    lhs = list(map(lhs_table.__getitem__, itertools.product(top_ids, *h_pools)))
-    if _SKIP in lhs:
+def _associativity_ids(view, shape, composite, blocks, inner_targets, columns):
+    """The left and right row ids of a block's tops, or None if a left row
+    reads a `_SKIP`; a right one that does is None and fails the comparison."""
+    g, fs, hs = shape
+    top_ids, cs, *x_columns = columns
+    lhs = list(map(view.composed_rows[composite, hs].__getitem__, top_ids))
+    if None in lhs:
         return None
-    rows = []
-    for pool, (table, a, b) in zip(pools, nested_tables):
-        ys_pools = h_pools[a:b]
-        row = {
-            x: list(map(table.__getitem__, itertools.product((x,), *ys_pools))) for x in pool
-        }
-        if any(_SKIP in inner for inner in row.values()):
-            return None
-        rows.append(row)
-    rhs = []
-    for c, xs, _ in tops:
-        inner = map(dict.__getitem__, rows, xs)
-        rhs += map(rhs_table.__getitem__, itertools.product((c,), *inner))
-    return lhs, rhs
+    inner = [
+        map(view.composed_rows[f, hs[a:b]].__getitem__, xs)
+        for f, (a, b), xs in zip(fs, blocks, x_columns)
+    ]
+    return lhs, list(map(view.nested_rows[g, inner_targets].__getitem__, zip(cs, *inner)))
 
 
 def _associativity_instances(

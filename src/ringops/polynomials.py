@@ -43,7 +43,13 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Iterable, Sequence, Union
 
-from .errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
+from .errors import (
+    ArityCapExceeded,
+    ArityMismatch,
+    InvalidSignature,
+    NotInR,
+    PreconditionViolation,
+)
 
 ENUMERATION_CAP = 4
 
@@ -239,9 +245,12 @@ class IntPoly:
         out = self.coeffs()
         for key, c in other.terms:
             out[key] = out.get(key, 0) + c
-        return IntPoly.make(self.arity, out)
+        return self._from_valid(out)
 
-    def mul(self, other: "IntPoly") -> "IntPoly":
+    def mul(self, other: "IntPoly", max_terms: Union[int, None] = None) -> "IntPoly":
+        """The product.  With `max_terms`, it stops as soon as the product
+        has more monomials; it counts every key met, so coefficients must
+        not cancel, as in a projection, where all of them are positive."""
         if other.arity != self.arity:
             raise ArityMismatch("cannot multiply polynomials of different arities")
         out: dict[tuple[int, ...], int] = {}
@@ -249,7 +258,16 @@ class IntPoly:
             for k2, c2 in other.terms:
                 key = tuple(sorted(k1 + k2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return IntPoly.make(self.arity, out)
+            if max_terms is not None and len(out) > max_terms:
+                raise PreconditionViolation(
+                    f"a partial expansion has more than {max_terms} monomials"
+                )
+        return self._from_valid(out)
+
+    def _from_valid(self, coeffs: dict[tuple[int, ...], int]) -> "IntPoly":
+        """`make` without its key checks, for a sum or product of two
+        polynomials of this arity: their keys, sorted, stay valid."""
+        return IntPoly(self.arity, tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)))
 
 
 def int_zero(arity: int) -> IntPoly:

@@ -189,12 +189,14 @@ def is_canonical(node: Node) -> bool:
     return reduce_node(node) == node
 
 
-def project(term: Term) -> IntPoly:
-    """The full expansion of the term over the non-negative integers."""
-    return _project(term.node, term.arity)
+def project(term: Term, max_monomials: Union[int, None] = None) -> IntPoly:
+    """The full expansion of the term over the non-negative integers.  With
+    `max_monomials`, a partial expansion of more monomials is refused as it
+    is built, a product mid-way: k factors of one sum give a binomial in k."""
+    return _project(term.node, term.arity, max_monomials)
 
 
-def _project(node: Node, arity: int) -> IntPoly:
+def _project(node: Node, arity: int, max_monomials: Union[int, None]) -> IntPoly:
     """Bottom up with an explicit stack: a node is pushed once to expand
     its parts and once more to combine their projections."""
     done: list[IntPoly] = []
@@ -212,7 +214,11 @@ def _project(node: Node, arity: int) -> IntPoly:
         else:
             right = done.pop()
             left = done.pop()
-            done.append(left.add(right) if node[0] == "+" else left.mul(right))
+            done.append(left.add(right) if node[0] == "+" else left.mul(right, max_monomials))
+            if max_monomials is not None and len(done[-1].terms) > max_monomials:
+                raise PreconditionViolation(
+                    f"a partial expansion has more than {max_monomials} monomials"
+                )
     return done[0]
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringops.cli import MAX_NORMAL_FORM_LEAVES, _biperm_leaves, main
+from ringops.cli import MAX_NORMAL_FORM_LEAVES, MAX_PROJECTION_MONOMIALS, _biperm_leaves, main
 from ringops.parsing import MAX_TERM_DEPTH
 from ringops.terms import ONE, ZERO, Term, normalize_biperm, var
 
@@ -462,6 +462,40 @@ def test_a_normal_form_past_the_leaf_limit_is_a_usage_error(factors, leaves, jso
         f"error: the bipermutative normal form has {leaves} leaves, "
         f"more than {MAX_NORMAL_FORM_LEAVES}\n"
     )
+
+
+SIX = "(x1+x2+x3+x4+x5+x6)"
+PROJECTION_LIMIT_ERROR = (
+    f"error: a partial expansion has more than {MAX_PROJECTION_MONOMIALS} monomials\n"
+)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("factors", [20, 30])
+def test_a_projection_past_the_monomial_limit_is_a_usage_error(factors, json_flag, capsys):
+    # k copies of a sum of six variables expand to C(k+5, 5) monomials:
+    # 53,130 at k = 20 and 65,780 at k = 21, where the expansion stops.
+    text = "*".join([SIX] * factors)
+    code = main(json_flag + ["term", "project", text, "--arity", "6"])
+    captured = capsys.readouterr()
+    if factors == 20:
+        reason = f"monomial {(1,) * 20} contains a square"
+        assert (code, captured.err) == (0, "")
+        if json_flag:
+            assert json.loads(captured.out) == {"in_R": False, "reason": reason}
+        else:
+            assert captured.out == f"not-in-R: {reason}\n"
+        return
+    assert (code, captured.out, captured.err) == (2, "", PROJECTION_LIMIT_ERROR)
+
+
+@pytest.mark.slow
+def test_a_product_of_two_wide_halves_stops_mid_product(capsys):
+    # Each half of 15 factors expands to 15,504 monomials, and their product
+    # to 324,632: it is refused before its 240 million pairs are all formed.
+    half = "*".join([SIX] * 15)
+    code = main(["term", "project", f"({half})*({half})", "--arity", "6"])
+    assert (code, *capsys.readouterr()) == (2, "", PROJECTION_LIMIT_ERROR)
 
 
 @pytest.mark.parametrize("command", TERM_COMMANDS, ids=" ".join)

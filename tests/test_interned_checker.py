@@ -7,6 +7,7 @@ that both paths give the same reports: the same `checked`, `skipped`,
 exception at the same instance.
 """
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -479,13 +480,13 @@ def test_missing_gamma_rows_skip_alike(source):
     assert report.ok and report.skipped > 0
 
 
-def test_dropped_tables_refill_alike(monkeypatch):
-    from ringops import operads
-
-    pruned = _pruned(_table("pset", 2), seed=7)
-    expected = _fields(check_axioms(pruned, 2))
+@pytest.mark.parametrize("source", ["pruned", "pset"])
+def test_dropped_tables_refill_alike(source, monkeypatch):
+    # The pruned table replays blocks; pset settles its blocks on row ids.
+    operad = _pruned(_table("pset", 2), seed=7) if source == "pruned" else OPERADS["pset"]()
+    expected = _fields(check_axioms(operad, 2))
     monkeypatch.setattr(operads, "_TABLES_KEPT", 3)
-    assert _fields(check_axioms(pruned, 2)) == expected
+    assert _fields(check_axioms(operad, 2)) == expected
 
 
 def _mutants(table, count, seed):
@@ -1014,3 +1015,111 @@ def test_a_block_tick_stops_where_single_ticks_do():
         budget.tick(4)
     assert budget.used == 6
     assert _run(iter([2, 0, "bad", None]), Budget()) == (3, "bad")
+
+
+# ---------------------------------------------------------------------------
+# The associativity row memo: rows are interned once per run and shared by
+# every block that reads them, as a left side or as a nested slot.
+
+
+def _shared_row(table):
+    """A gamma row key (x, ys) of `table` inside the composed row
+    gamma(p; x, ys) over hs that the left side of two or more (g, fs) and a
+    nested slot of some block read.  The row has several entries, p and
+    p(hs) have components of several elements, and the units section reads
+    none of its entries."""
+    left, nested = {}, set()
+    for g, fs, composite in _composition_shapes(2):
+        blocks, total = _blocks(fs)
+        tops = {
+            table.gamma(g, c, list(zip(fs, xs)))
+            for c in table.component(g)
+            for xs in itertools.product(*map(table.component, fs))
+        }
+        for hs in _poly_tuples(total, 2):
+            for top in tops:
+                left.setdefault((composite, hs, top), set()).add((g, fs))
+            for f, (a, b) in zip(fs, blocks):
+                nested.update((f, hs[a:b], x) for x in table.component(f))
+    p, hs, x = min(
+        (p, hs, x) for (p, hs, x), readers in left.items()
+        if len(readers) > 1 and (p, hs, x) in nested and p != unit_poly()
+        and any(h != unit_poly() for h in hs)
+        and math.prod(len(table.component(h)) for h in hs) > 1
+        and min(len(table.component(p)), len(table.component(compose(p, hs)))) > 1
+    )
+    ys = list(itertools.product(*map(table.component, hs)))
+    return x, ys[len(ys) // 2]
+
+
+def _every_verdict(section):
+    """The instances a section found to hold, and all its violations in order."""
+    holds, violations = 0, []
+    for verdict in section:
+        if isinstance(verdict, str):
+            violations.append(verdict)
+        else:
+            holds += 1 if verdict is None else verdict
+    return holds, violations
+
+
+def test_a_mutated_shared_row_fails_alike_in_every_block():
+    table = _table("pset", 2)
+    key = _shared_row(table)
+    rows = dict(table._gamma_rows)
+    home = table._components[table._home[rows[key]]]
+    rows[key] = next(name for name in home if name != rows[key])
+    mutant = TableRingOperad(table._components, table._unit, rows, table._action_rows, "shared")
+    report = check_axioms(mutant, 2)
+    assert _fields(report) == _fields(reference_check_axioms(mutant, 2))
+    assert report.failure.startswith("associativity: ")
+    # past the first violation: every block that reads the row fails alike
+    interned_report, reference_report = (CheckReport("", True, 0, 0, None) for _ in range(2))
+    interned = _every_verdict(operads._check_associativity(_Interned(mutant), 2, interned_report))
+    assert interned == _every_verdict(_check_associativity(mutant, 2, reference_report))
+    assert len(interned[1]) > 1 and interned_report.skipped == reference_report.skipped == 0
+
+
+def test_a_shared_row_that_raises_raises_alike():
+    operad = _BreaksOnOneRow(_table("pset", 2), _shared_row(_table("pset", 2)))
+    used = _raising_instance(check_axioms, operad)
+    assert used == _raising_instance(reference_check_axioms, operad)
+    # pset's associativity section runs past its first 3 + 8,406 + 83 instances
+    assert 8_492 < used <= 8_492 + 291_773
+
+
+def test_every_block_of_a_passing_check_holds_whole(monkeypatch):
+    # A block of several instances is replayed only when it fails, skips or
+    # raises, so on an operad that passes none is.
+    blocks = _spy_blocks(monkeypatch)
+    assert check_axioms(OPERADS["pset"](), 2).ok
+    whole = [block for block in blocks if block[0] > 1]
+    assert len(whole) > 1000 and all(len(block) == 2 for block in whole)
+
+
+def test_a_check_leaves_no_reference_cycles():
+    # The view's tables close over locals, never over the view, so a
+    # finished check leaves nothing for the cycle collector.
+    operad = OPERADS["pset"]()
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_axioms(operad, 2).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# sset at cap 2 holds 1,397,784 instances; its associativity section spans
+# instances 12,557 to 1,152,177, in blocks settled on row ids.
+@pytest.mark.parametrize("budget", [12_556, 12_557, 600_000, 1_152_177, 1_152_178])
+def test_sset_budget_boundaries(budget, capsys):
+    argv = ["check", "axioms", "--builtin", "sset", "--cap", "2", "--budget", str(budget)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: exhaustive check exceeded budget of {budget} instances\n"
+    )
+    spent = Budget(budget)
+    with pytest.raises(SearchBudgetExceeded):
+        check_axioms(sset_operad("sym"), 2, spent)
+    assert spent.used == budget + 1
