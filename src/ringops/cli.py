@@ -356,31 +356,24 @@ def _biperm_leaves(node) -> int:
     tails, adds the right's leaves once per left tail and multiplies the
     tail counts.  0 is (1, 0, 0), the only form without tails, and 1 is
     (1, 1, 1)."""
-    done = []
-    stack = [(node, False)]
-    while stack:
-        node, parts_done = stack.pop()
-        if len(node) < 3:
-            done.append(
-                _ZERO_FORM if node == terms.ZERO else _ONE_FORM if node == terms.ONE else (1, 1, 0)
+
+    def leaf(node) -> tuple:
+        return _ZERO_FORM if node == terms.ZERO else _ONE_FORM if node == terms.ONE else (1, 1, 0)
+
+    def combine(tag: str, left: tuple, right: tuple) -> tuple:
+        if tag == "+":
+            return (
+                right if left == _ZERO_FORM else left if right == _ZERO_FORM
+                else tuple(a + b for a, b in zip(left, right))
             )
-        elif not parts_done:
-            stack += ((node, True), (node[2], False), (node[1], False))
-        else:
-            right, left = done.pop(), done.pop()
-            if node[0] == "+":
-                done.append(
-                    right if left == _ZERO_FORM else left if right == _ZERO_FORM
-                    else tuple(a + b for a, b in zip(left, right))
-                )
-            elif _ZERO_FORM in (left, right):
-                done.append(_ZERO_FORM)
-            elif _ONE_FORM in (left, right):
-                done.append(right if left == _ONE_FORM else left)
-            else:
-                (leaves, tails, ones), (right_leaves, right_tails, right_ones) = left, right
-                done.append((leaves - ones + tails * right_leaves, tails * right_tails, tails * right_ones))
-    return done[0][0]
+        if _ZERO_FORM in (left, right):
+            return _ZERO_FORM
+        if _ONE_FORM in (left, right):
+            return right if left == _ONE_FORM else left
+        (leaves, tails, ones), (right_leaves, right_tails, right_ones) = left, right
+        return leaves - ones + tails * right_leaves, tails * right_tails, tails * right_ones
+
+    return terms._fold(node, leaf, combine)[0]
 
 
 def _run_term(args) -> int:

@@ -42,7 +42,7 @@ class NotReduced(PreconditionViolation):
 
 
 class FiberNotStable(RingopsError):
-    """A term fiber changed between the probe bound and the probe bound + 2."""
+    """A term fiber is not complete at the leaf bound: it has terms with more leaves."""
 
 
 class FixtureError(RingopsError):

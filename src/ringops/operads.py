@@ -1066,15 +1066,13 @@ def _einfty_condition3(view, cap):
             for a1 in view.component[f1]:
                 for a2 in view.component[f2]:
                     coincide = act1[a1] == act2[a2]
-                    yield None if not coincide or _has_common_cover(
-                        view, f1, a1, m1, f2, a2, m2
-                    ) else (
+                    yield None if not coincide or _has_common_cover(view, f1, a1, f2, a2) else (
                         f"no non-degenerate cover for {elements[a1]!r} over {f1} and "
                         f"{elements[a2]!r} over {f2} coinciding in {g}"
                     )
 
 
-def _has_common_cover(view, f1, a1, m1, f2, a2, m2):
+def _has_common_cover(view, f1, a1, f2, a2):
     if type_of(f1) != type_of(f2):
         return False
     special = special_of_type(type_of(f1))

@@ -36,7 +36,7 @@ from .errors import ArityMismatch, FixtureError, NotInR, ParseFailure, RingopsEr
 from .indexcat import E, ExtMap, RMorphism, validate
 from .operads import TableRingOperad
 from .polynomials import RPoly, TypeSignature, canon_str, rpoly, zero_poly
-from .terms import Term, node_str, plus, times, var, ZERO, ONE
+from .terms import Term, _fold, node_str, plus, times, var, ZERO, ONE
 from .wreath import FFMorphism, FFObject
 
 # A word of a fixture row (its keyword or an element name): no whitespace and
@@ -242,15 +242,7 @@ def parse_term(text: str, arity: int) -> Term:
 def _depth(node) -> int:
     """The most sums and products on one root-to-leaf path, counted
     without recursion."""
-    deepest = 0
-    stack = [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if len(node) == 3:
-            stack += [(node[1], depth + 1), (node[2], depth + 1)]
-        elif depth > deepest:
-            deepest = depth
-    return deepest
+    return _fold(node, lambda _leaf: 0, lambda _tag, left, right: 1 + max(left, right))
 
 
 def _parse_sum(scanner: _Scanner, arity: int, parens: int):

@@ -6,8 +6,13 @@ only as the whole term); reduced terms additionally carry the bipermutative
 normal form: products are right-nested with a variable on the left, sums are
 right-nested with no zero summand, and right distributivity is fully applied.
 
-`_substitute` rebuilds a tree with new variable leaves; the action and
-composition both go through it.
+A walk over a whole tree goes through `_fold`, one bottom-up evaluator
+with an explicit stack: the arity check of `Term`, leaf counts, projection,
+the normal-form test and `_encode` do, since a normal form's chain is as
+long as its leaf count.  The action and composition substitute and reduce
+in one recursive pass, `_reduce_with`, which puts a reduced node at each
+variable leaf and applies `_reduce_top` on the way up; `reduce_node` is
+that pass with each variable kept.
 
 The fibers of both modes come from one leaf-count dynamic programme,
 `_fiber_table`, over cells (projection key, leaf count).  A node's top
@@ -91,37 +96,41 @@ class Term:
     node: Node
 
     def __post_init__(self):
-        for i in _variables(self.node):
-            if not 1 <= i <= self.arity:
-                raise ArityMismatch(f"variable x{i} out of range for arity {self.arity}")
+        arity = self.arity
+        bad = _fold(
+            self.node,
+            lambda leaf: leaf[1] if leaf[0] == "v" and not 1 <= leaf[1] <= arity else None,
+            lambda _tag, left, right: right if left is None else left,
+        )
+        if bad is not None:
+            raise ArityMismatch(f"variable x{bad} out of range for arity {arity}")
 
     def __str__(self):
         return node_str(self.node)
 
     @property
     def leaves(self) -> int:
-        return _leaf_count(self.node)
+        return _fold(self.node, lambda _leaf: 1, lambda _tag, left, right: left + right)
 
 
-def _leaves_of(node: Node) -> Iterator[Node]:
-    """The leaves of the node from left to right.  This, `_project` and
-    `is_reduced_node` walk with an explicit stack, since a normal form's
-    chain can be as long as its leaf count."""
+def _fold(node: Node, leaf, combine):
+    """The node evaluated bottom up: leaf(l) at each leaf l, and
+    combine(tag, left value, right value) at each sum or product.  It walks
+    with an explicit stack, on which a node's tag stands for combining its
+    parts, since a normal form's chain is as long as its leaf count and a
+    parse tree's depth is checked through this walk."""
+    done: list = []
     stack = [node]
     while stack:
         node = stack.pop()
-        if len(node) == 3:
-            stack += (node[2], node[1])
+        if node.__class__ is str:
+            right = done.pop()
+            done[-1] = combine(node, done[-1], right)
+        elif len(node) == 3:
+            stack += (node[0], node[2], node[1])
         else:
-            yield node
-
-
-def _variables(node: Node) -> Iterator[int]:
-    return (leaf[1] for leaf in _leaves_of(node) if leaf[0] == "v")
-
-
-def _leaf_count(node: Node) -> int:
-    return sum(1 for _ in _leaves_of(node))
+            done.append(leaf(node))
+    return done[0]
 
 
 def node_str(node: Node) -> str:
@@ -149,12 +158,19 @@ def node_str(node: Node) -> str:
 # Canonical form and projection
 
 
-@lru_cache(maxsize=1 << 20)
 def reduce_node(node: Node) -> Node:
     """Apply the unit and nullity rewrites exhaustively, bottom up."""
-    if node[0] in ("0", "1", "v"):
-        return node
-    return _reduce_top(node[0], reduce_node(node[1]), reduce_node(node[2]))
+    return _reduce_with(node, var)
+
+
+def _reduce_with(node: Node, leaf) -> Node:
+    """The node with leaf(i), a reduced node, in place of each variable leaf
+    x_i, reduced bottom up: the substitution and `reduce_node` in one pass.
+    It recurses, since it runs on fiber elements, whose depth the fiber DP
+    bounds, and on parsed terms, whose depth `parse_term` bounds."""
+    if len(node) == 3:
+        return _reduce_top(node[0], _reduce_with(node[1], leaf), _reduce_with(node[2], leaf))
+    return leaf(node[1]) if node[0] == "v" else node
 
 
 def _reduce_top(tag: str, left: Node, right: Node) -> Node:
@@ -197,38 +213,22 @@ def project(term: Term, max_monomials: Union[int, None] = None) -> IntPoly:
 
 
 def _project(node: Node, arity: int, max_monomials: Union[int, None]) -> IntPoly:
-    """Bottom up with an explicit stack: a node is pushed once to expand
-    its parts and once more to combine their projections."""
-    done: list[IntPoly] = []
-    stack = [(node, False)]
-    while stack:
-        node, parts_done = stack.pop()
+    def leaf(node: Node) -> IntPoly:
         if node == ZERO:
-            done.append(int_zero(arity))
-        elif node == ONE:
-            done.append(int_const(arity, 1))
-        elif node[0] == "v":
-            done.append(IntPoly.make(arity, {(node[1],): 1}))
-        elif not parts_done:
-            stack += ((node, True), (node[2], False), (node[1], False))
-        else:
-            right = done.pop()
-            left = done.pop()
-            done.append(left.add(right) if node[0] == "+" else left.mul(right, max_monomials))
-            if max_monomials is not None and len(done[-1].terms) > max_monomials:
-                raise PreconditionViolation(
-                    f"a partial expansion has more than {max_monomials} monomials"
-                )
-    return done[0]
+            return int_zero(arity)
+        if node == ONE:
+            return int_const(arity, 1)
+        return IntPoly.make(arity, {(node[1],): 1})
 
+    def combine(tag: str, left: IntPoly, right: IntPoly) -> IntPoly:
+        out = left.add(right) if tag == "+" else left.mul(right, max_monomials)
+        if max_monomials is not None and len(out.terms) > max_monomials:
+            raise PreconditionViolation(
+                f"a partial expansion has more than {max_monomials} monomials"
+            )
+        return out
 
-def _substitute(node: Node, leaf) -> Node:
-    """The node with leaf(i) in place of each variable leaf x_i."""
-    if node[0] == "v":
-        return leaf(node[1])
-    if node[0] in ("+", "*"):
-        return (node[0], _substitute(node[1], leaf), _substitute(node[2], leaf))
-    return node
+    return _fold(node, leaf, combine)
 
 
 def act_map(phi: ExtMap, term: Term) -> Term:
@@ -238,9 +238,7 @@ def act_map(phi: ExtMap, term: Term) -> Term:
     if phi.source_size != term.arity:
         raise ArityMismatch("map source size differs from term arity")
     images = [ZERO if j == 0 else ONE if j == E else var(j) for j in phi.images]
-    return _fiber_term(
-        phi.target_size, reduce_node(_substitute(term.node, lambda i: images[i - 1]))
-    )
+    return _fiber_term(phi.target_size, _reduce_with(term.node, lambda i: images[i - 1]))
 
 
 def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
@@ -251,10 +249,10 @@ def compose_terms(g_term: Term, args: Sequence[Term]) -> Term:
         raise ArityMismatch(f"{g_term.arity}-ary term applied to {len(args)} arguments")
     offsets, total = _block_offsets(a.arity for a in args)
     shifted = [
-        _substitute(a.node, lambda i, offset=offset: var(i + offset))
+        _reduce_with(a.node, lambda i, offset=offset: var(i + offset))
         for a, offset in zip(args, offsets)
     ]
-    return _fiber_term(total, reduce_node(_substitute(g_term.node, lambda i: shifted[i - 1])))
+    return _fiber_term(total, _reduce_with(g_term.node, lambda i: shifted[i - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +320,18 @@ def normalize_biperm(term: Term) -> Term:
 
 def is_reduced_node(node: Node) -> bool:
     """Every product has a variable on the left and no 0/1 on the right,
-    and every sum has no 0 part and no sum on the left."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if len(node) < 3:
-            continue
-        left, right = node[1], node[2]
-        if node[0] == "*":
-            if left[0] != "v" or right in (ZERO, ONE):
-                return False
-        elif left == ZERO or right == ZERO or left[0] == "+":
-            return False
-        stack += (right, left)
-    return True
+    and every sum has no 0 part and no sum on the left.  Folded to pairs
+    (reduced, the node's tag or the leaf itself)."""
+
+    def combine(tag: str, left: tuple, right: tuple) -> tuple:
+        (left_ok, left), (right_ok, right) = left, right
+        if tag == "*":
+            ok = left[0] == "v" and right not in (ZERO, ONE)
+        else:
+            ok = ZERO not in (left, right) and left != "+"
+        return left_ok and right_ok and ok, tag
+
+    return _fold(node, lambda leaf: (True, leaf), combine)[0]
 
 
 def is_reduced(term: Term) -> bool:
@@ -364,6 +360,9 @@ def fiber_member(term: Term, f: RPoly, mode: str = "sym") -> bool:
 
 @dataclass(frozen=True)
 class FiberResult:
+    """The fiber's terms with at most `bound` leaves; `stable` says that they
+    are the whole fiber (it is complete at the bound)."""
+
     terms: frozenset[Term]
     stable: bool
     bound: int
@@ -377,14 +376,13 @@ def default_bound(f: RPoly) -> int:
 def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None) -> FiberResult:
     """All canonical (or reduced) terms projecting to f with at most B leaves.
 
-    The stability flag records whether bounds B and B + 2 return identical
-    sets, the empirical signal that the fiber is complete.  Both are read
-    from one run of the leaf-count table up to B + 2.
+    The stability flag says whether the fiber is complete at B: whether f's
+    largest leaf count, which `_reach` gives exactly, is at most B.
     """
     bound = _fiber_bound(f, mode, bound)
-    levels, stable = _up_to(_bounded_fiber(f, mode, bound + 2), bound)
+    levels = _bounded_fiber(f, mode, bound)
     found = frozenset(_fiber_term(f.arity, node) for level in levels for node in level)
-    return FiberResult(found, stable, bound)
+    return FiberResult(found, _largest_count(f, mode) <= bound, bound)
 
 
 def _fiber_term(arity: int, node: Node) -> Term:
@@ -400,8 +398,7 @@ def _fiber_term(arity: int, node: Node) -> Term:
 
 def _fiber_bound(f: RPoly, mode: str, bound: Union[int, None]) -> int:
     """The checked leaf bound B (`default_bound(f)` when not given), which
-    `enumerate_fiber` and `connectivity_check` both read the DP up to B + 2
-    with."""
+    `enumerate_fiber` and `connectivity_check` both read the DP up to."""
     if mode not in ("sym", "biperm"):
         raise PreconditionViolation(f"unknown fiber mode {mode!r}")
     if bound is None:
@@ -411,11 +408,11 @@ def _fiber_bound(f: RPoly, mode: str, bound: Union[int, None]) -> int:
     return bound
 
 
-def _up_to(by_leaves: Sequence, bound: int) -> tuple[Sequence, bool]:
-    """The DP's levels 0..B and its stability flag: whether B + 1 and B + 2
-    are empty.  The DP stops at f's last non-empty count, so the counts past
-    it read as empty."""
-    return by_leaves[: bound + 1], not any(by_leaves[bound + 1 :])
+def _largest_count(f: RPoly, mode: str) -> int:
+    """The most leaves of a term in the fiber of f; the zero polynomial's
+    key has no splits, and its fiber is the leaf 0."""
+    target, _, keys = _reached(f, mode)
+    return max(keys[target][0], default=1)
 
 
 @lru_cache(maxsize=4096)
@@ -459,10 +456,8 @@ def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ..
     """
     if f.is_zero:
         return [ZERO], (range(0), range(1))
-    target = frozenset(_support(m) for m in f.masks)
-    leaves = _leaves(f)
-    keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
-    last = max((s for s in _reach(target, mode, keys)[0] if s <= bound), default=0)
+    target, leaves, keys = _reached(f, mode)
+    last = max((s for s in keys[target][0] if s <= bound), default=0)
     table, cells = _build_cells(leaves, mode, keys, _room(target, keys, bound), last)
     return table, tuple(cells.get((target, s), (range(0),))[0] for s in range(last + 1))
 
@@ -478,6 +473,19 @@ def _decode(table: list) -> list[Node]:
             entry = (tag, nodes[left], nodes[right])
         append(entry)
     return nodes
+
+
+@lru_cache(maxsize=1)
+def _reached(f: RPoly, mode: str) -> tuple[frozenset, dict, dict]:
+    """f's key, its one-leaf cells and `_reach`'s entries for f's key and
+    every key its splits reach: what the DP reads at every bound.  One
+    entry is kept, so that a fiber call's DP and its completeness flag
+    share one walk without every walk staying alive."""
+    target = frozenset(_support(m) for m in f.masks)
+    leaves = _leaves(f)
+    keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
+    _reach(target, mode, keys)
+    return target, leaves, keys
 
 
 def _leaves(f: RPoly) -> dict:
@@ -503,6 +511,14 @@ def _reach(key: frozenset, mode: str, keys: dict) -> tuple:
     variable, so neither is the unit's key.  In biperm mode the left cut
     must be one variable, and a sum split whose left key has no
     left-summand nodes is dropped; its keys are reached anyway.
+
+    The counts are exact, with no bound: every split of the key is listed,
+    a node's top split is read off the node, and any node that may stand
+    on the left (a left summand's, in biperm mode) beside any node of the
+    right key makes a node of the key.  A part's key has fewer supports or
+    fewer variables than the key, so by induction from the leaf keys (one
+    leaf each) up, a key has nodes with s leaves exactly when s is one of
+    its counts.
     """
     found = keys.get(key)
     if found is not None:
@@ -660,16 +676,15 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     a sum or a product, and `_reduce_top` drops only 0/1 parts, so it stays
     a subterm of the whole reduced tree; every subterm of a fiber node is a
     built node, so that tree is not in the fiber.  Every hit at the root is
-    in the fiber: it projects to f, and a stable table holds no node above
-    the bound.  A rewrite followed by `reduce_node` adds no variable leaf,
-    so the arity check a `Term` would make cannot fail, and at one arity two
-    terms are equal exactly when their nodes are.
+    in the fiber: it projects to f, and an incomplete fiber is refused
+    before the table is built.  A rewrite followed by `reduce_node` adds no
+    variable leaf, so the arity check a `Term` would make cannot fail, and
+    at one arity two terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
-    table, by_leaves = _fiber_table(f, "sym", bound + 2)
-    levels, stable = _up_to(by_leaves, bound)
-    if not stable:
-        raise FiberNotStable(f"fiber of {f} changed between bounds {bound} and {bound + 2}")
+    if _largest_count(f, "sym") > bound:
+        raise FiberNotStable(f"fiber of {f} is not complete at bound {bound}")
+    table, levels = _fiber_table(f, "sym", bound)
     start = terminal_representative(f)
     cons = {entry: i for i, entry in enumerate(table)}
     first = _encode(start.node, cons)
@@ -700,19 +715,18 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
 def _encode(node: Node, cons: dict) -> Union[int, None]:
     """The id of the node in the cons dict, or None when some subterm of it
     was never built."""
-    if len(node) == 3:
-        left = _encode(node[1], cons)
-        right = _encode(node[2], cons)
-        if left is None or right is None:
-            return None
-        node = (node[0], left, right)
-    return cons.get(node)
+    return _fold(
+        node,
+        cons.get,
+        lambda tag, left, right: None if left is None or right is None
+        else cons.get((tag, left, right)),
+    )
 
 
 def _fiber_moves(
     table: list, cons: dict, levels: Sequence[range]
 ) -> Iterator[tuple[int, list[int]]]:
-    """(id, ids of its reduced rewrites) for each fiber id of a stable sym
+    """(id, ids of its reduced rewrites) for each fiber id of a complete sym
     table, `levels` holding the fiber's ids and `cons` being {entry: id}.
 
     The rewrites are those of `_MOVE_RULES` at every position, each followed
@@ -861,7 +875,7 @@ class TermRingOperad(DiscreteRingOperad):
             )
         result = enumerate_fiber(f, self.mode)
         if not result.stable:
-            raise FiberNotStable(f"fiber of {f} is not stable at bound {result.bound}")
+            raise FiberNotStable(f"fiber of {f} is not complete at bound {result.bound}")
         return tuple(sorted(result.terms, key=lambda t: (t.leaves, str(t))))
 
     def unit_element(self):

@@ -134,6 +134,25 @@ class TestTermCommands:
         assert "connected: True" in out
         assert "terminal: (x1 + x2)" in out
 
+    # Its terms have 3 or 4 leaves: at bound 1 the fiber is empty and
+    # incomplete, though bounds 2 and 3 hold no term either.
+    INCOMPLETE = "R(2): x2 + x1 + x1*x2"
+
+    def test_an_empty_fiber_below_the_fewest_leaves_is_not_stable(self, capsys):
+        code, out = run(capsys, "term", "fiber", "--poly", self.INCOMPLETE, "--bound", "1")
+        assert (code, out) == (0, "stable: False (bound 1)\n")
+        code, out = run(capsys, "--json", "term", "fiber", "--poly", self.INCOMPLETE, "--bound", "1")
+        assert (code, json.loads(out)) == (0, {"stable": False, "bound": 1, "terms": []})
+        code, out = run(capsys, "--json", "term", "fiber", "--poly", self.INCOMPLETE, "--bound", "4")
+        payload = json.loads(out)
+        assert (code, payload["stable"], len(payload["terms"])) == (0, True, 40)
+
+    def test_connect_refuses_an_incomplete_fiber(self, capsys):
+        code = main(["term", "connect", "--poly", self.INCOMPLETE, "--bound", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: fiber of {self.INCOMPLETE} is not complete at bound 1\n"
+
 
 class TestRcgCommands:
     def test_component(self, capsys):

@@ -292,4 +292,4 @@ class TestErrorClasses:
     def test_cover_search_arity_cap(self):
         f = rpoly(3, [(1, 2, 3), (1, 2)])  # special representative of arity 5
         with pytest.raises(ArityCapExceeded):
-            _has_common_cover(_Interned(strict_operad()), f, 0, None, f, 0, None)
+            _has_common_cover(_Interned(strict_operad()), f, 0, f, 0)

@@ -14,8 +14,9 @@ from ringops.cli import main
 from ringops.errors import ArityMismatch, FiberNotStable, NotReduced, PreconditionViolation
 from ringops.indexcat import E, ExtMap, validate
 from ringops.operads import check_axioms
-from ringops.parsing import parse_poly
+from ringops.parsing import _depth, parse_poly
 from ringops.polynomials import (
+    IntPoly,
     enumerate_R,
     rpoly,
     to_rpoly,
@@ -422,15 +423,15 @@ class TestTermOperads:
 
 def _fiber_is_a_prefix(f, mode):
     """The fiber at each bound B is the part with <= B leaves of the fiber at
-    B + 4, and B is stable exactly when that larger fiber has nothing with
-    B + 1 or B + 2 leaves."""
+    B + 4, and B is stable exactly when that larger fiber, a complete one,
+    has nothing with more than B leaves."""
     bound = default_bound(f)
     beyond = enumerate_fiber(f, mode, bound + 4).terms
     for b in range(1, bound + 1):
         result = enumerate_fiber(f, mode, b)
         assert result.bound == b
         assert result.terms == {term for term in beyond if term.leaves <= b}
-        assert result.stable == all(term.leaves <= b for term in beyond if term.leaves <= b + 2)
+        assert result.stable == all(term.leaves <= b for term in beyond)
 
 
 def _up_to_relabelling(polys):
@@ -599,9 +600,7 @@ def _adjacency_connectivity(f, bound=None):
     the id walker it checks."""
     result = enumerate_fiber(f, "sym", bound)
     if not result.stable:
-        raise FiberNotStable(
-            f"fiber of {f} changed between bounds {result.bound} and {result.bound + 2}"
-        )
+        raise FiberNotStable(f"fiber of {f} is not complete at bound {result.bound}")
     fiber = {term.node for term in result.terms}
     start = terminal_representative(f)
     if start.node not in fiber:
@@ -909,3 +908,145 @@ def test_structure_maps_build_terms_that_pass_the_arity_check(mode):
     assert len(built) > 1000
     for term in built:
         assert Term(term.arity, term.node) == term
+
+
+# ---------------------------------------------------------------------------
+# The fold and the fused substitute-and-reduce pass, against recursive walks
+
+
+def _ref_leaves(node):
+    return _ref_leaves(node[1]) + _ref_leaves(node[2]) if len(node) == 3 else 1
+
+
+def _ref_depth(node):
+    return 1 + max(_ref_depth(node[1]), _ref_depth(node[2])) if len(node) == 3 else 0
+
+
+def _ref_project(node, arity):
+    if node == ZERO:
+        return IntPoly.make(arity, {})
+    if node == ONE:
+        return IntPoly.make(arity, {(): 1})
+    if node[0] == "v":
+        return IntPoly.make(arity, {(node[1],): 1})
+    left, right = _ref_project(node[1], arity), _ref_project(node[2], arity)
+    return left.add(right) if node[0] == "+" else left.mul(right)
+
+
+def _ref_is_reduced(node):
+    if len(node) < 3:
+        return True
+    tag, left, right = node
+    if tag == "*":
+        ok = left[0] == "v" and right not in (ZERO, ONE)
+    else:
+        ok = ZERO not in (left, right) and left[0] != "+"
+    return ok and _ref_is_reduced(left) and _ref_is_reduced(right)
+
+
+def _ref_reduce(node):
+    """`reduce_node` as it read before the fused pass, without its cache."""
+    if len(node) < 3:
+        return node
+    tag, left, right = node[0], _ref_reduce(node[1]), _ref_reduce(node[2])
+    if tag == "+":
+        return right if left == ZERO else left if right == ZERO else (tag, left, right)
+    if ZERO in (left, right):
+        return ZERO
+    return right if left == ONE else left if right == ONE else (tag, left, right)
+
+
+def _ref_substitute(node, leaf):
+    """The deleted `_substitute`: leaf(i) in place of each variable x_i."""
+    if node[0] == "v":
+        return leaf(node[1])
+    if len(node) == 3:
+        return (node[0], _ref_substitute(node[1], leaf), _ref_substitute(node[2], leaf))
+    return node
+
+
+def _ref_act(phi, term):
+    images = [ZERO if j == 0 else ONE if j == E else var(j) for j in phi.images]
+    return Term(phi.target_size, _ref_reduce(_ref_substitute(term.node, lambda i: images[i - 1])))
+
+
+def _ref_compose(g_term, args):
+    offsets = list(itertools.accumulate([a.arity for a in args], initial=0))
+    shifted = [
+        _ref_substitute(a.node, lambda i, offset=offset: var(i + offset))
+        for a, offset in zip(args, offsets)
+    ]
+    return Term(offsets[-1], _ref_reduce(_ref_substitute(g_term.node, lambda i: shifted[i - 1])))
+
+
+def _ref_encode(node, cons):
+    if len(node) == 3:
+        left, right = _ref_encode(node[1], cons), _ref_encode(node[2], cons)
+        if left is None or right is None:
+            return None
+        node = (node[0], left, right)
+    return cons.get(node)
+
+
+def _random_term(rng, arity, leaves):
+    """A random term of the arity over 0, 1 and its variables."""
+
+    def node(leaves):
+        if leaves == 1:
+            return rng.choice([ZERO, ONE] + [var(i) for i in range(1, arity + 1)])
+        left = rng.randint(1, leaves - 1)
+        return (rng.choice("+*"), node(left), node(leaves - left))
+
+    return Term(arity, node(leaves))
+
+
+def test_the_fold_matches_recursive_walks():
+    rng = random.Random(20)
+    for _ in range(3000):
+        arity = rng.randint(1, 4)
+        term = _random_term(rng, arity, rng.randint(1, 12))
+        node = term.node
+        assert term.leaves == _ref_leaves(node)
+        assert _depth(node) == _ref_depth(node)
+        assert project(term) == _ref_project(node, arity)
+        assert terms.is_reduced_node(node) == _ref_is_reduced(node)
+        assert terms.is_reduced_node(normalize_biperm(term).node)
+        assert reduce_node(node) == _ref_reduce(node)
+        target = rng.randint(0, 4)
+        images = [0, E, *range(1, target + 1)]
+        phi = ExtMap(arity, target, tuple(rng.choice(images) for _ in range(arity)))
+        assert act_map(phi, term) == _ref_act(phi, term)
+        args = [_random_term(rng, rng.randint(0, 3), rng.randint(1, 6)) for _ in range(arity)]
+        assert compose_terms(term, args) == _ref_compose(term, args)
+
+
+def test_encode_matches_a_recursive_walk_on_every_node_of_a_sym_table():
+    for f in enumerate_R(2) + R3_SMALL:
+        table, _ = terms._fiber_table(f, "sym", default_bound(f))
+        cons = {entry: i for i, entry in enumerate(table)}
+        for i, node in enumerate(terms._decode(table)):
+            assert terms._encode(node, cons) == _ref_encode(node, cons) == i, (str(f), node)
+        assert terms._encode(times(ZERO, ZERO), cons) is None
+
+
+def test_the_arity_check_names_the_leftmost_bad_variable():
+    with pytest.raises(ArityMismatch, match="^variable x3 out of range for arity 2$"):
+        Term(2, plus(var(3), var(4)))
+    with pytest.raises(ArityMismatch, match="^variable x0 out of range for arity 2$"):
+        Term(2, times(plus(var(1), var(0)), var(5)))
+
+
+# Random R(4) polynomials of at most 4 monomials, drawn from the 15 supports.
+R4_SUPPORTS = [tuple(i for i in range(1, 5) if mask >> (i - 1) & 1) for mask in range(1, 16)]
+R4_DRAWN = [
+    rpoly(4, rng.sample(R4_SUPPORTS, rng.randint(1, 4)))
+    for rng in [random.Random(20)]
+    for _ in range(300)
+]
+
+
+@pytest.mark.parametrize("mode", ["sym", "biperm"])
+def test_the_largest_leaf_count_is_the_sum_over_monomials(mode):
+    # Sigma_m max(|m|, 1), read off `_reach` alone: no node is built.
+    for f in [f for n in (1, 2, 3) for f in enumerate_R(n) if not f.is_zero] + R4_DRAWN:
+        assert terms._largest_count(f, mode) == sum(max(m.bit_count(), 1) for m in f.masks), str(f)
