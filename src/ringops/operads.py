@@ -20,6 +20,18 @@ instances a section cannot build (a missing gamma row) in the report's
 instance, before the block is ticked.  So a report, and the budget used at
 a raise, do not depend on which blocks were settled whole.
 
+Checker state has two lifetimes:
+- what depends only on the cap lives in the check plan, `_check_plan(cap)`,
+  shared by every run at that cap in the process: the functoriality
+  composites, associativity's inner composite targets, the outer re-indexing
+  morphisms and the block-sum morphisms.  An entry holds the canonical
+  `RMorphism` objects of `_all_morphisms(cap)`, or the violation message of a
+  map that is not a morphism, which every run yields again at the same
+  instance.  Each of its memos is filled one block at a time and bounded like
+  the view's tables (`_Tables`), so a cap-3 run keeps a bounded part of it;
+- what depends on the operad lives only in the view of one run, below.  No
+  operad-dependent cache outlives a run.
+
 Sections read the operad through `_Interned`, a view that each checker entry
 point (`check_axioms`, `check_einfty_set`, `validate_algebra`) builds fresh
 for its run and drops at the end.  Its contract:
@@ -353,10 +365,12 @@ def _composition_blocks(cap: int) -> Iterator[tuple[RPoly, list]]:
     (args, g(args)) pairs.  A composite is the union over g's monomials u
     of the products of u's slots, which `_products` expands once per run
     for each (u of several slots, argument tuple); slot masks are shifted
-    once per arity tuple.  Composites never go through `compose`, whose
-    cache would keep one entry per shape (70,750 at cap 3) for 139
-    distinct composites."""
+    once per arity tuple.  Composites are interned by their arity and
+    sorted masks, and each distinct one is put in lambda order once: 139 at
+    cap 3, for 70,750 shapes.  They never go through `compose`, whose cache
+    would keep one entry per shape."""
     products: dict = {}
+    composites: dict = {}
     for k in range(1, cap + 1):
         blocks = []
         for arities in _arity_tuples(k, cap):
@@ -377,7 +391,11 @@ def _composition_blocks(cap: int) -> Iterator[tuple[RPoly, list]]:
                             masks += products[key]
                         else:
                             masks += slots[u.bit_length() - 1]
-                    shapes.append((args, _lambda_sorted(total, masks)))
+                    key = total, tuple(sorted(masks))
+                    composite = composites.get(key)
+                    if composite is None:
+                        composite = composites[key] = _lambda_sorted(total, masks)
+                    shapes.append((args, composite))
                 yield g, shapes
 
 
@@ -421,6 +439,10 @@ _SKIP = object()  # the gamma-table entry of a missing gamma row
 # and a cap-3 axiom check, over 70,750 composition shapes, stays in bounded
 # memory.
 _TABLES_KEPT = 4096
+# Entries kept by one memo of the check plan, over all its blocks: a cap-2
+# memo fits whole (the largest, the argument blocks, holds 5,120), and a
+# cap-3 one stays at about half a megabyte of references.
+_PLAN_ENTRIES_KEPT = 1 << 16
 
 
 class _Table(dict):
@@ -439,20 +461,26 @@ class _Table(dict):
 
 
 class _Tables(dict):
-    """One `_Table` of `row` per shape, morphism or other key, made on first
-    fetch; all are dropped once `_TABLES_KEPT` are held and another is needed."""
+    """One value `make(key)` per shape, morphism or other key, made on first
+    fetch: an empty `_Table` of the view, or a block (a tuple) of the check
+    plan.  All are dropped once `_TABLES_KEPT` are held, or once the values
+    held had `_PLAN_ENTRIES_KEPT` entries when made, and another is needed;
+    a dropped value is made again alike, since it depends only on its key."""
 
-    __slots__ = ("row",)
+    __slots__ = ("make", "entries")
 
-    def __init__(self, row):
+    def __init__(self, make):
         super().__init__()
-        self.row = row
+        self.make = make
+        self.entries = 0
 
-    def __missing__(self, shape):
-        if len(self) >= _TABLES_KEPT:
+    def __missing__(self, key):
+        if len(self) >= _TABLES_KEPT or self.entries >= _PLAN_ENTRIES_KEPT:
             self.clear()
-        table = self[shape] = _Table(self.row, shape)
-        return table
+            self.entries = 0
+        value = self[key] = self.make(key)
+        self.entries += len(value)
+        return value
 
 
 class _Interned:
@@ -515,10 +543,10 @@ class _Interned:
         self.component = components = _Table(component_row)
         self.members = _Table(lambda _, f: frozenset(components[f]))
         self.gamma_row = gamma_row
-        self._gamma = gammas = _Tables(gamma_row)
-        self._act = _Tables(act_row)
-        self.composed_rows = _Tables(composed_row)
-        self.nested_rows = _Tables(nested_row)
+        self._gamma = gammas = _Tables(partial(_Table, gamma_row))
+        self._act = _Tables(partial(_Table, act_row))
+        self.composed_rows = _Tables(partial(_Table, composed_row))
+        self.nested_rows = _Tables(partial(_Table, nested_row))
 
     def gamma_table(self, g: RPoly, fs: Sequence[RPoly]) -> dict:
         return self._gamma[g, tuple(fs)]
@@ -528,6 +556,127 @@ class _Interned:
 
     def decode(self, xs: Sequence[int]) -> tuple:
         return tuple(self.elements[x] for x in xs)
+
+
+# ---------------------------------------------------------------------------
+# The check plan every axiom run at a cap shares
+
+class _CheckPlan:
+    """The operad-independent data `check_axioms` reads at one cap.
+
+    - `by_source[f]`: the morphisms out of f, in `_all_morphisms` order;
+      `identities`: (f, identity of f) for each source f;
+    - `combined[first]`: first.then(second) for each second out of
+      first.target, aligned with `by_source`;
+    - `inner[fs]`: for each hs of `_poly_tuples` over fs's total arity, the
+      targets f_s(hs_s) of the inner composites, a tuple interned per plan;
+      they do not depend on g, so every g over fs reads one block;
+    - `covered[basepoint]`: the morphisms an outer diagram covers, and
+      `outer[basepoint, mor]`: for each fs of `_poly_tuples`, None when the
+      slots exceed the cap, else the re-indexing morphism or the message
+      saying it is not one;
+    - `argument_pools[src, tgt]`: the morphism pools of the block sums, and
+      `arguments[g, src, tgt]`: for each mors of their product, the block
+      sum as a morphism g(fs) -> g(hs), or the message saying it is not one.
+
+    Every morphism is the canonical object of `_all_morphisms(cap)`."""
+
+    def __init__(self, cap: int):
+        morphisms = _all_morphisms(cap)
+        canonical = {(m.source, m.map.images, m.target): m for m in morphisms}
+        by_source: dict[RPoly, list[RMorphism]] = {}
+        by_shape: dict[tuple[int, int], list[RMorphism]] = {}
+        for mor in morphisms:
+            by_source.setdefault(mor.source, []).append(mor)
+            by_shape.setdefault((mor.source.arity, mor.target.arity), []).append(mor)
+
+        def canon(mor):
+            return canonical.get((mor.source, mor.map.images, mor.target), mor)
+
+        def combined(first):
+            # second's map as a tuple indexed by 0, 1..n and -1 (e), read at
+            # first's images: the images of first.then(second), without
+            # building the morphism
+            out = []
+            for second in by_source.get(first.target, ()):
+                after = (0, *second.map.images, E)
+                key = first.source, tuple(map(after.__getitem__, first.map.images)), second.target
+                out.append(canonical.get(key) or first.then(second))
+            return tuple(out)
+
+        targets: dict = {}
+
+        def inner(fs):
+            blocks, total = _blocks(fs)
+            out = []
+            for hs in _poly_tuples(total, cap):
+                key = tuple(
+                    compose(fs[s], hs[a:b]) if b > a else fs[s]
+                    for s, (a, b) in enumerate(blocks)
+                )
+                out.append(targets.setdefault(key, key))
+            return tuple(out)
+
+        def outer(key):
+            basepoint, mor = key
+            _, map_name, _, filler_poly, _, reindex = _OUTER_DIAGRAMS[basepoint]
+            psi = mor.map
+            out = []
+            for fs in _poly_tuples(mor.target.arity, cap):
+                slot_polys = [filler_poly if v == basepoint else fs[v - 1] for v in psi.images]
+                if sum(p.arity for p in slot_polys) > cap:
+                    out.append(None)
+                    continue
+                chi = reindex(psi, [f.arity for f in fs])
+                source_comp = compose(mor.source, slot_polys)
+                target_comp = compose(mor.target, fs)
+                try:
+                    out.append(canon(validate(source_comp, chi, target_comp)))
+                except (NotAMorphism, ArityMismatch):
+                    out.append(f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}")
+            return tuple(out)
+
+        argument_pools = {
+            (src, tgt): [by_shape.get(shape, ()) for shape in zip(src, tgt)]
+            for k in range(1, cap + 1)
+            for src in _arity_tuples(k, cap)
+            for tgt in _arity_tuples(k, cap)
+        }
+
+        def arguments(key):
+            g, src, tgt = key
+            out = []
+            for mors in itertools.product(*argument_pools[src, tgt]):
+                bsum = block_sum([m.map for m in mors])
+                comp_f = compose(g, [m.source for m in mors])
+                comp_h = compose(g, [m.target for m in mors])
+                try:
+                    out.append(canon(validate(comp_f, bsum, comp_h)))
+                except (NotAMorphism, ArityMismatch):
+                    out.append(
+                        f"block sum of {[str(m.map) for m in mors]} is not a "
+                        f"morphism {comp_f} -> {comp_h}"
+                    )
+            return tuple(out)
+
+        self.by_source = by_source
+        self.identities = tuple(
+            (f, canon(validate(f, ExtMap.identity(f.arity), f))) for f in by_source
+        )
+        self.combined = _Tables(combined)
+        self.inner = _Tables(inner)
+        self.covered = {
+            basepoint: tuple(mor for mor in _morphisms_within(cap) if covers(mor.map))
+            for basepoint, (_, _, covers, *_) in _OUTER_DIAGRAMS.items()
+        }
+        self.outer = _Tables(outer)
+        self.argument_pools = argument_pools
+        self.arguments = _Tables(arguments)
+
+
+@lru_cache(maxsize=None)
+def _check_plan(cap: int) -> _CheckPlan:
+    return _CheckPlan(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +765,21 @@ def _check_zero_components(view, cap):
 
 def _check_functoriality(view, cap):
     elements = view.elements
-    morphisms = _all_morphisms(cap)
-    by_source: dict[RPoly, list[tuple[RMorphism, dict]]] = {}
-    for mor in morphisms:
-        by_source.setdefault(mor.source, []).append((mor, view.act_table(mor)))
-    for f in dict.fromkeys(m.source for m in morphisms):
-        ident = view.act_table(validate(f, ExtMap.identity(f.arity), f))
+    plan = _check_plan(cap)
+    by_source = {
+        f: [(mor, view.act_table(mor)) for mor in mors] for f, mors in plan.by_source.items()
+    }
+    for f, identity in plan.identities:
+        ident = view.act_table(identity)
         for x in view.component[f]:
             yield None if ident[x] == x else (
                 f"identity action moved {elements[x]!r} over {f}"
             )
-    for first in morphisms:
+    for first in _all_morphisms(cap):
         act_first = view.act_table(first)
         middle = view.members[first.target]
-        for second, act_second in by_source.get(first.target, ()):
-            combined = first.then(second)
+        seconds = by_source.get(first.target, ())
+        for (second, act_second), combined in zip(seconds, plan.combined[first]):
             act_combined = view.act_table(combined)
             for x in view.component[first.source]:
                 step = act_first[x]
@@ -722,16 +871,13 @@ def _check_associativity(view, cap, report):
     equal ids mean equal rows, which means every instance of that top
     holds; a block whose id lists are equal and hold no None (a row that
     reads a `_SKIP`) holds whole.  The top ids and the c and x columns of a
-    (g, fs) are read off its tops once."""
+    (g, fs) are read off its tops once, and the inner targets off the plan."""
+    inner = _check_plan(cap).inner
     for g, fs, composite in _composition_shapes(cap):
         blocks, total = _blocks(fs)
         tops = list(_composites(view, g, fs, report, view.gamma_table(g, fs).__getitem__))
         columns = list(zip(*[(top, c, *xs) for c, xs, top in tops]))
-        for hs in _poly_tuples(total, cap):
-            inner_targets = tuple(
-                compose(fs[s], hs[a:b]) if b > a else fs[s]
-                for s, (a, b) in enumerate(blocks)
-            )
+        for hs, inner_targets in zip(_poly_tuples(total, cap), inner[fs]):
             h_pools = [view.component[h] for h in hs]
             size = len(tops) * math.prod(map(len, h_pools))
             shape = g, fs, hs
@@ -818,36 +964,29 @@ _OUTER_DIAGRAMS = {
 def _check_outer_equivariance(view, cap, report, basepoint):
     """Outer action by psi; slots psi sends to the basepoint take its filler.
     One block per (mor, fs): every c over the source, then every xs."""
-    name, map_name, covers, filler_poly, filler, reindex = _OUTER_DIAGRAMS[basepoint]
+    name, _, _, filler_poly, filler, _ = _OUTER_DIAGRAMS[basepoint]
     filler_id = view.intern(filler(view.operad))
-    for mor in _morphisms_within(cap):
+    plan = _check_plan(cap)
+    for mor in plan.covered[basepoint]:
         psi = mor.map
-        if not covers(psi):
-            continue
         moved_table = view.act_table(mor)
         source = view.component[mor.source]
         # per slot, the argument index it reads, or None for the filler
         picks = [None if v == basepoint else v - 1 for v in psi.images]
-        for fs in _poly_tuples(mor.target.arity, cap):
-            slot_polys = [filler_poly if i is None else fs[i] for i in picks]
-            if sum(p.arity for p in slot_polys) > cap:
+        # the slot key (c, *slot args), read off the tuple (c, *xs, filler)
+        slot_key = operator.itemgetter(
+            0, *[mor.target.arity + 1 if i is None else i + 1 for i in picks]
+        )
+        for fs, chi_mor in zip(_poly_tuples(mor.target.arity, cap), plan.outer[basepoint, mor]):
+            if chi_mor is None:
                 continue
-            chi = reindex(psi, [f.arity for f in fs])
-            source_comp = compose(mor.source, slot_polys)
-            target_comp = compose(mor.target, fs)
-            try:
-                chi_mor = validate(source_comp, chi, target_comp)
-            except (NotAMorphism, ArityMismatch):
-                yield f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}"
+            if isinstance(chi_mor, str):
+                yield chi_mor
                 continue
-            # the slot key (c, *slot args), read off the tuple (c, *xs, filler)
-            slot_key = operator.itemgetter(
-                0, *[len(fs) + 1 if i is None else i + 1 for i in picks]
-            )
             tables = (
                 moved_table,
                 view.gamma_table(mor.target, fs),
-                view.gamma_table(mor.source, slot_polys),
+                view.gamma_table(mor.source, [filler_poly if i is None else fs[i] for i in picks]),
                 view.act_table(chi_mor),
             )
             pools = [view.component[f] for f in fs]
@@ -900,33 +1039,20 @@ def _outer_instances(
 def _check_equivariance_arguments(view, cap, report):
     """Acting on the arguments commutes with composing along the block sum.
     One block per (g, mors): every c over g, then every xs."""
-    morphisms = _all_morphisms(cap)
-    by_shape: dict[tuple[int, int], list[RMorphism]] = {}
-    for mor in morphisms:
-        by_shape.setdefault((mor.source.arity, mor.target.arity), []).append(mor)
+    plan = _check_plan(cap)
     for k in range(1, cap + 1):
         for g in enumerate_R(k):
             g_elts = view.component[g]
             for src_arities in _arity_tuples(k, cap):
                 for tgt_arities in _arity_tuples(k, cap):
-                    pools = [
-                        by_shape.get((src_arities[s], tgt_arities[s]), [])
-                        for s in range(k)
-                    ]
-                    for mors in itertools.product(*pools):
+                    pools = plan.argument_pools[src_arities, tgt_arities]
+                    block = plan.arguments[g, src_arities, tgt_arities]
+                    for mors, bmor in zip(itertools.product(*pools), block):
+                        if isinstance(bmor, str):
+                            yield bmor
+                            continue
                         fs = [m.source for m in mors]
                         hs = [m.target for m in mors]
-                        bsum = block_sum([m.map for m in mors])
-                        comp_f = compose(g, fs)
-                        comp_h = compose(g, hs)
-                        try:
-                            bmor = validate(comp_f, bsum, comp_h)
-                        except (NotAMorphism, ArityMismatch):
-                            yield (
-                                f"block sum of {[str(m.map) for m in mors]} is not a "
-                                f"morphism {comp_f} -> {comp_h}"
-                            )
-                            continue
                         tables = (
                             view.gamma_table(g, fs),
                             view.act_table(bmor),
@@ -1229,7 +1355,7 @@ def _theta_tables(view, algebra):
         elt = elements[x]
         return tuple([theta(f, elt, v) for v in itertools.product(carrier, repeat=f.arity)])
 
-    return _Table(row), _Tables(lambda fx, v: theta(fx[0], elements[fx[1]], v))
+    return _Table(row), _Tables(partial(_Table, lambda fx, v: theta(fx[0], elements[fx[1]], v)))
 
 
 def _block_verdicts(lhs, rhs, message):

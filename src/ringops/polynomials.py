@@ -461,10 +461,9 @@ def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
 def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> RPoly:
     """g(args); a UNIT argument is the constant 1.
 
-    The lru cache keeps up to 200,000 (g, args) pairs for callers that compose
-    the same pairs again, such as the axiom checks' inner composites.  The
-    composition-shape plan, `operads._composition_shapes`, expands its one
-    composite per shape from `_slot` and `_products` and leaves it alone.
+    The lru cache keeps up to 200,000 (g, args) pairs.  The composition-shape
+    plan, `operads._composition_shapes`, expands its one composite per shape
+    from `_slot` and `_products` and leaves it alone.
 
     With RPoly arguments the products are the composite's masks (see the
     module docstring) and are only sorted.  With a UNIT slot they can repeat

@@ -840,13 +840,17 @@ def _root_templates(shape: tuple) -> list[tuple[tuple, int]]:
 # The term-fiber ring operads
 
 
-@lru_cache(maxsize=500000)
+# Both wrappers cache nothing (maxsize=0): the checkers' interned view asks
+# each structure map once per run and keeps its results only for that run.
+# They stay lru_cache functions because the benchmark's tracer reads their
+# cache_info().
+@lru_cache(maxsize=0)
 def _cached_act(mode: str, phi: ExtMap, elt: Term) -> Term:
     moved = act_map(phi, elt)
     return normalize_biperm(moved) if mode == "biperm" else moved
 
 
-@lru_cache(maxsize=500000)
+@lru_cache(maxsize=0)
 def _cached_gamma(mode: str, g_elt: Term, arg_elts: tuple[Term, ...]) -> Term:
     composed = compose_terms(g_elt, arg_elts)
     return normalize_biperm(composed) if mode == "biperm" else composed

@@ -449,10 +449,17 @@ OPERADS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _builtin_reference(name, cap):
+    """The reference report of a builtin, computed once per test session."""
+    return _fields(reference_check_axioms(OPERADS[name](), cap))
+
+
 @pytest.mark.parametrize("cap", [1, 2])
 @pytest.mark.parametrize("name", sorted(OPERADS))
 def test_axioms_match_the_reference(name, cap):
-    report = _assert_same_axioms(OPERADS[name](), cap)
+    report = check_axioms(OPERADS[name](), cap)
+    assert _fields(report) == _builtin_reference(name, cap)
     assert report.ok and report.skipped == 0
 
 
@@ -1123,3 +1130,140 @@ def test_sset_budget_boundaries(budget, capsys):
     with pytest.raises(SearchBudgetExceeded):
         check_axioms(sset_operad("sym"), 2, spent)
     assert spent.used == budget + 1
+
+
+# ---------------------------------------------------------------------------
+# The check plan: operad-independent data shared by every run at a cap.
+
+
+@pytest.fixture
+def cold_plan():
+    """An empty plan memo before the test and after it, so that nothing a
+    test puts in the plan reaches another test."""
+    operads._check_plan.cache_clear()
+    yield
+    operads._check_plan.cache_clear()
+
+
+def _plan_cases():
+    """(label, operad, cap): the builtins, a pruned table with skips, a table
+    whose gamma raises on one row, and seeded single-row mutants."""
+    cases = [(name, OPERADS[name](), 2) for name in ("strict", "rcg-terminal", "rcg-sigma", "pset")]
+    cases.append(("pruned", _pruned(_table("pset", 2), seed=6), 2))
+    table = _table("pset", 2)
+    key = random.Random(2).choice(sorted(table._gamma_rows))
+    cases.append(("raises", _BreaksOnOneRow(table, key), 2))
+    for i, (kind, mutant) in enumerate(_mutants(_table("pset", 1), 3, seed=6)):
+        cases.append((f"{kind}-mutant-{i}@cap1", mutant, 1))
+    for i, (kind, mutant) in enumerate(_mutants(_table("pset", 2), 1, seed=7)):
+        cases.append((f"{kind}-mutant-{i}@cap2", mutant, 2))
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _plan_references():
+    return {
+        label: _builtin_reference(label, cap) if label in OPERADS
+        else _outcome(reference_check_axioms, operad, cap)
+        for label, operad, cap in _plan_cases()
+    }
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_runs_on_a_cold_and_a_warm_plan_match_the_reference(order, cold_plan):
+    expected = _plan_references()
+    cases = _plan_cases()
+    if order == "reverse":
+        cases.reverse()
+    assert any(outcome[0] is RingopsError for outcome in expected.values())
+    assert any(outcome[0] is True and outcome[2] > 0 for outcome in expected.values())
+    for label, operad, cap in cases:
+        operads._check_plan.cache_clear()
+        assert _outcome(check_axioms, operad, cap) == expected[label], ("cold", label)
+    for label, operad, cap in cases:
+        assert _outcome(check_axioms, operad, cap) == expected[label], ("warm", label)
+
+
+def test_plan_entries_are_the_canonical_morphisms(cold_plan):
+    assert check_axioms(OPERADS["pset"](), 2).ok
+    plan = operads._check_plan(2)
+    canonical = {id(mor) for mor in _all_morphisms(2)}
+    entries = [mor for _, mor in plan.identities]
+    for memo in (plan.combined, plan.outer, plan.arguments):
+        entries += [mor for block in memo.values() for mor in block if mor is not None]
+    assert len(entries) == 11 + 2_639 + 1_969 + 240 + 5_120
+    assert {id(mor) for mor in entries} <= canonical
+    assert all(id(first) in canonical for first in plan.combined)
+
+
+def _not_a_morphism(real, width):
+    """`real`, except that each map onto `width` variables sends every
+    position to e, so that no composite with a monomial maps onto a target."""
+
+    def reindex(*args):
+        chi = real(*args)
+        if chi.target_size != width:
+            return chi
+        return ExtMap(chi.source_size, chi.target_size, (E,) * chi.source_size)
+
+    return reindex
+
+
+@pytest.mark.parametrize("section", ["collation", "tilde", "block sum"])
+def test_a_plan_map_that_is_no_morphism_fails_alike_cold_and_warm(section, cold_plan, monkeypatch):
+    if section == "block sum":
+        bad = _not_a_morphism(block_sum, 2)
+        monkeypatch.setattr(operads, "block_sum", bad)
+        monkeypatch.setitem(globals(), "block_sum", bad)
+    else:
+        basepoint = 0 if section == "collation" else E
+        *words, reindex = _OUTER_DIAGRAMS[basepoint]
+        monkeypatch.setitem(_OUTER_DIAGRAMS, basepoint, (*words, _not_a_morphism(reindex, 2)))
+    expected = _outcome(reference_check_axioms, strict_operad(), 2)
+    assert expected[0] is False and f"{section} " in expected[4]
+    assert expected[1] > sum(expected[3].values()) + 1  # not the first instance of its section
+    for _ in ("cold", "warm"):
+        assert _outcome(check_axioms, strict_operad(), 2) == expected
+
+
+def _plan_memos(plan):
+    return {
+        "functoriality": plan.combined, "associativity": plan.inner,
+        "outer": plan.outer, "arguments": plan.arguments,
+    }
+
+
+def test_plan_memos_drop_their_blocks_at_the_bound(cold_plan, monkeypatch):
+    # With small bounds, every memo of a cap-2 run drops its blocks several
+    # times; they are built again alike, and no memo passes either bound.
+    # The plan does not depend on the operad, so strict's run reads all of it.
+    expected = _fields(check_axioms(strict_operad(), 2))
+    monkeypatch.setattr(operads, "_TABLES_KEPT", 5)
+    monkeypatch.setattr(operads, "_PLAN_ENTRIES_KEPT", 40)
+    operads._check_plan.cache_clear()
+    largest = dict.fromkeys(_plan_memos(operads._check_plan(2)), 0)
+    clear = operads._Tables.clear
+
+    def spied_clear(held):
+        for name, memo in _plan_memos(operads._check_plan(2)).items():
+            if memo is held:
+                largest[name] = max(largest[name], len(memo))
+                assert len(memo) <= 5 and memo.entries < 40 + max(map(len, memo.values()))
+        clear(held)
+
+    monkeypatch.setattr(operads._Tables, "clear", spied_clear)
+    for _ in range(2):
+        assert _fields(check_axioms(strict_operad(), 2)) == expected
+    assert all(largest.values()), largest
+
+
+@pytest.mark.slow
+def test_plan_memos_stay_bounded_at_cap3(cold_plan):
+    # The budget runs out in the last section, equivariance-arguments, after
+    # every other section of strict at cap 3 has run whole.
+    budget = Budget(4 + 1_272_201 + 277 + 36_137_030 + 3_327_284 + 72_886 + 100_000)
+    with pytest.raises(SearchBudgetExceeded):
+        check_axioms(strict_operad(), 3, budget)
+    for name, memo in _plan_memos(operads._check_plan(3)).items():
+        assert 0 < len(memo) <= operads._TABLES_KEPT, name
+        assert memo.entries < operads._PLAN_ENTRIES_KEPT + max(map(len, memo.values())), name
