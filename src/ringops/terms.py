@@ -33,24 +33,22 @@ one forward pass; nodes stay bare tuples until `enumerate_fiber` returns
 them as `Term`s.
 
 Zig-zag connectivity never builds a tree: `connectivity_check` reads the
-sym table through a cons dict {entry: id} made for that call alone, and
-`_fiber_moves` lists each node's reduced rewrites as ids, from its root
-rules (instantiated once per root shape by `_root_templates`) and its
-children's lists lifted by `_reduce_top` on ids.  A rewritten subterm whose
-entry is not in the dict was never built, and since `_reduce_top` drops
-only 0/1 parts it stays in the whole reduced tree, which then is not a
-fiber node: every subterm of a fiber node is built.  So a miss prunes the
-rewrite and all its lifts.  One union-find over the ids joins the two ends
-of every move.  No `Term` is built per move, and none needs to be: a
-rewrite only moves, copies or drops subtrees of its node, and `reduce_node`
-only drops them, so no new variable leaf appears and the arity check of
-`Term` cannot fail; at a fixed arity, `Term` equality is node equality.
+sym table through a cons dict {entry: id} made for that call alone.  One
+union-find over the ids first joins each proper subterm to its reduced
+rewrites (`_subterm_moves`: root rules instantiated once per root shape by
+`_root_templates`, and children's lists lifted by one lookup each), then
+each fiber node to its root rewrites and to one representative of its
+split class, and stops once the fiber is one component.  No `Term` is
+built per move, and none needs to be: a rewrite only moves, copies or
+drops subtrees of its node, and `reduce_node` only drops them, so no new
+variable leaf appears and the arity check of `Term` cannot fail; at a
+fixed arity, `Term` equality is node equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import (
     ArityCapExceeded,
@@ -58,6 +56,7 @@ from .errors import (
     FiberNotStable,
     NotReduced,
     PreconditionViolation,
+    RingopsError,
 )
 from .indexcat import E, ExtMap, RMorphism
 from .operads import DiscreteRingOperad
@@ -415,7 +414,9 @@ def _largest_count(f: RPoly, mode: str) -> int:
     return max(keys[target][0], default=1)
 
 
-@lru_cache(maxsize=4096)
+# Caches nothing (maxsize=0): each caller asks for a fiber once.  It stays an
+# lru_cache function because the benchmark's tracer reads its cache_info().
+@lru_cache(maxsize=0)
 def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
     """The nodes projecting to f, one tuple per leaf count from 0 to f's last
     non-empty count up to `bound`: `_fiber_table`'s ids, decoded."""
@@ -664,22 +665,35 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     is its tuple, a sum's or product's is (tag, left id, right id), children
     have smaller ids, and equal trees have equal ids, since the DP builds no
     node twice.  The table is read through a cons dict {entry: id} made for
-    this call alone and dropped with it.  For each fiber id, `_fiber_moves`
-    gives the ids of its reduced rewrites, and each joins the two ids in one
-    path-halving union-find; the unreachable terms are those whose root is
-    not the terminal representative's.  Only they are decoded into `Term`s.
+    this call alone and dropped with it.  The graph is that of the
+    single-position `_MOVE_RULES` rewrites, each followed by `reduce_node`,
+    taken undirected and restricted to the fiber; one path-halving
+    union-find over the ids gives its components, in two phases.
 
-    The graph is that of the single-position `_MOVE_RULES` rewrites, each
-    followed by `reduce_node`, taken undirected and restricted to the fiber.
-    A rewrite whose rewritten subterm, once reduced, has no entry in the
-    dict is pruned with every lift of it, and loses no edge: that subterm is
-    a sum or a product, and `_reduce_top` drops only 0/1 parts, so it stays
-    a subterm of the whole reduced tree; every subterm of a fiber node is a
-    built node, so that tree is not in the fiber.  Every hit at the root is
-    in the fiber: it projects to f, and an incomplete fiber is refused
-    before the table is built.  A rewrite followed by `reduce_node` adds no
-    variable leaf, so the arity check a `Term` would make cannot fail, and
-    at one arity two terms are equal exactly when their nodes are.
+    First, each proper subterm (each id outside the fiber) is joined to its
+    reduced rewrites, `_subterm_moves`, so the built nodes of each key fall
+    into the components of that key's rewrite graph.  Then each fiber node
+    (tag, l, r) is joined to its root rewrites, `_root_moves`, and to its
+    class representative (tag, root(l), root(r)); the rewrites inside l and
+    r are never lifted.  That is exact: in a complete fiber, (tag, a, b) is
+    a fiber node for every built a of l's key and b of r's.  It projects to
+    f and is canonical, and its leaf count, a count of l's key plus one of
+    r's, is one of f's, which `_reach` gives exactly and the bound covers.
+    So the lifted rewrites make each split class (tag, l's key, r's key)
+    the Cartesian product of its parts' rewrite graphs, whose components
+    are products of components: the nodes that share a representative.  A
+    representative with no id would break that argument and is an error,
+    never skipped.  Every root rewrite with an id is in the fiber: it
+    projects to f, and an incomplete fiber is refused before the table is
+    built.
+
+    The fiber's components are counted down, one per join of two roots,
+    and at one the fiber is connected and the walk stops.  Otherwise it
+    walks every fiber node, and the unreachable terms are those whose root
+    is not the terminal representative's; only they are decoded into
+    `Term`s.  A rewrite followed by `reduce_node` adds no variable leaf, so
+    the arity check a `Term` would make cannot fail, and at one arity two
+    terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
     if _largest_count(f, "sym") > bound:
@@ -690,6 +704,7 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     first = _encode(start.node, cons)
     if first is None or not any(first in ids for ids in levels):
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
+    size = sum(map(len, levels))
     parent = list(range(len(table)))
 
     def root(i: int) -> int:
@@ -697,18 +712,40 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
             parent[i] = i = parent[up]
         return i
 
-    for i, targets in _fiber_moves(table, cons, levels):
+    moves = _root_moves(table, cons)
+    for i, targets in _subterm_moves(table, cons, levels, moves):
         i = root(i)
         for j in targets:
             while (up := parent[j]) != j:  # root(j), inlined: most of the calls
                 parent[j] = j = parent[up]
             parent[j] = i
+    components = size
+    for ids in levels:
+        for i in ids:
+            entry = table[i]
+            if len(entry) != 3:
+                continue
+            tag, l, r = entry
+            targets = moves(i)
+            rep = cons.get((tag, root(l), root(r)))
+            if rep is None:
+                node = node_str(_decode(table)[i])
+                raise RingopsError(f"the split class of {node} has no representative")
+            targets.append(rep)
+            i = root(i)
+            for j in targets:
+                while (up := parent[j]) != j:
+                    parent[j] = j = parent[up]
+                if j != i:
+                    parent[j] = i
+                    components -= 1
+            if components == 1:
+                return ConnectivityReport(True, size, start, frozenset())
     top = root(first)
     unreachable = [i for ids in levels for i in ids if root(i) != top]
     if unreachable:
         nodes = _decode(table)
         unreachable = [_fiber_term(f.arity, nodes[i]) for i in unreachable]
-    size = sum(map(len, levels))
     return ConnectivityReport(not unreachable, size, start, frozenset(unreachable))
 
 
@@ -723,49 +760,66 @@ def _encode(node: Node, cons: dict) -> Union[int, None]:
     )
 
 
-def _fiber_moves(
-    table: list, cons: dict, levels: Sequence[range]
+def _subterm_moves(
+    table: list, cons: dict, levels: Sequence[range], moves: Callable[[int], list[int]]
 ) -> Iterator[tuple[int, list[int]]]:
-    """(id, ids of its reduced rewrites) for each fiber id of a complete sym
-    table, `levels` holding the fiber's ids and `cons` being {entry: id}.
+    """(id, ids of its reduced rewrites) for each sum or product outside the
+    fiber of a complete sym table, in build order: `levels` holds the
+    fiber's ids, `cons` is {entry: id} and `moves` is `_root_moves`.
 
     The rewrites are those of `_MOVE_RULES` at every position, each followed
-    by `reduce_node`, computed on ids and pruned as `connectivity_check`
-    says.  Ids run in build order, so one forward sweep sees a node's
-    children before it and keeps, for every proper subterm, the ids of its
-    reduced rewrites.  A node (tag, l, r) lists the rules that fire at its
-    root, replayed from `_root_templates`, then l's ids lifted to
-    (tag, a, r), then r's lifted alike, each looked up in `cons`.  A lift
-    needs no unit step: a rewrite keeps its subterm's projection, so it is 0
-    or 1 only if the subterm is, and leaves have no rewrites; nor is a
-    factor's sibling ever 1 in the DP.  Fiber nodes are never proper
-    subterms (their key is all of f's), so their own lists are not kept.
+    by `reduce_node`, on ids.  One forward sweep sees a node's children
+    before it and keeps, for every proper subterm, the ids of its reduced
+    rewrites: a node (tag, l, r) lists its root rewrites, then l's ids
+    lifted to (tag, a, r), then r's lifted alike, each looked up in `cons`.
+    A lift needs no unit step: a rewrite keeps its subterm's projection, so
+    it is 0 or 1 only if the subterm is, and leaves have no rewrites; nor is
+    a factor's sibling ever 1 in the DP.  A rewrite whose rewritten subterm,
+    once reduced, has no id is pruned with every lift of it, and loses no
+    edge: `_reduce_top` drops only 0/1 parts, so that subterm stays in the
+    whole reduced tree, and every subterm of a built node is built.  Fiber
+    nodes are never proper subterms (their key is all of f's).
     """
     in_fiber = bytearray(len(table))
     for ids in levels:
         in_fiber[ids.start : ids.stop] = b"\x01" * len(ids)
     get = cons.get
-    one = get(ONE)
-    templates: dict = {}
-    kinds: list = []  # per id: its tag, or the leaf itself
-    below: list = []  # per id: its reduced rewrites' ids; None for fiber ids
-    slots: list = []  # per node: l, r, their children, then step results
+    below: list = []  # per id: its reduced rewrites' ids; () for leaves and fiber ids
     for i, entry in enumerate(table):
-        if len(entry) != 3:
-            kinds.append(entry)
+        if len(entry) != 3 or in_fiber[i]:
             below.append(())
             continue
         tag, l, r = entry
-        kinds.append(tag)
-        shape = (tag, kinds[l], kinds[r])
+        out = moves(i)
+        out += [j for a in below[l] if (j := get((tag, a, r))) is not None]
+        out += [j for b in below[r] if (j := get((tag, l, b))) is not None]
+        below.append(out)
+        yield i, out
+
+
+def _root_moves(table: list, cons: dict) -> Callable[[int], list[int]]:
+    """The function from a sum's or product's id to the ids of its reduced
+    root rewrites: the rules of `_MOVE_RULES` that fire at its root, each
+    replayed from `_root_templates` on the ids of its parts and their parts,
+    with each step's result looked up in `cons` ({entry: id}).  A step that
+    misses is pruned as `_subterm_moves` says."""
+    get = cons.get
+    one = get(ONE)
+    templates: dict = {}
+    slots: list = []  # l, r, their children, then step results
+
+    def moves(i: int) -> list[int]:
+        tag, l, r = table[i]
+        left, right = table[l], table[r]
+        shape = (tag, left[0] if len(left) == 3 else left, right[0] if len(right) == 3 else right)
         plans = templates.get(shape)
         if plans is None:
             plans = templates[shape] = _root_templates(shape)
-            slots += [None] * (6 + max((len(s) for s, _ in plans), default=0) - len(slots))
+            slots.extend([None] * (6 + max((len(s) for s, _ in plans), default=0) - len(slots)))
         slots[0], slots[1] = l, r
-        if len(left := table[l]) == 3:
+        if len(left) == 3:
             _, slots[2], slots[3] = left
-        if len(right := table[r]) == 3:
+        if len(right) == 3:
             _, slots[4], slots[5] = right
         out = []
         for steps, result in plans:
@@ -782,13 +836,9 @@ def _fiber_moves(
                 slots[dest] = v
             else:
                 out.append(slots[result])
-        out += [j for a in below[l] if (j := get((tag, a, r))) is not None]
-        out += [j for b in below[r] if (j := get((tag, l, b))) is not None]
-        if in_fiber[i]:
-            below.append(None)
-            yield i, out
-        else:
-            below.append(out)
+        return out
+
+    return moves
 
 
 def _root_templates(shape: tuple) -> list[tuple[tuple, int]]:

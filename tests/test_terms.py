@@ -11,10 +11,16 @@ from hypothesis import given, settings, strategies as st
 from position_walk import position_moves, positions
 from ringops import terms
 from ringops.cli import main
-from ringops.errors import ArityMismatch, FiberNotStable, NotReduced, PreconditionViolation
+from ringops.errors import (
+    ArityMismatch,
+    FiberNotStable,
+    NotReduced,
+    PreconditionViolation,
+    RingopsError,
+)
 from ringops.indexcat import E, ExtMap, validate
 from ringops.operads import check_axioms
-from ringops.parsing import _depth, parse_poly
+from ringops.parsing import _depth, parse_poly, print_poly
 from ringops.polynomials import (
     IntPoly,
     enumerate_R,
@@ -623,8 +629,27 @@ def _adjacency_connectivity(f, bound=None):
     return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
 
 
-CONNECT_POLYS = enumerate_R(2) + list(_up_to_relabelling(R3_SMALL))
+R3_FOUR_ORBITS = list(_up_to_relabelling([f for f in enumerate_R(3) if len(f) == 4]))
+FIBER_SIZES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "fiber_sizes.json").read_text()
+)["sizes"]
+CONNECT_POLYS = (
+    enumerate_R(2)
+    + list(_up_to_relabelling(R3_SMALL))
+    + [f for f in R3_FOUR_ORBITS if FIBER_SIZES[print_poly(f)][0] <= 2000]
+)
 MOVE_NAMES = {name for name, _ in _MOVE_RULES}
+RULE_SUBSETS = [
+    MOVE_NAMES - {"comm-plus", "comm-times"},
+    MOVE_NAMES - {"comm-plus"},
+    {"assoc-times", "assoc-times-inv", "comm-plus", "comm-times", "unit-left", "unit-right"},
+    set(),
+    # one direction of assoc only, and dist has no inverse: some edges
+    # are seen from one end only
+    {"assoc-plus", "assoc-times", "dist-left", "dist-right"},
+    {"assoc-times", "comm-times", "dist-right"},
+    {"assoc-plus-inv", "comm-plus", "dist-left"},
+]
 
 
 class TestConnectivityReference:
@@ -632,20 +657,7 @@ class TestConnectivityReference:
         for f in CONNECT_POLYS:
             assert connectivity_check(f) == _adjacency_connectivity(f), str(f)
 
-    @pytest.mark.parametrize(
-        "kept",
-        [
-            MOVE_NAMES - {"comm-plus", "comm-times"},
-            MOVE_NAMES - {"comm-plus"},
-            {"assoc-times", "assoc-times-inv", "comm-plus", "comm-times", "unit-left", "unit-right"},
-            set(),
-            # one direction of assoc only, and dist has no inverse: some edges
-            # are seen from one end only
-            {"assoc-plus", "assoc-times", "dist-left", "dist-right"},
-            {"assoc-times", "comm-times", "dist-right"},
-            {"assoc-plus-inv", "comm-plus", "dist-left"},
-        ],
-    )
+    @pytest.mark.parametrize("kept", RULE_SUBSETS)
     def test_matches_the_adjacency_search_on_disconnected_fibers(self, kept, monkeypatch):
         monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
         reports = [connectivity_check(f) for f in CONNECT_POLYS]
@@ -739,12 +751,8 @@ def _forward_fiber(f, mode, bound):
     )
 
 
-R3_FOUR_ORBITS = list(_up_to_relabelling([f for f in enumerate_R(3) if len(f) == 4]))
 DEMAND_POLYS = [f for n in range(3) for f in enumerate_R(n)] + R3_SMALL + R3_FOUR_ORBITS
 R4_SAMPLE = random.Random(4).sample([f for f in enumerate_R(4) if 0 < len(f) <= 3], 6)
-FIBER_SIZES = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "fiber_sizes.json").read_text()
-)["sizes"]
 
 
 def _sym_table(f):
@@ -756,20 +764,59 @@ def _sym_table(f):
     return table, by_leaves[: bound + 1], {entry: i for i, entry in enumerate(table)}
 
 
+def _fiber_ids(levels):
+    return {i for ids in levels for i in ids}
+
+
+def _keys_of(table):
+    """The projection key of every id of a table, as sets of supports."""
+    keys = []
+    for entry in table:
+        if entry == ZERO:
+            keys.append(frozenset())
+        elif entry == ONE:
+            keys.append(frozenset({()}))
+        elif entry[0] == "v":
+            keys.append(frozenset({(entry[1],)}))
+        elif entry[0] == "+":
+            keys.append(keys[entry[1]] | keys[entry[2]])
+        else:
+            keys.append(frozenset(
+                tuple(sorted(a + b)) for a in keys[entry[1]] for b in keys[entry[2]]
+            ))
+    return keys
+
+
 class TestIdWalker:
     def test_matches_the_position_walk(self):
-        """For each fiber node, `_fiber_moves` gives exactly the ids of the
-        rewrites `position_moves` lists that land in the fiber."""
+        """Every proper subterm's list from `_subterm_moves` holds exactly
+        the rewrites `position_moves` lists that have an id, and every fiber
+        node's `_root_moves` exactly its root-position rewrites that land in
+        the fiber."""
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
             table, levels, cons = _sym_table(f)
             nodes = terms._decode(table)
-            fiber = {nodes[i] for ids in levels for i in ids}
+            fiber = _fiber_ids(levels)
+            moves = terms._root_moves(table, cons)
             walked = set()
-            for i, targets in terms._fiber_moves(table, cons, levels):
-                expected = {reduced for _, _, reduced in position_moves(nodes[i])}
-                assert {nodes[j] for j in targets} == expected & fiber, (str(f), nodes[i])
-                walked.add(nodes[i])
-            assert walked == {node for node in fiber if node[0] in ("+", "*")}, str(f)
+            for i, targets in terms._subterm_moves(table, cons, levels, moves):
+                expected = {
+                    j for _, _, reduced in position_moves(nodes[i])
+                    if (j := terms._encode(reduced, cons)) is not None
+                }
+                assert set(targets) == expected, (str(f), nodes[i])
+                walked.add(i)
+            assert walked == {
+                i for i, entry in enumerate(table) if len(entry) == 3 and i not in fiber
+            }, str(f)
+            fiber_nodes = {nodes[i] for i in fiber}
+            for i in fiber:
+                if len(table[i]) == 3:
+                    expected = {
+                        reduced for _, path, reduced in position_moves(nodes[i])
+                        if path == () and reduced in fiber_nodes
+                    }
+                    assert {nodes[j] for j in moves(i)} == expected, (str(f), nodes[i])
 
     def test_every_subterm_of_a_fiber_node_has_an_id(self):
         """The pruning argument: a rewritten subterm with no id cannot lie
@@ -783,6 +830,74 @@ class TestIdWalker:
                     assert terms._encode(nodes[i], cons) == i
                     for _path, sub in positions(nodes[i]):
                         assert terms._encode(sub, cons) is not None, (str(f), sub)
+
+    @pytest.mark.parametrize("kept", [MOVE_NAMES] + RULE_SUBSETS)
+    def test_each_split_class_is_the_product_of_its_parts(self, kept, monkeypatch):
+        """The lemma behind the class representatives: for a fiber node
+        (tag, l, r), every (tag, a, b) with a and b built nodes of l's and
+        r's keys is a fiber id.  The subterm rewrites stay within their key
+        under any rules, so each representative (tag, root(l), root(r)) is
+        one of these."""
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
+            table, levels, cons = _sym_table(f)
+            fiber = _fiber_ids(levels)
+            keys = _keys_of(table)
+            built: dict = {}
+            for i, key in enumerate(keys):
+                built.setdefault(key, []).append(i)
+            moves = terms._root_moves(table, cons)
+            for i, targets in terms._subterm_moves(table, cons, levels, moves):
+                assert all(keys[j] == keys[i] for j in targets), (str(f), i)
+            classes = {
+                (entry[0], keys[entry[1]], keys[entry[2]])
+                for i in fiber if len(entry := table[i]) == 3
+            }
+            for tag, left, right in classes:
+                for a in built[left]:
+                    for b in built[right]:
+                        assert cons.get((tag, a, b)) in fiber, (str(f), tag, a, b)
+
+    def test_a_connected_fiber_stops_at_the_spanning_union(self, monkeypatch):
+        f = parse_poly("R(3): x3 + x2*x3 + x1*x3 + x1*x2")
+        table, levels, cons = _sym_table(f)
+        fiber = _fiber_ids(levels)
+        walked = []
+        root_moves = terms._root_moves
+
+        def counted(table, cons):
+            moves = root_moves(table, cons)
+            return lambda i: walked.append(i) or moves(i)
+
+        monkeypatch.setattr(terms, "_root_moves", counted)
+        assert connectivity_check(f) == _adjacency_connectivity(f)
+        assert 0 < len(fiber.intersection(walked)) < len(fiber)
+
+    def test_a_missing_representative_is_an_error(self, monkeypatch):
+        """Both members of one split class, each dropped from the table in
+        turn: dropping the class representative leaves the other member
+        with none, which must be an error naming it, not a skipped join."""
+        f = parse_poly("R(3): x1 + x2*x3")
+        table, levels, _cons = _sym_table(f)
+        nodes = terms._decode(table)
+        members = {
+            node_str(nodes[i]): i for i in _fiber_ids(levels)
+            if node_str(nodes[i]) in ("((x2 * x3) + x1)", "((x3 * x2) + x1)")
+        }
+        assert len(members) == 2
+        errors = []
+        for dropped, i in members.items():
+            broken = list(table)
+            broken[i] = ("dropped",)
+            monkeypatch.setattr(terms, "_fiber_table", lambda *_: (broken, levels))
+            try:
+                connectivity_check(f)
+            except RingopsError as err:
+                errors.append((dropped, str(err)))
+        assert len(errors) == 1
+        (dropped, message), = errors
+        (other,) = set(members) - {dropped}
+        assert message == f"the split class of {other} has no representative"
 
 
 def test_an_unknown_mode_is_a_precondition_violation():
