@@ -49,12 +49,17 @@ for its run and drops at the end.  Its contract:
   row; a row that raises is not stored, so it raises again when the
   per-instance replay reaches it, at the same instance as calling the
   operad directly would;
-- `gamma_row(shape, key)` is the one function the gamma tables fill from.
-  `validate_algebra` calls it directly and keeps no gamma table: its
-  associativity builds one (g, arity tuple) block of the plan at a time and
-  reads each shape's rows once per build, so a table per shape would be
-  filled once and read once.  `check_axioms` keeps the tables, because its
-  sections read one shape's rows again;
+- `gamma_id(g, g_elt, args)` is the one place where a missing gamma row
+  (GammaUndefined) becomes `_SKIP`: it gives the id of gamma(g; g_elt, args)
+  over (f, element) pairs.  `gamma_row(shape, key)`, the one function the
+  gamma tables fill from, calls it on the elements of an id key.
+  `validate_algebra` keeps no gamma table: its associativity settles each
+  (g, arity tuple) block of the plan in one fused pass, which calls
+  `gamma_id` on argument pairs built once per argument arity and compares
+  theta-row ids; only a block it cannot settle is replayed through
+  `gamma_row`.  Each row is read once per build, so a table per shape would
+  be filled once and read once.  `check_axioms` keeps the tables, because
+  its sections read one shape's rows again;
 - the row tables hold ids of rows, tuples of gamma ids interned by value
   for the whole run, so two row ids are equal exactly when their rows are;
   a row that holds a `_SKIP`, or is built from one that does, has the id
@@ -502,13 +507,15 @@ class _Interned:
         def component_row(_, f):
             return tuple(map(intern, operad.component(f)))
 
-        def gamma_row(shape, key):
-            g, fs = shape
-            args = [(f, elements[x]) for f, x in zip(fs, key[1:])]
+        def gamma_id(g, g_elt, args):
             try:
-                return intern(operad.gamma(g, elements[key[0]], args))
+                return intern(operad.gamma(g, g_elt, args))
             except GammaUndefined:
                 return _SKIP
+
+        def gamma_row(shape, key):
+            g, fs = shape
+            return gamma_id(g, elements[key[0]], [(f, elements[x]) for f, x in zip(fs, key[1:])])
 
         def act_row(mor, x):
             return intern(operad.act(mor, elements[x]))
@@ -542,6 +549,7 @@ class _Interned:
         self.intern = intern
         self.component = components = _Table(component_row)
         self.members = _Table(lambda _, f: frozenset(components[f]))
+        self.gamma_id = gamma_id
         self.gamma_row = gamma_row
         self._gamma = gammas = _Tables(partial(_Table, gamma_row))
         self._act = _Tables(partial(_Table, act_row))
@@ -1336,7 +1344,7 @@ def validate_algebra(
     _check_cap(cap)
     report = CheckReport(f"algebra over {operad.name}@cap{cap}", True, 0, 0, None)
     view = _Interned(operad)
-    thetas = _theta_tables(view, algebra)
+    thetas = _Thetas(view, algebra)
     return _check_sections(report, budget or Budget(), (
         ("unit", _algebra_unit(view, algebra)),
         ("associativity", _algebra_associativity(view, algebra, cap, report, thetas)),
@@ -1344,18 +1352,41 @@ def validate_algebra(
     ))
 
 
-def _theta_tables(view, algebra):
-    """theta over one run's element ids, memoised two ways:
-    `rows[f, x]` is the tuple of theta(f, x, v) over the carrier tuples v in
-    product order, and `at[g, c]` maps one tuple to theta(g, c, tuple)."""
-    elements, theta, carrier = view.elements, algebra.theta, algebra.carrier
+class _Thetas:
+    """theta over one run's element ids, memoised four ways:
+    - `rows[f, x]` is the tuple of theta(f, x, v) over the carrier tuples v
+      in product order, and `at[g, c]` maps one tuple to theta(g, c, tuple);
+    - theta rows get ids interned by value for the run, so two ids are equal
+      exactly when their rows are: `ids[f]` maps x to the id of rows[f, x],
+      and `over[g, c]` maps a tuple of row ids to the id of the row of
+      theta(g, c, ·) over the product of those rows.  `over` is the caller's
+      to clear; the associativity clears it after each g."""
 
-    def row(_, fx):
-        f, x = fx
-        elt = elements[x]
-        return tuple([theta(f, elt, v) for v in itertools.product(carrier, repeat=f.arity)])
+    def __init__(self, view, algebra):
+        elements, theta, carrier = view.elements, algebra.theta, algebra.carrier
+        row_ids: dict = {}
+        id_rows: list = []
 
-    return _Table(row), _Tables(partial(_Table, lambda fx, v: theta(fx[0], elements[fx[1]], v)))
+        def row_id(row):
+            index = row_ids.get(row)
+            if index is None:
+                index = row_ids[row] = len(id_rows)
+                id_rows.append(row)
+            return index
+
+        def row(_, fx):
+            f, x = fx
+            elt = elements[x]
+            return tuple([theta(f, elt, v) for v in itertools.product(carrier, repeat=f.arity)])
+
+        def over_row(gc, rids):
+            outer = at[gc].__getitem__
+            return row_id(tuple(map(outer, itertools.product(*map(id_rows.__getitem__, rids)))))
+
+        self.rows = rows = _Table(row)
+        self.at = at = _Tables(partial(_Table, lambda gc, v: theta(gc[0], elements[gc[1]], v)))
+        self.ids = _Tables(partial(_Table, lambda f, x: row_id(rows[f, x])))
+        self.over = _Tables(partial(_Table, over_row))
 
 
 def _block_verdicts(lhs, rhs, message):
@@ -1380,45 +1411,66 @@ def _algebra_unit(view, algebra):
 def _algebra_associativity(view, algebra, cap, report, thetas):
     """One block per (g, arity tuple) of the plan: theta of each composite
     (c, xs, composed) against theta of g at the inner values, replayed one
-    composite at a time unless it holds whole.  Gamma rows come straight
-    from the view's `gamma_row`, with no table per shape."""
-    rows, at = thetas
-    for g, shapes in _composition_blocks(cap):
-        built = _whole_sides(_algebra_sides, view, g, shapes, thetas)
-        if built is not None and built[0] == built[1]:
-            yield len(built[0])
-            continue
-        for fs, composite in shapes:
-            gamma = partial(view.gamma_row, (g, fs))
-            for c, xs, composed in _composites(view, g, fs, report, gamma):
-                lhs = rows[composite, composed]
-                outer = at[g, c]
-                rhs = tuple(map(outer.__getitem__, itertools.product(
-                    *[rows[f, x] for f, x in zip(fs, xs)]
-                )))
-                yield from _block_verdicts(lhs, rhs, lambda i: (
-                    f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
-                    f"{lhs[i]!r} != {rhs[i]!r}"
-                ))
+    composite at a time unless it holds whole.
+
+    A block is settled on theta-row ids in one pass with c outermost: for each
+    c, the left side holds the id of theta(composite, composed) per
+    (composite, xs), and the right side the id of theta(g, c, ·) over the
+    product of the argument rows, read from `over[g, c]`, which is cleared
+    after each g.  Both sides list (fs, xs) in plan order, and a block holds
+    len(lhs) · |carrier|^total instances.  Each argument arity's pool, as
+    (f, element) pairs and as theta-row ids, is built once per run, and
+    gamma is called on the pairs directly, with no table per shape."""
+    rows, at = thetas.rows, thetas.at
+    pools = _Table(partial(_argument_pools, view, thetas))
+    for g, blocks in itertools.groupby(_composition_blocks(cap), key=operator.itemgetter(0)):
+        for _, shapes in blocks:
+            arities = tuple(f.arity for f in shapes[0][0])
+            built = _whole_sides(_algebra_sides, view, g, shapes, thetas, pools, arities)
+            if built is not None and built[0] == built[1]:
+                yield len(built[0]) * len(algebra.carrier) ** sum(arities)
+                continue
+            for fs, composite in shapes:
+                gamma = partial(view.gamma_row, (g, fs))
+                for c, xs, composed in _composites(view, g, fs, report, gamma):
+                    lhs = rows[composite, composed]
+                    outer = at[g, c]
+                    rhs = tuple(map(outer.__getitem__, itertools.product(
+                        *[rows[f, x] for f, x in zip(fs, xs)]
+                    )))
+                    yield from _block_verdicts(lhs, rhs, lambda i: (
+                        f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
+                        f"{lhs[i]!r} != {rhs[i]!r}"
+                    ))
+        thetas.over.clear()
 
 
-def _algebra_sides(view, g, shapes, thetas):
-    """Both sides of one block as flat lists, composite by composite; None
+def _argument_pools(view, thetas, _, arity):
+    """The argument pool of one arity, one tuple per f of `enumerate_R`:
+    f's (f, element) pairs, and the theta-row ids of f's elements."""
+    polys = enumerate_R(arity)
+    pairs = [tuple((f, view.elements[x]) for x in view.component[f]) for f in polys]
+    rids = [tuple(map(thetas.ids[f].__getitem__, view.component[f])) for f in polys]
+    return pairs, rids
+
+
+def _algebra_sides(view, g, shapes, thetas, pools, arities):
+    """Both sides of one block as lists of theta-row ids, c outermost; None
     at a `_SKIP`.  The argument blocks are contiguous, so the product of
-    their rows runs in the order of product(carrier, repeat=total)."""
-    rows, at = thetas
-    component, gamma = view.component, view.gamma_row
+    the argument rows runs in the order of product(carrier, repeat=total)."""
+    ids = thetas.ids
+    pair_pools, rid_pools = zip(*map(pools.__getitem__, arities))
     lhs, rhs = [], []
-    for fs, composite in shapes:
-        pools = [component[f] for f in fs]
-        for c in component[g]:
-            outer = at[g, c].__getitem__
-            for xs in itertools.product(*pools):
-                composed = gamma((g, fs), (c, *xs))
-                if composed is _SKIP:
-                    return None
-                lhs += rows[composite, composed]
-                rhs += map(outer, itertools.product(*[rows[f, x] for f, x in zip(fs, xs)]))
+    for c in view.component[g]:
+        gamma = partial(view.gamma_id, g, view.elements[c])
+        for (_, composite), arg_pools in zip(shapes, itertools.product(*pair_pools)):
+            composed = list(map(gamma, itertools.product(*arg_pools)))
+            if _SKIP in composed:
+                return None
+            lhs += map(ids[composite].__getitem__, composed)
+        rhs += map(thetas.over[g, c].__getitem__, itertools.chain.from_iterable(
+            itertools.starmap(itertools.product, itertools.product(*rid_pools))
+        ))
     return lhs, rhs
 
 
@@ -1431,7 +1483,7 @@ def _algebra_equivariance(view, algebra, cap, thetas):
     """One block per (mor, c): theta of the moved operator against theta of c
     at each pulled-back tuple.  The pulled-back tuples depend only on the map,
     and many morphisms share one (11,806 morphisms over 296 maps at cap 3)."""
-    rows, at = thetas
+    rows, at = thetas.rows, thetas.at
     fillers = {0: algebra.zero, E: algebra.e}
     pulled_by_map = {}
     for mor in _all_morphisms(cap):

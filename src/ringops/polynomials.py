@@ -253,16 +253,37 @@ class IntPoly:
         not cancel, as in a projection, where all of them are positive."""
         if other.arity != self.arity:
             raise ArityMismatch("cannot multiply polynomials of different arities")
-        out: dict[tuple[int, ...], int] = {}
+        # A monomial is packed as the int sum of B^(v-1) over its variables v,
+        # with B = 2^width above the sum of the two largest degrees, so no
+        # exponent of a product carries into the next variable's digit and
+        # the product of two monomials is the sum of their packed keys.
+        degrees = [max((len(k) for k, _ in p.terms), default=0) for p in (self, other)]
+        width = sum(degrees).bit_length()
+
+        def pack(key):
+            return sum(1 << width * (v - 1) for v in key)
+
+        right = [(pack(k2), c2) for k2, c2 in other.terms]
+        out: dict[int, int] = {}
+        get = out.get
         for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                key = tuple(sorted(k1 + k2))
-                out[key] = out.get(key, 0) + c1 * c2
+            p1 = pack(k1)
+            for p2, c2 in right:
+                key = p1 + p2
+                out[key] = get(key, 0) + c1 * c2
             if max_terms is not None and len(out) > max_terms:
                 raise PreconditionViolation(
                     f"a partial expansion has more than {max_terms} monomials"
                 )
-        return self._from_valid(out)
+        digit = (1 << width) - 1
+
+        def unpack(packed):
+            key = []
+            for v in range(1, self.arity + 1):
+                key += [v] * (packed >> width * (v - 1) & digit)
+            return tuple(key)
+
+        return self._from_valid({unpack(key): c for key, c in out.items()})
 
     def _from_valid(self, coeffs: dict[tuple[int, ...], int]) -> "IntPoly":
         """`make` without its key checks, for a sum or product of two

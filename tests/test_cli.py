@@ -508,10 +508,10 @@ def test_a_projection_past_the_monomial_limit_is_a_usage_error(factors, json_fla
     assert (code, captured.out, captured.err) == (2, "", PROJECTION_LIMIT_ERROR)
 
 
-@pytest.mark.slow
 def test_a_product_of_two_wide_halves_stops_mid_product(capsys):
     # Each half of 15 factors expands to 15,504 monomials, and their product
-    # to 324,632: it is refused before its 240 million pairs are all formed.
+    # to 324,632: it is refused after 435 rows, before its 240 million pairs
+    # are all formed, with one error line.
     half = "*".join([SIX] * 15)
     code = main(["term", "project", f"({half})*({half})", "--arity", "6"])
     assert (code, *capsys.readouterr()) == (2, "", PROJECTION_LIMIT_ERROR)

@@ -55,7 +55,7 @@ from ringops.operads import (
     _nondegenerate_objects,
     _poly_tuples,
     _run,
-    _theta_tables,
+    _Thetas,
     boolean_rig_algebra,
     check_axioms,
     check_einfty_set,
@@ -545,10 +545,13 @@ def test_einfty_matches_the_reference(name):
     assert check_einfty_set(operad, 2).conditions == reference_check_einfty_set(operad, 2).conditions
 
 
+ALGEBRA_OPERADS = {"sset": lambda: sset_operad("sym"), **OPERADS}
+
+
 @pytest.mark.parametrize("algebra", [boolean_rig_algebra, one_point_algebra])
-@pytest.mark.parametrize("name", ["strict", "pset"])
+@pytest.mark.parametrize("name", ["strict", "pset", "sset"])
 def test_algebra_matches_the_reference(name, algebra):
-    operad = OPERADS[name]()
+    operad = ALGEBRA_OPERADS[name]()
     interned = validate_algebra(operad, algebra(), 2)
     assert _fields(interned) == _fields(reference_validate_algebra(operad, algebra(), 2))
     assert interned.ok
@@ -591,8 +594,9 @@ def test_a_failing_row_raises_alike_in_the_algebra_check(source, seed):
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"])
 def test_a_failing_row_raises_alike_anywhere_in_a_block(place):
-    # The associativity blocks are (g, arity tuple) pairs of the plan; a
-    # block that raises is replayed composite by composite from its start.
+    # The associativity blocks are (g, arity tuple) pairs of the plan, built
+    # whole with c outermost; a block that raises is replayed composite by
+    # composite from its start.
     table = _table("pset", 2)
     g, shapes = next(
         (g, shapes) for g, shapes in _composition_blocks(2)
@@ -600,12 +604,38 @@ def test_a_failing_row_raises_alike_anywhere_in_a_block(place):
     )
     rows = [
         (c, xs)
-        for fs, _ in shapes
         for c in table.component(g)
+        for fs, _ in shapes
         for xs in itertools.product(*map(table.component, fs))
     ]
     key = rows[{"first": 0, "middle": len(rows) // 2, "last": -1}[place]]
     _assert_raises_alike(_BreaksOnOneRow(table, key))
+
+
+@pytest.mark.parametrize("name", ["strict", "pset", "sset"])
+def test_the_theta_row_memo_holds_one_g_at_a_time(name, monkeypatch):
+    # Every block of a passing cap-2 check is settled whole on theta-row ids,
+    # and `over` holds rows of the block's own g only, and none after the run.
+    operad = ALGEBRA_OPERADS[name]()
+    view, algebra = _Interned(operad), boolean_rig_algebra()
+    thetas = _Thetas(view, algebra)
+    handed = []
+
+    def blocks(cap):
+        for g, shapes in _composition_blocks(cap):
+            handed.append(g)
+            yield g, shapes
+
+    monkeypatch.setattr(operads, "_composition_blocks", blocks)
+    report = CheckReport("", True, 0, 0, None)
+    verdicts = []
+    for verdict in operads._algebra_associativity(view, algebra, 2, report, thetas):
+        verdicts.append(verdict)
+        assert {g for g, _ in thetas.over} == {handed[-1]}
+    assert not thetas.over
+    assert len(verdicts) == len(handed) == 54
+    assert all(type(verdict) is int for verdict in verdicts)
+    assert sum(verdicts) == _fields(validate_algebra(operad, algebra, 2))[3]["associativity"]
 
 
 def test_the_algebra_check_keeps_no_gamma_table(monkeypatch):
@@ -712,7 +742,7 @@ def test_equivariance_blocks_fail_alike():
     for poly, values in _single_point_corruptions(2):
         algebra = _wrong_at(boolean_rig_algebra(), poly, values)
         view = _Interned(strict_operad())
-        got = _run(_interned_algebra_equivariance(view, algebra, 2, _theta_tables(view, algebra)), Budget())
+        got = _run(_interned_algebra_equivariance(view, algebra, 2, _Thetas(view, algebra)), Budget())
         assert got == _run(_algebra_equivariance(strict_operad(), algebra, 2), Budget())
         if got[1] is not None:
             position, size = _place_in_block(sizes, got[0] - 1)

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from ringops.errors import ArityCapExceeded, ArityMismatch, InvalidSignature, NotInR
+from ringops.errors import (
+    ArityCapExceeded,
+    ArityMismatch,
+    InvalidSignature,
+    NotInR,
+    PreconditionViolation,
+)
 from ringops.operads import _arity_tuples, _composition_blocks, _composition_shapes
 from ringops.polynomials import (
     IntPoly,
@@ -372,3 +378,77 @@ class TestKernelDifferential:
                         )
                         pairs += 1
         assert pairs == 29136
+
+
+# ---------------------------------------------------------------------------
+# The packed product against the tuple-key product
+
+
+def _tuple_key_product(p, q, max_terms=None):
+    """(rows of p read, p * q) keyed by sorted variable tuples; the product
+    is None when a row leaves more than `max_terms` monomials."""
+    out = {}
+    for row, (k1, c1) in enumerate(p.terms, 1):
+        for k2, c2 in q.terms:
+            key = tuple(sorted(k1 + k2))
+            out[key] = out.get(key, 0) + c1 * c2
+        if max_terms is not None and len(out) > max_terms:
+            return row, None
+    return len(p.terms), IntPoly.make(p.arity, out)
+
+
+class _CountedRows(tuple):
+    """Terms that record, for each pass over them, how many were read."""
+
+    def __iter__(self):
+        self.passes = getattr(self, "passes", []) + [0]
+        for term in tuple.__iter__(self):
+            self.passes[-1] += 1
+            yield term
+
+
+def _seeded_intpoly(rng, arity):
+    """Up to 12 monomials of degree up to 4, squares and constants allowed,
+    with coefficients 1..5."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        degree = rng.randint(0, 4) if arity else 0
+        key = tuple(sorted(rng.choices(range(1, arity + 1), k=degree)))
+        coeffs[key] = rng.randint(1, 5)
+    return IntPoly.make(arity, coeffs)
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("arity", range(7))
+    def test_equals_the_tuple_key_product(self, arity):
+        rng = random.Random(arity)
+        for _ in range(200):
+            p, q = _seeded_intpoly(rng, arity), _seeded_intpoly(rng, arity)
+            assert p.mul(q) == _tuple_key_product(p, q)[1]
+
+    def test_a_high_power_keeps_its_exponent(self):
+        # 4 + 4 needs four bits per variable: a carry would read x2 here
+        p = ip(2, {(1, 1, 1, 1): 1, (2,): 3})
+        assert p.mul(p).coeffs() == {(1,) * 8: 1, (1, 1, 1, 1, 2): 6, (2, 2): 9}
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_refuses_after_the_same_row(self, arity):
+        rng = random.Random(100 + arity)
+        refused = 0
+        for _ in range(200):
+            p, q = _seeded_intpoly(rng, arity), _seeded_intpoly(rng, arity)
+            pairs = len(p.terms) * len(q.terms)
+            if not pairs:
+                continue
+            limit = rng.randrange(pairs)
+            row, product = _tuple_key_product(p, q, limit)
+            counted = IntPoly(arity, _CountedRows(p.terms))
+            if product is not None:
+                assert counted.mul(q, limit) == product
+                continue
+            with pytest.raises(PreconditionViolation) as err:
+                counted.mul(q, limit)
+            assert str(err.value) == f"a partial expansion has more than {limit} monomials"
+            assert counted.terms.passes[-1] == row
+            refused += 1
+        assert refused > 50
