@@ -60,10 +60,13 @@ for its run and drops at the end.  Its contract:
   `gamma_row`.  Each row is read once per build, so a table per shape would
   be filled once and read once.  `check_axioms` keeps the tables, because
   its sections read one shape's rows again;
-- the row tables hold ids of rows, tuples of gamma ids interned by value
-  for the whole run, so two row ids are equal exactly when their rows are;
-  a row that holds a `_SKIP`, or is built from one that does, has the id
-  None.  `composed_rows[p, hs]` maps x to the id of the row gamma(p; x, ys)
+- rows are interned by value for the whole run through one interner:
+  `row(table, pools)` is the id of the tuple of table's values over the
+  product of the pools, read back as `rows[id]`, so two row ids are equal
+  exactly when their rows are; a row that holds a `_SKIP`, or is built
+  from one that does, has the id None.  The row tables hold ids of rows of
+  gamma ids, and `validate_algebra` interns its theta rows alike.
+  `composed_rows[p, hs]` maps x to the id of the row gamma(p; x, ys)
   over the product of hs's components, and `nested_rows[g, targets]` maps
   (c, *row ids) to the id of the row gamma(g; c, inner) over the product of
   those rows.  They are `_Tables` kept like the gamma tables, and fetch
@@ -523,24 +526,23 @@ class _Interned:
         row_ids: dict = {}
         rows: list = []
 
-        def row_id(row):
-            if _SKIP in row:
+        def row(table, pools):
+            values = tuple(map(table.__getitem__, itertools.product(*pools)))
+            if _SKIP in values:
                 return None
-            index = row_ids.get(row)
+            index = row_ids.get(values)
             if index is None:
-                index = row_ids[row] = len(rows)
-                rows.append(row)
+                index = row_ids[values] = len(rows)
+                rows.append(values)
             return index
 
         def composed_row(shape, x):
-            keys = itertools.product((x,), *map(components.__getitem__, shape[1]))
-            return row_id(tuple(map(gammas[shape].__getitem__, keys)))
+            return row(gammas[shape], ((x,), *map(components.__getitem__, shape[1])))
 
         def nested_row(shape, key):
             if None in key:
                 return None
-            keys = itertools.product(key[:1], *map(rows.__getitem__, key[1:]))
-            return row_id(tuple(map(gammas[shape].__getitem__, keys)))
+            return row(gammas[shape], (key[:1], *map(rows.__getitem__, key[1:])))
 
         # The rows close over these locals, never over self, so a dropped
         # view is freed at once rather than by the cycle collector.
@@ -551,6 +553,8 @@ class _Interned:
         self.members = _Table(lambda _, f: frozenset(components[f]))
         self.gamma_id = gamma_id
         self.gamma_row = gamma_row
+        self.row = row
+        self.rows = rows
         self._gamma = gammas = _Tables(partial(_Table, gamma_row))
         self._act = _Tables(partial(_Table, act_row))
         self.composed_rows = _Tables(partial(_Table, composed_row))
@@ -1353,40 +1357,26 @@ def validate_algebra(
 
 
 class _Thetas:
-    """theta over one run's element ids, memoised four ways:
-    - `rows[f, x]` is the tuple of theta(f, x, v) over the carrier tuples v
-      in product order, and `at[g, c]` maps one tuple to theta(g, c, tuple);
-    - theta rows get ids interned by value for the run, so two ids are equal
-      exactly when their rows are: `ids[f]` maps x to the id of rows[f, x],
-      and `over[g, c]` maps a tuple of row ids to the id of the row of
-      theta(g, c, ·) over the product of those rows.  `over` is the caller's
-      to clear; the associativity clears it after each g."""
+    """theta over one run's element ids, memoised three ways:
+    - `at[g, c]` maps one carrier tuple to theta(g, c, tuple);
+    - theta rows are interned by the view's `row`, and `row(f, x)` reads
+      back the tuple of theta(f, x, v) over the carrier tuples v in product
+      order: `ids[f]` maps x to its id, and `over[g, c]` maps a tuple of
+      row ids to the id of the row of theta(g, c, ·) over the product of
+      those rows.  `over` is the caller's to clear; the associativity
+      clears it after each g."""
 
     def __init__(self, view, algebra):
-        elements, theta, carrier = view.elements, algebra.theta, algebra.carrier
-        row_ids: dict = {}
-        id_rows: list = []
-
-        def row_id(row):
-            index = row_ids.get(row)
-            if index is None:
-                index = row_ids[row] = len(id_rows)
-                id_rows.append(row)
-            return index
-
-        def row(_, fx):
-            f, x = fx
-            elt = elements[x]
-            return tuple([theta(f, elt, v) for v in itertools.product(carrier, repeat=f.arity)])
-
-        def over_row(gc, rids):
-            outer = at[gc].__getitem__
-            return row_id(tuple(map(outer, itertools.product(*map(id_rows.__getitem__, rids)))))
-
-        self.rows = rows = _Table(row)
+        elements, theta, carrier, row = view.elements, algebra.theta, algebra.carrier, view.row
+        rows = self.rows = view.rows
         self.at = at = _Tables(partial(_Table, lambda gc, v: theta(gc[0], elements[gc[1]], v)))
-        self.ids = _Tables(partial(_Table, lambda f, x: row_id(rows[f, x])))
-        self.over = _Tables(partial(_Table, over_row))
+        self.ids = _Tables(partial(_Table, lambda f, x: row(at[f, x], (carrier,) * f.arity)))
+        self.over = _Tables(partial(
+            _Table, lambda gc, rids: row(at[gc], map(rows.__getitem__, rids))
+        ))
+
+    def row(self, f, x) -> tuple:
+        return self.rows[self.ids[f][x]]
 
 
 def _block_verdicts(lhs, rhs, message):
@@ -1421,7 +1411,7 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
     len(lhs) · |carrier|^total instances.  Each argument arity's pool, as
     (f, element) pairs and as theta-row ids, is built once per run, and
     gamma is called on the pairs directly, with no table per shape."""
-    rows, at = thetas.rows, thetas.at
+    row, at = thetas.row, thetas.at
     pools = _Table(partial(_argument_pools, view, thetas))
     for g, blocks in itertools.groupby(_composition_blocks(cap), key=operator.itemgetter(0)):
         for _, shapes in blocks:
@@ -1433,10 +1423,10 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
             for fs, composite in shapes:
                 gamma = partial(view.gamma_row, (g, fs))
                 for c, xs, composed in _composites(view, g, fs, report, gamma):
-                    lhs = rows[composite, composed]
+                    lhs = row(composite, composed)
                     outer = at[g, c]
                     rhs = tuple(map(outer.__getitem__, itertools.product(
-                        *[rows[f, x] for f, x in zip(fs, xs)]
+                        *[row(f, x) for f, x in zip(fs, xs)]
                     )))
                     yield from _block_verdicts(lhs, rhs, lambda i: (
                         f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
@@ -1483,7 +1473,7 @@ def _algebra_equivariance(view, algebra, cap, thetas):
     """One block per (mor, c): theta of the moved operator against theta of c
     at each pulled-back tuple.  The pulled-back tuples depend only on the map,
     and many morphisms share one (11,806 morphisms over 296 maps at cap 3)."""
-    rows, at = thetas.rows, thetas.at
+    row, at = thetas.row, thetas.at
     fillers = {0: algebra.zero, E: algebra.e}
     pulled_by_map = {}
     for mor in _all_morphisms(cap):
@@ -1496,7 +1486,7 @@ def _algebra_equivariance(view, algebra, cap, thetas):
             ]
         pulled = pulled_by_map[key]
         for c in view.component[mor.source]:
-            lhs = rows[mor.target, act[c]]
+            lhs = row(mor.target, act[c])
             rhs = tuple(map(at[mor.source, c].__getitem__, pulled))
             yield from _block_verdicts(lhs, rhs, lambda i: (
                 f"map {mor.map} from {mor.source}: {lhs[i]!r} != {rhs[i]!r}"

@@ -33,21 +33,25 @@ one forward pass; nodes stay bare tuples until `enumerate_fiber` returns
 them as `Term`s.
 
 Zig-zag connectivity never builds a tree: `connectivity_check` reads the
-sym table through a cons dict {entry: id} made for that call alone.  One
-union-find over the ids first joins each proper subterm to its reduced
-rewrites (`_subterm_moves`: root rules instantiated once per root shape by
-`_root_templates`, and children's lists lifted by one lookup each), then
-each fiber node to its root rewrites and to one representative of its
-split class, and stops once the fiber is one component.  No `Term` is
-built per move, and none needs to be: a rewrite only moves, copies or
-drops subtrees of its node, and `reduce_node` only drops them, so no new
-variable leaf appears and the arity check of `Term` cannot fail; at a
-fixed arity, `Term` equality is node equality.
+sym table through a cons dict {entry: id} made for that call alone.  A
+complete table is built whole: every key `_reach` reaches has nodes at each
+of its counts, since a key's count plus the fewest leaves beside it on a
+path of splits is a count of f.  So each split class (operation, left key,
+right key) is the Cartesian product of its parts' rewrite graphs, and one
+union-find walks the keys bottom up, f's last, joining each sum or product
+to its root rewrites (root rules instantiated once per root shape by
+`_root_templates`) and to one representative of its split class; a key's
+walk stops once it is one component.  No `Term` is built per move, and
+none needs to be: a rewrite only moves, copies or drops subtrees of its
+node, and `reduce_node` only drops them, so no new variable leaf appears
+and the arity check of `Term` cannot fail; at a fixed arity, `Term`
+equality is node equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import (
@@ -420,14 +424,15 @@ def _largest_count(f: RPoly, mode: str) -> int:
 def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
     """The nodes projecting to f, one tuple per leaf count from 0 to f's last
     non-empty count up to `bound`: `_fiber_table`'s ids, decoded."""
-    table, by_leaves = _fiber_table(f, mode, bound)
+    table, by_leaves, _ = _fiber_table(f, mode, bound)
     nodes = _decode(table)
     return tuple(tuple(nodes[ids.start : ids.stop]) for ids in by_leaves)
 
 
-def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ...]]:
-    """The hash-consed nodes of the DP and the ids projecting to f, one
-    range per leaf count from 0 to f's last non-empty count up to `bound`.
+def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ...], dict]:
+    """The hash-consed nodes of the DP, the ids projecting to f, one range
+    per leaf count from 0 to f's last non-empty count up to `bound`, and
+    the cells of every key as `_build_cells` gives them.
 
     A cell is a pair (projection key, leaf count s): the key is the set of
     supports a node expands to, and the cell holds the nodes with that key
@@ -456,11 +461,11 @@ def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ..
     bound can use.
     """
     if f.is_zero:
-        return [ZERO], (range(0), range(1))
+        return [ZERO], (range(0), range(1)), {}
     target, leaves, keys = _reached(f, mode)
     last = max((s for s in keys[target][0] if s <= bound), default=0)
     table, cells = _build_cells(leaves, mode, keys, _room(target, keys, bound), last)
-    return table, tuple(cells.get((target, s), (range(0),))[0] for s in range(last + 1))
+    return table, tuple(cells.get((target, s), (range(0),))[0] for s in range(last + 1)), cells
 
 
 def _decode(table: list) -> list[Node]:
@@ -667,38 +672,44 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     node twice.  The table is read through a cons dict {entry: id} made for
     this call alone and dropped with it.  The graph is that of the
     single-position `_MOVE_RULES` rewrites, each followed by `reduce_node`,
-    taken undirected and restricted to the fiber; one path-halving
-    union-find over the ids gives its components, in two phases.
+    taken undirected.  A rewrite keeps its node's projection, so the graph
+    falls apart by key, and one path-halving union-find over the ids gives
+    every reached key's components, a key at a time in `_reach`'s order:
+    parts before wholes, f's key last.
 
-    First, each proper subterm (each id outside the fiber) is joined to its
-    reduced rewrites, `_subterm_moves`, so the built nodes of each key fall
-    into the components of that key's rewrite graph.  Then each fiber node
-    (tag, l, r) is joined to its root rewrites, `_root_moves`, and to its
-    class representative (tag, root(l), root(r)); the rewrites inside l and
-    r are never lifted.  That is exact: in a complete fiber, (tag, a, b) is
-    a fiber node for every built a of l's key and b of r's.  It projects to
-    f and is canonical, and its leaf count, a count of l's key plus one of
-    r's, is one of f's, which `_reach` gives exactly and the bound covers.
-    So the lifted rewrites make each split class (tag, l's key, r's key)
-    the Cartesian product of its parts' rewrite graphs, whose components
-    are products of components: the nodes that share a representative.  A
-    representative with no id would break that argument and is an error,
-    never skipped.  Every root rewrite with an id is in the fiber: it
-    projects to f, and an incomplete fiber is refused before the table is
-    built.
+    Each sum or product (tag, l, r) of a key is joined to its root rewrites,
+    `_root_moves`, and to its class representative (tag, root(l), root(r));
+    the rewrites inside l and r are never lifted.  That is exact at every
+    key, since a complete table is built whole: a reached key K has nodes at
+    each of its counts s.  Put a node of K with s leaves on a path of splits
+    from f's key down to K, and beside it each sibling with its fewest
+    leaves: that is a node of f, so its count is at most f's largest, which
+    the bound covers (an incomplete fiber is refused first), and
+    `_build_cells` builds the cell (K, s).  So for a split (K1, K2) of K,
+    (tag, a, b) is built for every a of K1 and b of K2: it is canonical, its
+    key is K, and its count, one of K1's plus one of K2's, is one of K's.  A
+    rewrite inside l needs no unit step (it keeps l's projection, which is 0
+    or 1 only at a leaf, and a factor's sibling is never 1 in the DP), so it
+    gives (tag, l', r) with l' in l's component, and alike inside r.  Each
+    split class (tag, K1, K2) is thus the Cartesian product of its parts'
+    rewrite graphs, done before K, whose components are the nodes that share
+    a representative.  A representative with no id would break that argument
+    and is an error, never skipped.
 
-    The fiber's components are counted down, one per join of two roots,
-    and at one the fiber is connected and the walk stops.  Otherwise it
-    walks every fiber node, and the unreachable terms are those whose root
-    is not the terminal representative's; only they are decoded into
-    `Term`s.  A rewrite followed by `reduce_node` adds no variable leaf, so
-    the arity check a `Term` would make cannot fail, and at one arity two
-    terms are equal exactly when their nodes are.
+    A key's components are counted down from its node count, one per join
+    of two roots.  At one, the key's other nodes can join nothing new, so
+    its walk stops, and at f's key the fiber is connected and the call
+    returns.  Otherwise it walks every node of f's key, and the unreachable
+    terms are those whose root is not the terminal representative's; only
+    they are decoded into `Term`s.  A rewrite followed by `reduce_node` adds
+    no variable leaf, so the arity check a `Term` would make cannot fail,
+    and at one arity two terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
     if _largest_count(f, "sym") > bound:
         raise FiberNotStable(f"fiber of {f} is not complete at bound {bound}")
-    table, levels = _fiber_table(f, "sym", bound)
+    table, levels, cells = _fiber_table(f, "sym", bound)
+    target, _, keys = _reached(f, "sym")
     start = terminal_representative(f)
     cons = {entry: i for i, entry in enumerate(table)}
     first = _encode(start.node, cons)
@@ -713,19 +724,11 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
         return i
 
     moves = _root_moves(table, cons)
-    for i, targets in _subterm_moves(table, cons, levels, moves):
-        i = root(i)
-        for j in targets:
-            while (up := parent[j]) != j:  # root(j), inlined: most of the calls
-                parent[j] = j = parent[up]
-            parent[j] = i
-    components = size
-    for ids in levels:
-        for i in ids:
-            entry = table[i]
-            if len(entry) != 3:
-                continue
-            tag, l, r = entry
+    for key, (counts, *_) in keys.items():
+        ranges = [cells[key, s][0] for s in counts if s > 1]
+        components = sum(map(len, ranges))
+        for i in chain.from_iterable(ranges):
+            tag, l, r = table[i]
             targets = moves(i)
             rep = cons.get((tag, root(l), root(r)))
             if rep is None:
@@ -734,13 +737,15 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
             targets.append(rep)
             i = root(i)
             for j in targets:
-                while (up := parent[j]) != j:
+                while (up := parent[j]) != j:  # root(j), inlined: most of the calls
                     parent[j] = j = parent[up]
                 if j != i:
                     parent[j] = i
                     components -= 1
             if components == 1:
-                return ConnectivityReport(True, size, start, frozenset())
+                if key == target:
+                    return ConnectivityReport(True, size, start, frozenset())
+                break
     top = root(first)
     unreachable = [i for ids in levels for i in ids if root(i) != top]
     if unreachable:
@@ -760,49 +765,14 @@ def _encode(node: Node, cons: dict) -> Union[int, None]:
     )
 
 
-def _subterm_moves(
-    table: list, cons: dict, levels: Sequence[range], moves: Callable[[int], list[int]]
-) -> Iterator[tuple[int, list[int]]]:
-    """(id, ids of its reduced rewrites) for each sum or product outside the
-    fiber of a complete sym table, in build order: `levels` holds the
-    fiber's ids, `cons` is {entry: id} and `moves` is `_root_moves`.
-
-    The rewrites are those of `_MOVE_RULES` at every position, each followed
-    by `reduce_node`, on ids.  One forward sweep sees a node's children
-    before it and keeps, for every proper subterm, the ids of its reduced
-    rewrites: a node (tag, l, r) lists its root rewrites, then l's ids
-    lifted to (tag, a, r), then r's lifted alike, each looked up in `cons`.
-    A lift needs no unit step: a rewrite keeps its subterm's projection, so
-    it is 0 or 1 only if the subterm is, and leaves have no rewrites; nor is
-    a factor's sibling ever 1 in the DP.  A rewrite whose rewritten subterm,
-    once reduced, has no id is pruned with every lift of it, and loses no
-    edge: `_reduce_top` drops only 0/1 parts, so that subterm stays in the
-    whole reduced tree, and every subterm of a built node is built.  Fiber
-    nodes are never proper subterms (their key is all of f's).
-    """
-    in_fiber = bytearray(len(table))
-    for ids in levels:
-        in_fiber[ids.start : ids.stop] = b"\x01" * len(ids)
-    get = cons.get
-    below: list = []  # per id: its reduced rewrites' ids; () for leaves and fiber ids
-    for i, entry in enumerate(table):
-        if len(entry) != 3 or in_fiber[i]:
-            below.append(())
-            continue
-        tag, l, r = entry
-        out = moves(i)
-        out += [j for a in below[l] if (j := get((tag, a, r))) is not None]
-        out += [j for b in below[r] if (j := get((tag, l, b))) is not None]
-        below.append(out)
-        yield i, out
-
-
 def _root_moves(table: list, cons: dict) -> Callable[[int], list[int]]:
     """The function from a sum's or product's id to the ids of its reduced
     root rewrites: the rules of `_MOVE_RULES` that fire at its root, each
     replayed from `_root_templates` on the ids of its parts and their parts,
     with each step's result looked up in `cons` ({entry: id}).  A step that
-    misses is pruned as `_subterm_moves` says."""
+    misses drops its rule; in a complete table none does, since the rule's
+    result is a canonical node of the same key, so it is built, and every
+    step's result is one of its parts."""
     get = cons.get
     one = get(ONE)
     templates: dict = {}

@@ -759,7 +759,7 @@ def _sym_table(f):
     """The stable sym table of f, its fiber's ids per leaf count and the
     cons dict {entry: id}, as `connectivity_check` reads them."""
     bound = default_bound(f)
-    table, by_leaves = terms._fiber_table(f, "sym", bound + 2)
+    table, by_leaves, _ = terms._fiber_table(f, "sym", bound + 2)
     assert not any(by_leaves[bound + 1 :]), str(f)
     return table, by_leaves[: bound + 1], {entry: i for i, entry in enumerate(table)}
 
@@ -789,38 +789,25 @@ def _keys_of(table):
 
 class TestIdWalker:
     def test_matches_the_position_walk(self):
-        """Every proper subterm's list from `_subterm_moves` holds exactly
-        the rewrites `position_moves` lists that have an id, and every fiber
-        node's `_root_moves` exactly its root-position rewrites that land in
-        the fiber."""
+        """Every sum's or product's `_root_moves`, fiber node or proper
+        subterm, are exactly its root-position rewrites; in a complete table
+        each of them has an id."""
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
-            table, levels, cons = _sym_table(f)
+            table, _levels, cons = _sym_table(f)
             nodes = terms._decode(table)
-            fiber = _fiber_ids(levels)
             moves = terms._root_moves(table, cons)
-            walked = set()
-            for i, targets in terms._subterm_moves(table, cons, levels, moves):
-                expected = {
-                    j for _, _, reduced in position_moves(nodes[i])
-                    if (j := terms._encode(reduced, cons)) is not None
-                }
-                assert set(targets) == expected, (str(f), nodes[i])
-                walked.add(i)
-            assert walked == {
-                i for i, entry in enumerate(table) if len(entry) == 3 and i not in fiber
-            }, str(f)
-            fiber_nodes = {nodes[i] for i in fiber}
-            for i in fiber:
-                if len(table[i]) == 3:
+            for i, entry in enumerate(table):
+                if len(entry) == 3:
                     expected = {
-                        reduced for _, path, reduced in position_moves(nodes[i])
-                        if path == () and reduced in fiber_nodes
+                        terms._encode(reduced, cons)
+                        for _, path, reduced in position_moves(nodes[i]) if path == ()
                     }
-                    assert {nodes[j] for j in moves(i)} == expected, (str(f), nodes[i])
+                    assert None not in expected, (str(f), nodes[i])
+                    assert set(moves(i)) == expected, (str(f), nodes[i])
 
     def test_every_subterm_of_a_fiber_node_has_an_id(self):
-        """The pruning argument: a rewritten subterm with no id cannot lie
-        inside a fiber node.  Equal trees also share one id."""
+        """Every subterm of a built node is built, and equal trees share
+        one id."""
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
             table, levels, cons = _sym_table(f)
             nodes = terms._decode(table)
@@ -831,37 +818,62 @@ class TestIdWalker:
                     for _path, sub in positions(nodes[i]):
                         assert terms._encode(sub, cons) is not None, (str(f), sub)
 
+    def test_a_complete_table_builds_every_reached_key_whole(self):
+        """The completeness lemma of `connectivity_check`: at a bound that
+        covers f's largest count, every key `_reach` reaches has a built
+        cell at each of its counts.  Read off the cells `_build_cells`
+        picks (`_room` and f's last count) for every nonzero f of R(1..3),
+        and off the built cells for those of at most four monomials, at the
+        tight and the default bound."""
+        checked = 0
+        for f in [f for n in (1, 2, 3) for f in enumerate_R(n) if not f.is_zero]:
+            target, _, keys = terms._reached(f, "sym")
+            last = terms._largest_count(f, "sym")
+            for bound in (last, default_bound(f)):
+                room = terms._room(target, keys, bound)
+                cells = terms._fiber_table(f, "sym", bound)[2] if len(f) <= 4 else None
+                for key, (counts, *_) in keys.items():
+                    for s in counts:
+                        if s > 1:
+                            assert s <= min(last, room[key]), (str(f), bound, key, s)
+                            assert cells is None or (key, s) in cells, (str(f), bound, key, s)
+                    checked += 1
+        assert checked == 6460
+
     @pytest.mark.parametrize("kept", [MOVE_NAMES] + RULE_SUBSETS)
     def test_each_split_class_is_the_product_of_its_parts(self, kept, monkeypatch):
-        """The lemma behind the class representatives: for a fiber node
-        (tag, l, r), every (tag, a, b) with a and b built nodes of l's and
-        r's keys is a fiber id.  The subterm rewrites stay within their key
-        under any rules, so each representative (tag, root(l), root(r)) is
-        one of these."""
+        """The lemma behind the class representatives, at every reached
+        key: for a sum or product (tag, l, r), every (tag, a, b) with a and
+        b built nodes of l's and r's keys is built, with the key of
+        (tag, l, r).  The root rewrites stay within their key under any
+        rules, so each representative (tag, root(l), root(r)) is one of
+        these."""
         monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
-            table, levels, cons = _sym_table(f)
-            fiber = _fiber_ids(levels)
+            table, _levels, cons = _sym_table(f)
             keys = _keys_of(table)
             built: dict = {}
             for i, key in enumerate(keys):
                 built.setdefault(key, []).append(i)
             moves = terms._root_moves(table, cons)
-            for i, targets in terms._subterm_moves(table, cons, levels, moves):
-                assert all(keys[j] == keys[i] for j in targets), (str(f), i)
-            classes = {
-                (entry[0], keys[entry[1]], keys[entry[2]])
-                for i in fiber if len(entry := table[i]) == 3
-            }
-            for tag, left, right in classes:
+            classes = {}
+            for i, entry in enumerate(table):
+                if len(entry) == 3:
+                    assert all(keys[j] == keys[i] for j in moves(i)), (str(f), i)
+                    classes[entry[0], keys[entry[1]], keys[entry[2]]] = keys[i]
+            for (tag, left, right), key in classes.items():
                 for a in built[left]:
                     for b in built[right]:
-                        assert cons.get((tag, a, b)) in fiber, (str(f), tag, a, b)
+                        j = cons.get((tag, a, b))
+                        assert j is not None and keys[j] == key, (str(f), tag, a, b)
 
     def test_a_connected_fiber_stops_at_the_spanning_union(self, monkeypatch):
+        """Each key's walk stops once the key is one component: f's, and
+        its proper subterms' too."""
         f = parse_poly("R(3): x3 + x2*x3 + x1*x3 + x1*x2")
         table, levels, cons = _sym_table(f)
         fiber = _fiber_ids(levels)
+        below = {i for i, entry in enumerate(table) if len(entry) == 3} - fiber
         walked = []
         root_moves = terms._root_moves
 
@@ -872,24 +884,35 @@ class TestIdWalker:
         monkeypatch.setattr(terms, "_root_moves", counted)
         assert connectivity_check(f) == _adjacency_connectivity(f)
         assert 0 < len(fiber.intersection(walked)) < len(fiber)
+        assert 0 < len(below.intersection(walked)) < len(below)
 
-    def test_a_missing_representative_is_an_error(self, monkeypatch):
-        """Both members of one split class, each dropped from the table in
-        turn: dropping the class representative leaves the other member
-        with none, which must be an error naming it, not a skipped join."""
-        f = parse_poly("R(3): x1 + x2*x3")
-        table, levels, _cons = _sym_table(f)
+    @pytest.mark.parametrize("text", ["R(3): x1 + x2*x3", "R(3): x1 + x2*x3 + x1*x2*x3"])
+    def test_a_missing_representative_is_an_error(self, text, monkeypatch):
+        """Both members of the split class of `x2*x3 + x1`, each dropped
+        from the table in turn: at f's key, and at a proper subterm's key.
+        Dropping the class representative leaves the other member with
+        none, which must be an error naming it, not a skipped join.  The
+        sums are kept apart (no comm-plus), so every member is walked."""
+        kept = MOVE_NAMES - {"comm-plus"}
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        f = parse_poly(text)
+        table, levels, cells = terms._fiber_table(f, "sym", default_bound(f))
         nodes = terms._decode(table)
         members = {
-            node_str(nodes[i]): i for i in _fiber_ids(levels)
+            node_str(nodes[i]): i for i in range(len(table))
             if node_str(nodes[i]) in ("((x2 * x3) + x1)", "((x3 * x2) + x1)")
         }
         assert len(members) == 2
+        assert (set(members.values()) <= _fiber_ids(levels)) == (text == "R(3): x1 + x2*x3")
         errors = []
         for dropped, i in members.items():
             broken = list(table)
             broken[i] = ("dropped",)
-            monkeypatch.setattr(terms, "_fiber_table", lambda *_: (broken, levels))
+            without = {
+                cell: ([j for j in ids if j != i], k) for cell, (ids, k) in cells.items()
+            }
+            kept_levels = tuple([j for j in ids if j != i] for ids in levels)
+            monkeypatch.setattr(terms, "_fiber_table", lambda *_: (broken, kept_levels, without))
             try:
                 connectivity_check(f)
             except RingopsError as err:
@@ -1137,7 +1160,7 @@ def test_the_fold_matches_recursive_walks():
 
 def test_encode_matches_a_recursive_walk_on_every_node_of_a_sym_table():
     for f in enumerate_R(2) + R3_SMALL:
-        table, _ = terms._fiber_table(f, "sym", default_bound(f))
+        table, *_ = terms._fiber_table(f, "sym", default_bound(f))
         cons = {entry: i for i, entry in enumerate(table)}
         for i, node in enumerate(terms._decode(table)):
             assert terms._encode(node, cons) == _ref_encode(node, cons) == i, (str(f), node)
