@@ -24,6 +24,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .polynomials import (
+    ENUMERATION_CAP,
     IntPoly,
     Monomial,
     RPoly,
@@ -463,7 +464,7 @@ def component_objects(f: RPoly, arity: int) -> list[RPoly]:
     sig = type_of(f)
     if arity > sum(sig.sizes):
         return []
-    if arity > 4:
+    if arity > ENUMERATION_CAP:
         raise ArityCapExceeded("component enumeration needs enumerate_R at this arity")
     return [g for g in _type_classes(arity).get(sig, ()) if is_nondegenerate(g)]
 

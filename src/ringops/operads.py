@@ -1214,7 +1214,7 @@ def _has_common_cover(view, f1, a1, f2, a2):
     if type_of(f1) != type_of(f2):
         return False
     special = special_of_type(type_of(f1))
-    if special.arity > 4:
+    if special.arity > ENUMERATION_CAP:
         raise ArityCapExceeded(
             f"cover search bound {special.arity} exceeds the enumeration cap"
         )

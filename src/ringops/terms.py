@@ -18,8 +18,9 @@ The fibers of both modes come from one leaf-count dynamic programme,
 `_fiber_table`, over cells (projection key, leaf count).  A node's top
 split (operation, left leaf count, left key, right key) is read off the
 node, so a cell is the disjoint union over its splits of left part x right
-part.  A memoised walk down from f's key reads each reached key's splits
-off the key itself, with the leaf counts at which it has nodes; one loop
+part.  Each fiber call makes one memoised walk down from f's key, which
+reads each reached key's splits off the key itself, with the leaf counts
+at which it has nodes, and tells whether the fiber is complete; one loop
 then builds the cells of the reached keys in increasing leaf count, up to
 f's last count within the bound.  The mode only picks the pools its left
 factors and left summands are drawn from; in biperm mode a left summand is
@@ -29,8 +30,8 @@ whose entry is the leaf tuple for a leaf and (tag, left id, right id)
 otherwise.  A cell's nodes get consecutive ids and children come before
 parents, so ids follow build order, and since no node is built twice, equal
 trees have equal ids.  `_bounded_fiber` decodes the ids into bare tuples in
-one forward pass; nodes stay bare tuples until `enumerate_fiber` returns
-them as `Term`s.
+one forward pass; nodes stay bare tuples until `enumerate_fiber` or a term
+operad's `component` returns them as `Term`s.
 
 Zig-zag connectivity never builds a tree: `connectivity_check` reads the
 sym table through a cons dict {entry: id} made for that call alone.  A
@@ -300,7 +301,6 @@ def _norm_times(left: Node, right: Node) -> Node:
     return out
 
 
-@lru_cache(maxsize=1 << 20)
 def _normalize(node: Node) -> Node:
     if node[0] in ("0", "1", "v"):
         return node
@@ -379,13 +379,14 @@ def default_bound(f: RPoly) -> int:
 def enumerate_fiber(f: RPoly, mode: str = "sym", bound: Union[int, None] = None) -> FiberResult:
     """All canonical (or reduced) terms projecting to f with at most B leaves.
 
-    The stability flag says whether the fiber is complete at B: whether f's
-    largest leaf count, which `_reach` gives exactly, is at most B.
+    The stability flag says whether the fiber is complete at B; it is read
+    off the same walk of f's keys (`_reached`) that the DP builds from.
     """
     bound = _fiber_bound(f, mode, bound)
-    levels = _bounded_fiber(f, mode, bound)
+    walk = _reached(f, mode, bound)
+    levels = _bounded_fiber(walk, mode, bound)
     found = frozenset(_fiber_term(f.arity, node) for level in levels for node in level)
-    return FiberResult(found, _largest_count(f, mode) <= bound, bound)
+    return FiberResult(found, walk[3], bound)
 
 
 def _fiber_term(arity: int, node: Node) -> Term:
@@ -411,28 +412,45 @@ def _fiber_bound(f: RPoly, mode: str, bound: Union[int, None]) -> int:
     return bound
 
 
-def _largest_count(f: RPoly, mode: str) -> int:
-    """The most leaves of a term in the fiber of f; the zero polynomial's
-    key has no splits, and its fiber is the leaf 0."""
-    target, _, keys = _reached(f, mode)
-    return max(keys[target][0], default=1)
+def _reached(f: RPoly, mode: str, bound: int) -> tuple[frozenset, dict, dict, bool]:
+    """The one walk of f's keys that a fiber call makes and hands to its
+    build: f's key, its one-leaf cells, `_reach`'s entries for f's key and
+    every key its splits reach, and whether the fiber is complete at the
+    bound, that is whether f's largest leaf count, which `_reach` gives
+    exactly, is at most the bound.  The zero polynomial's key has no
+    splits, and its fiber is the leaf 0."""
+    target = frozenset(_support(m) for m in f.masks)
+    leaves = _leaves(f)
+    keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
+    _reach(target, mode, keys)
+    return target, leaves, keys, max(keys[target][0], default=1) <= bound
+
+
+def _whole_fiber(f: RPoly, mode: str, bound: int) -> tuple[frozenset, dict, dict, bool]:
+    """`_reached`, for a call that reads the whole fiber: a fiber that is
+    not complete at the bound is refused before any cell is built."""
+    walk = _reached(f, mode, bound)
+    if not walk[3]:
+        raise FiberNotStable(f"fiber of {f} is not complete at bound {bound}")
+    return walk
 
 
 # Caches nothing (maxsize=0): each caller asks for a fiber once.  It stays an
 # lru_cache function because the benchmark's tracer reads its cache_info().
 @lru_cache(maxsize=0)
-def _bounded_fiber(f: RPoly, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
+def _bounded_fiber(walk: tuple, mode: str, bound: int) -> tuple[tuple[Node, ...], ...]:
     """The nodes projecting to f, one tuple per leaf count from 0 to f's last
     non-empty count up to `bound`: `_fiber_table`'s ids, decoded."""
-    table, by_leaves, _ = _fiber_table(f, mode, bound)
+    table, by_leaves, _ = _fiber_table(walk, mode, bound)
     nodes = _decode(table)
     return tuple(tuple(nodes[ids.start : ids.stop]) for ids in by_leaves)
 
 
-def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ...], dict]:
-    """The hash-consed nodes of the DP, the ids projecting to f, one range
-    per leaf count from 0 to f's last non-empty count up to `bound`, and
-    the cells of every key as `_build_cells` gives them.
+def _fiber_table(walk: tuple, mode: str, bound: int) -> tuple[list, tuple[range, ...], dict]:
+    """The hash-consed nodes of the DP on f's walk (`_reached`), the ids
+    projecting to f, one range per leaf count from 0 to f's last non-empty
+    count up to `bound`, and the cells of every key as `_build_cells` gives
+    them.
 
     A cell is a pair (projection key, leaf count s): the key is the set of
     supports a node expands to, and the cell holds the nodes with that key
@@ -457,14 +475,14 @@ def _fiber_table(f: RPoly, mode: str, bound: int) -> tuple[list, tuple[range, ..
     a reached key P, is also a right part (P splits off one monomial of the
     rest on the left, and so on down to it).  So with the bound at or past
     f's last count, the cells built are exactly those f's cells are made
-    of.  Below it, `_room` keeps out the cells that no cell of f within the
-    bound can use.
+    of.  Below f's largest count, cells that no cell of f within the bound
+    uses may be built too.
     """
-    if f.is_zero:
+    target, leaves, keys, _ = walk
+    if not target:
         return [ZERO], (range(0), range(1)), {}
-    target, leaves, keys = _reached(f, mode)
     last = max((s for s in keys[target][0] if s <= bound), default=0)
-    table, cells = _build_cells(leaves, mode, keys, _room(target, keys, bound), last)
+    table, cells = _build_cells(leaves, mode, keys, last)
     return table, tuple(cells.get((target, s), (range(0),))[0] for s in range(last + 1)), cells
 
 
@@ -479,19 +497,6 @@ def _decode(table: list) -> list[Node]:
             entry = (tag, nodes[left], nodes[right])
         append(entry)
     return nodes
-
-
-@lru_cache(maxsize=1)
-def _reached(f: RPoly, mode: str) -> tuple[frozenset, dict, dict]:
-    """f's key, its one-leaf cells and `_reach`'s entries for f's key and
-    every key its splits reach: what the DP reads at every bound.  One
-    entry is kept, so that a fiber call's DP and its completeness flag
-    share one walk without every walk staying alive."""
-    target = frozenset(_support(m) for m in f.masks)
-    leaves = _leaves(f)
-    keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
-    _reach(target, mode, keys)
-    return target, leaves, keys
 
 
 def _leaves(f: RPoly) -> dict:
@@ -562,38 +567,21 @@ def _halves(items: list) -> Iterator[tuple[list, list]]:
         )
 
 
-def _room(target: frozenset, keys: dict, bound: int) -> dict:
-    """{key: the bound less the fewest leaves beside the key on a path of
-    splits up to f}, the most a cell of the key may have to be part of a
-    cell of f within the bound.  A part of a cell within its room is within
-    its own.  A biperm left summand's room holds for all its key's cells,
-    though only products take part, so it may let a few more in.  The keys
-    reversed come parents first, as `_reach` adds each after those below."""
-    room = {target: bound}
-    for key in reversed(keys):
-        if key in room:
-            for k1, k2 in (*keys[key][2], *keys[key][3]):
-                room[k1] = max(room.get(k1, 0), room[key] - keys[k2][0][0])
-                room[k2] = max(room.get(k2, 0), room[key] - keys[k1][1][0])
-    return room
-
-
-def _build_cells(
-    leaves: dict, mode: str, keys: dict, room: dict, last: int
-) -> tuple[list, dict]:
+def _build_cells(leaves: dict, mode: str, keys: dict, last: int) -> tuple[list, dict]:
     """The node table and cells[key, s] = (ids, k) for the leaves, and for
-    every reached key and every count 1 < s <= min(last, room[key]) at
-    which it has nodes, built in increasing leaf count.  The table lists
-    each leaf as its tuple and each sum or product as (tag, left id, right
-    id); a cell's nodes get consecutive ids, products first, so its ids are
-    a range.  The first k of them may stand as a left part: all of them in
-    sym mode, the products (or the leaf) in biperm mode."""
+    every reached key and every count 1 < s <= last at which it has nodes,
+    built in increasing leaf count.  Below f's largest count, cells that
+    no cell of f uses may be built.  The table lists each leaf as its tuple
+    and each sum or product as (tag, left id, right id); a cell's nodes get
+    consecutive ids, products first, so its ids are a range.  The first k
+    of them may stand as a left part: all of them in sym mode, the products
+    (or the leaf) in biperm mode."""
     table: list = list(leaves.values())
     cells = {(key, 1): (range(i, i + 1), 1) for i, key in enumerate(leaves)}
     levels: list[list] = [[] for _ in range(last + 1)]
-    for key, space in room.items():
-        for s in keys[key][0]:
-            if 1 < s <= min(last, space):
+    for key, (counts, *_) in keys.items():
+        for s in counts:
+            if 1 < s <= last:
                 levels[s].append(key)
     for s, level in enumerate(levels):
         for key in level:
@@ -706,10 +694,9 @@ def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> Connectivity
     and at one arity two terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
-    if _largest_count(f, "sym") > bound:
-        raise FiberNotStable(f"fiber of {f} is not complete at bound {bound}")
-    table, levels, cells = _fiber_table(f, "sym", bound)
-    target, _, keys = _reached(f, "sym")
+    walk = _whole_fiber(f, "sym", bound)
+    table, levels, cells = _fiber_table(walk, "sym", bound)
+    target, _, keys, _ = walk
     start = terminal_representative(f)
     cons = {entry: i for i, entry in enumerate(table)}
     first = _encode(start.node, cons)
@@ -897,10 +884,11 @@ class TermRingOperad(DiscreteRingOperad):
             raise ArityCapExceeded(
                 f"fiber components are capped at arity {self.ARITY_CAP}"
             )
-        result = enumerate_fiber(f, self.mode)
-        if not result.stable:
-            raise FiberNotStable(f"fiber of {f} is not complete at bound {result.bound}")
-        return tuple(sorted(result.terms, key=lambda t: (t.leaves, str(t))))
+        bound = default_bound(f)
+        levels = _bounded_fiber(_whole_fiber(f, self.mode, bound), self.mode, bound)
+        return tuple(
+            _fiber_term(f.arity, node) for level in levels for node in sorted(level, key=node_str)
+        )
 
     def unit_element(self):
         return Term(1, var(1))

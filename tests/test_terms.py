@@ -46,7 +46,6 @@ from ringops.terms import (
     plus,
     project,
     _MOVE_RULES,
-    _bounded_fiber,
     node_str,
     reduce_A,
     reduce_node,
@@ -543,6 +542,16 @@ def _two_branch_fiber(f, mode, bound):
     )
 
 
+def _bounded_fiber(f, mode, bound):
+    """`terms._bounded_fiber` on f's walk, as `enumerate_fiber` calls it."""
+    return terms._bounded_fiber(terms._reached(f, mode, bound), mode, bound)
+
+
+def _fiber_table(f, mode, bound):
+    """`terms._fiber_table` on f's walk."""
+    return terms._fiber_table(terms._reached(f, mode, bound), mode, bound)
+
+
 def _padded(by_leaves, bound):
     """`_bounded_fiber`'s levels as one frozenset per leaf count 0..bound:
     the DP stops at its last level, and the counts past it are empty."""
@@ -759,7 +768,7 @@ def _sym_table(f):
     """The stable sym table of f, its fiber's ids per leaf count and the
     cons dict {entry: id}, as `connectivity_check` reads them."""
     bound = default_bound(f)
-    table, by_leaves, _ = terms._fiber_table(f, "sym", bound + 2)
+    table, by_leaves, _ = _fiber_table(f, "sym", bound + 2)
     assert not any(by_leaves[bound + 1 :]), str(f)
     return table, by_leaves[: bound + 1], {entry: i for i, entry in enumerate(table)}
 
@@ -821,21 +830,20 @@ class TestIdWalker:
     def test_a_complete_table_builds_every_reached_key_whole(self):
         """The completeness lemma of `connectivity_check`: at a bound that
         covers f's largest count, every key `_reach` reaches has a built
-        cell at each of its counts.  Read off the cells `_build_cells`
-        picks (`_room` and f's last count) for every nonzero f of R(1..3),
-        and off the built cells for those of at most four monomials, at the
-        tight and the default bound."""
+        cell at each of its counts.  Read off the walk (every count is at
+        most f's last, up to which `_build_cells` builds every reached key)
+        for every nonzero f of R(1..3), and off the built cells for those of
+        at most four monomials, at the tight and the default bound."""
         checked = 0
         for f in [f for n in (1, 2, 3) for f in enumerate_R(n) if not f.is_zero]:
-            target, _, keys = terms._reached(f, "sym")
-            last = terms._largest_count(f, "sym")
+            target, _, keys, _ = terms._reached(f, "sym", default_bound(f))
+            last = max(keys[target][0])
             for bound in (last, default_bound(f)):
-                room = terms._room(target, keys, bound)
-                cells = terms._fiber_table(f, "sym", bound)[2] if len(f) <= 4 else None
+                cells = _fiber_table(f, "sym", bound)[2] if len(f) <= 4 else None
                 for key, (counts, *_) in keys.items():
                     for s in counts:
                         if s > 1:
-                            assert s <= min(last, room[key]), (str(f), bound, key, s)
+                            assert s <= last, (str(f), bound, key, s)
                             assert cells is None or (key, s) in cells, (str(f), bound, key, s)
                     checked += 1
         assert checked == 6460
@@ -896,7 +904,7 @@ class TestIdWalker:
         kept = MOVE_NAMES - {"comm-plus"}
         monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
         f = parse_poly(text)
-        table, levels, cells = terms._fiber_table(f, "sym", default_bound(f))
+        table, levels, cells = _fiber_table(f, "sym", default_bound(f))
         nodes = terms._decode(table)
         members = {
             node_str(nodes[i]): i for i in range(len(table))
@@ -931,11 +939,36 @@ def test_an_unknown_mode_is_a_precondition_violation():
         sset_operad("bogus")
 
 
+def test_no_term_cache_outlives_a_call():
+    """Each fiber call walks f's keys and hands the walk to its build, and
+    normal forms are recomputed: after fibers at the default and a truncated
+    bound in both modes, a connectivity check, a normal form and a pset
+    component, every lru_cache of the term layer is empty."""
+    f = parse_poly("R(3): x3 + x2*x3 + x1*x2")
+    for mode in ("sym", "biperm"):
+        assert enumerate_fiber(f, mode).stable
+        assert not enumerate_fiber(f, mode, 4).stable
+    assert connectivity_check(f).connected
+    wide = Term(3, times(plus(var(1), var(2)), plus(var(3), times(var(1), var(3)))))
+    assert is_reduced(normalize_biperm(wide))
+    assert len(sset_operad("biperm").component(f)) == len(enumerate_fiber(f, "biperm").terms)
+    caches = {
+        name: value.cache_info().currsize
+        for name, value in vars(terms).items()
+        if hasattr(value, "cache_info") and value.__module__ == terms.__name__
+    }
+    assert {"_bounded_fiber", "_cached_act", "_cached_gamma"} <= set(caches)
+    assert caches == dict.fromkeys(caches, 0)
+
+
 class TestDemandDrivenFiber:
     @pytest.mark.parametrize("mode", ["sym", "biperm"])
     def test_matches_the_forward_dp_per_leaf_count(self, mode):
         for f in DEMAND_POLYS:
-            for bound in (1, 2, 3, 4, default_bound(f) + 2):
+            largest = sum(max(m.bit_count(), 1) for m in f.masks)
+            for bound in (1, 2, 3, 4, largest - 1, largest, default_bound(f) + 2):
+                if bound < 1:
+                    continue
                 by_leaves = _bounded_fiber(f, mode, bound)
                 assert _padded(by_leaves, bound) == _forward_fiber(f, mode, bound), (
                     str(f), bound
@@ -972,8 +1005,7 @@ class TestDemandDrivenFiber:
             leaves = terms._leaves(f)
             keys = dict.fromkeys(leaves, ((1,), (1,), (), ()))
             last = max(terms._reach(target, mode, keys)[0])
-            room = terms._room(target, keys, bound)
-            table, cells = terms._build_cells(leaves, mode, keys, room, last)
+            table, cells = terms._build_cells(leaves, mode, keys, last)
             assert last <= bound
 
             def size(key, s):
@@ -1014,7 +1046,7 @@ class TestDemandDrivenFiber:
         f = parse_poly("R(3): x2*x3 + x1 + x1*x3 + x1*x2*x3")
         for mode in ("sym", "biperm"):
             gc.collect()
-            terms._fiber_table(f, mode, default_bound(f) + 2)
+            _fiber_table(f, mode, default_bound(f) + 2)
             assert gc.collect() == 0, mode
 
     @pytest.mark.slow
@@ -1160,7 +1192,7 @@ def test_the_fold_matches_recursive_walks():
 
 def test_encode_matches_a_recursive_walk_on_every_node_of_a_sym_table():
     for f in enumerate_R(2) + R3_SMALL:
-        table, *_ = terms._fiber_table(f, "sym", default_bound(f))
+        table, *_ = _fiber_table(f, "sym", default_bound(f))
         cons = {entry: i for i, entry in enumerate(table)}
         for i, node in enumerate(terms._decode(table)):
             assert terms._encode(node, cons) == _ref_encode(node, cons) == i, (str(f), node)
@@ -1185,6 +1217,10 @@ R4_DRAWN = [
 
 @pytest.mark.parametrize("mode", ["sym", "biperm"])
 def test_the_largest_leaf_count_is_the_sum_over_monomials(mode):
-    # Sigma_m max(|m|, 1), read off `_reach` alone: no node is built.
+    # Sigma_m max(|m|, 1), read off the walk alone: no node is built.  The
+    # fiber is complete at that bound and not one below it.
     for f in [f for n in (1, 2, 3) for f in enumerate_R(n) if not f.is_zero] + R4_DRAWN:
-        assert terms._largest_count(f, mode) == sum(max(m.bit_count(), 1) for m in f.masks), str(f)
+        largest = sum(max(m.bit_count(), 1) for m in f.masks)
+        target, _, keys, complete = terms._reached(f, mode, largest)
+        assert max(keys[target][0]) == largest and complete, str(f)
+        assert not terms._reached(f, mode, largest - 1)[3], str(f)
