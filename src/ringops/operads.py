@@ -85,7 +85,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -370,41 +370,44 @@ def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...], RP
 
 def _composition_blocks(cap: int) -> Iterator[tuple[RPoly, list]]:
     """The plan as one block per (g, arity tuple): g and its list of
-    (args, g(args)) pairs.  A composite is the union over g's monomials u
-    of the products of u's slots, which `_products` expands once per run
-    for each (u of several slots, argument tuple); slot masks are shifted
-    once per arity tuple.  Composites are interned by their arity and
-    sorted masks, and each distinct one is put in lambda order once: 139 at
-    cap 3, for 70,750 shapes.  They never go through `compose`, whose cache
-    would keep one entry per shape."""
-    products: dict = {}
-    composites: dict = {}
+    (args, g(args)) pairs, built on bitsets of masks (bit m for mask m).
+
+    When its first g is reached, each k lists, once per arity tuple, the
+    argument tuples and, for each monomial u in 1..2^k - 1, the bitset of
+    the products of u's slots (`_products`) at every argument tuple.  A
+    block's composites are then the elementwise OR of the bitsets of g's
+    monomials.  The OR drops no product: by the "no repeat" argument of the
+    `polynomials` docstring, the products of one shape are pairwise
+    distinct, so the set bits are exactly the composite's masks.  One table
+    per total arity maps a bitset to its RPoly, so each distinct composite
+    is one object: 139 at cap 3, for 70,750 shapes.  Composites never go
+    through `compose`, whose cache would keep one entry per shape."""
+    composites = _Table(lambda _, total: _Table(_poly_of_bits, total))
     for k in range(1, cap + 1):
         blocks = []
         for arities in _arity_tuples(k, cap):
             offsets, total = _block_offsets(arities)
             pools = [enumerate_R(j) for j in arities]
             slot_pools = [[_slot(f, o) for f in pool] for pool, o in zip(pools, offsets)]
-            blocks.append((total, pools, slot_pools))
+            slots = list(itertools.product(*slot_pools))
+            bitsets = {
+                u: [sum(1 << m for m in _products((u,), s)) for s in slots]
+                for u in range(1, 1 << k)
+            }
+            blocks.append((list(itertools.product(*pools)), bitsets, composites[total]))
         for g in enumerate_R(k):
-            for total, pools, slot_pools in blocks:
-                shapes = []
-                for args, slots in zip(itertools.product(*pools), itertools.product(*slot_pools)):
-                    masks = []
-                    for u in g.masks:
-                        if u & (u - 1):
-                            key = u, slots
-                            if key not in products:
-                                products[key] = _products((u,), slots)
-                            masks += products[key]
-                        else:
-                            masks += slots[u.bit_length() - 1]
-                    key = total, tuple(sorted(masks))
-                    composite = composites.get(key)
-                    if composite is None:
-                        composite = composites[key] = _lambda_sorted(total, masks)
-                    shapes.append((args, composite))
-                yield g, shapes
+            for args, bitsets, table in blocks:
+                bits = reduce(
+                    partial(map, operator.or_),
+                    map(bitsets.__getitem__, g.masks),
+                    itertools.repeat(0, len(args)),
+                )
+                yield g, list(zip(args, map(table.__getitem__, bits)))
+
+
+def _poly_of_bits(arity: int, bits: int) -> RPoly:
+    """The RPoly of this arity whose masks are the set bits of bits."""
+    return _lambda_sorted(arity, [m for m in range(bits.bit_length()) if bits >> m & 1])
 
 
 def _blocks(fs: Sequence[RPoly]) -> tuple[list[tuple[int, int]], int]:
@@ -422,11 +425,27 @@ def _check_cap(cap: int) -> None:
         raise ArityCapExceeded(f"cap {cap} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
+# (source, map) pairs `_all_morphisms` may try: cap 3 tries 29,136, while
+# cap 4 would try 74,571,517, past 900 MB after 21 s, before a check counts
+# an instance.
+_MORPHISM_PAIR_LIMIT = 10**6
+
+
 @lru_cache(maxsize=8)
 def _all_morphisms(cap: int) -> tuple[RMorphism, ...]:
     """Every morphism between arities <= cap: by source in `enumerate_R`
     order, then target arity, then map in `_all_maps` order.  Each
-    `_all_maps(m, n)` is listed once, for every f of arity m."""
+    `_all_maps(m, n)` is listed once, for every f of arity m.  A cap whose
+    |R(m)| * (n + 2)^m pairs pass `_MORPHISM_PAIR_LIMIT` is refused before
+    anything is listed."""
+    pairs = sum(
+        2 ** (2**m - 1) * sum((n + 2) ** m for n in range(cap + 1)) for m in range(cap + 1)
+    )
+    if pairs > _MORPHISM_PAIR_LIMIT:
+        raise ArityCapExceeded(
+            f"listing the morphisms at cap {cap} would try {pairs:,} (source, map) pairs,"
+            f" past the limit of {_MORPHISM_PAIR_LIMIT:,}"
+        )
     out = []
     for m in range(cap + 1):
         maps = [tuple(_all_maps(m, n)) for n in range(cap + 1)]

@@ -483,8 +483,9 @@ def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> R
     """g(args); a UNIT argument is the constant 1.
 
     The lru cache keeps up to 200,000 (g, args) pairs.  The composition-shape
-    plan, `operads._composition_blocks`, expands its one composite per shape
-    from `_slot` and `_products` and leaves it alone.
+    plan, `operads._composition_blocks`, ORs each composite from bitsets of
+    the products of g's monomials, built once per arity tuple, and leaves
+    this cache alone.
 
     With RPoly arguments the products are the composite's masks (see the
     module docstring) and are only sorted.  With a UNIT slot they can repeat

@@ -1,5 +1,7 @@
 import pytest
 
+from ringops import operads
+from ringops.cli import main
 from ringops.errors import (
     ArityCapExceeded,
     ArityMismatch,
@@ -30,6 +32,14 @@ from ringops.operads import (
 )
 from ringops.polynomials import enumerate_R, rpoly, unit_poly, zero_poly
 from ringops.terms import sset_operad
+
+
+@pytest.fixture
+def no_map_listed(monkeypatch):
+    def untouchable(m, n):
+        raise AssertionError("no map may be listed")
+
+    monkeypatch.setattr(operads, "_all_maps", untouchable)
 
 
 class TestStrict:
@@ -117,6 +127,30 @@ class TestTableOperads:
 
         with pytest.raises(ArityCapExceeded):
             operad_to_table(Untouchable(), 5)
+
+    def test_checks_at_cap4_are_refused_before_any_morphism_is_listed(self, no_map_listed):
+        pairs = r"74,571,517 \(source, map\) pairs"
+        with pytest.raises(ArityCapExceeded, match=pairs):
+            check_axioms(strict_operad(), 4, Budget(1000))
+        with pytest.raises(ArityCapExceeded, match=pairs):
+            check_einfty_set(strict_operad(), 4)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "axioms", "--builtin", "strict", "--cap", "4", "--budget", "1000"],
+        ["check", "einfty", "--builtin", "strict", "--cap", "4"],
+    ])
+    def test_a_cli_check_at_cap4_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: listing the morphisms at cap 4 would try 74,571,517")
+
+    def test_a_budgeted_cap4_algebra_check_ends_in_associativity(self, no_map_listed):
+        # the plan builds k's bitsets only when its first g is reached, and
+        # equivariance, which lists the morphisms, is never reached
+        with pytest.raises(SearchBudgetExceeded):
+            validate_algebra(strict_operad(), boolean_rig_algebra(), 4, Budget(200000))
 
     def test_corrupted_gamma_fails_with_named_instance(self):
         source = operad_to_table(sset_operad("sym"), cap=2)

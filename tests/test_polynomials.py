@@ -16,6 +16,7 @@ from ringops.polynomials import (
     Monomial,
     TypeSignature,
     UNIT,
+    _compose_intpoly,
     canon_str,
     compose,
     enumerate_R,
@@ -317,11 +318,14 @@ class TestKernelDifferential:
             assert composite == to_rpoly(_reference_expansion(g, args))
 
     def test_plan_composites_match_compose_at_cap3(self):
-        shapes = 0
-        for g, args, composite in _composition_shapes(3):
+        before = _compose_intpoly.cache_info()
+        shapes = list(_composition_shapes(3))
+        assert _compose_intpoly.cache_info() == before
+        assert len(shapes) == 70750
+        composites = [composite for _, _, composite in shapes]
+        assert len({id(c) for c in composites}) == len(set(composites)) == 139
+        for g, args, composite in shapes:
             assert composite == compose(g, args)
-            shapes += 1
-        assert shapes == 70750
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_plan_lists_shapes_in_the_nested_order(self, cap):
