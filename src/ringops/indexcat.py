@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -51,20 +51,32 @@ def _entry_str(v: int) -> str:
     return "e" if v == E else str(v)
 
 
-@dataclass(frozen=True)
-class ExtMap:
-    """A based map {0,e,1..m} -> {0,e,1..n}; 0 and e are implicitly fixed."""
+class ExtMap(tuple):
+    """A based map {0,e,1..m} -> {0,e,1..n}; 0 and e are implicitly fixed.
 
-    source_size: int
-    target_size: int
-    images: tuple[int, ...]
+    A tuple (source_size, target_size, images), so hashing and equality run
+    no Python code; the hash is the one the fields' tuple has.
+    """
 
-    def __post_init__(self):
-        if len(self.images) != self.source_size:
+    __slots__ = ()
+
+    def __new__(cls, source_size: int, target_size: int, images: tuple[int, ...]):
+        if len(images) != source_size:
             raise ArityMismatch("images length differs from source size")
-        for v in self.images:
-            if v != E and not 0 <= v <= self.target_size:
-                raise ArityMismatch(f"image {v} out of range 0..{self.target_size}")
+        for v in images:
+            if v != E and not 0 <= v <= target_size:
+                raise ArityMismatch(f"image {v} out of range 0..{target_size}")
+        return tuple.__new__(cls, (source_size, target_size, images))
+
+    source_size = property(itemgetter(0))
+    target_size = property(itemgetter(1))
+    images = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"ExtMap(source_size={self[0]!r}, target_size={self[1]!r}, images={self[2]!r})"
 
     def __call__(self, i: int) -> int:
         if i == 0 or i == E:
@@ -119,13 +131,27 @@ def substitute(phi: ExtMap, f: RPoly) -> IntPoly:
     return substitute_images(phi.images, phi.target_size, f)
 
 
-@dataclass(frozen=True)
-class RMorphism:
-    """A validated triple (source, map, target) with substitute(map, source) = target."""
+class RMorphism(tuple):
+    """A validated triple (source, map, target) with substitute(map, source) = target.
 
-    source: RPoly
-    map: ExtMap
-    target: RPoly
+    A tuple, so hashing and equality run no Python code; the hash is the one
+    the fields' tuple has.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source: RPoly, map: ExtMap, target: RPoly):
+        return tuple.__new__(cls, (source, map, target))
+
+    source = property(itemgetter(0))
+    map = property(itemgetter(1))
+    target = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"RMorphism(source={self[0]!r}, map={self[1]!r}, target={self[2]!r})"
 
     @property
     def is_effective(self) -> bool:

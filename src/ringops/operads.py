@@ -54,12 +54,11 @@ for its run and drops at the end.  Its contract:
   over (f, element) pairs.  `gamma_row(shape, key)`, the one function the
   gamma tables fill from, calls it on the elements of an id key.
   `validate_algebra` keeps no gamma table: its associativity settles each
-  (g, arity tuple) block of the plan in one fused pass, which calls
-  `gamma_id` on argument pairs built once per argument arity and compares
-  theta-row ids; only a block it cannot settle is replayed through
-  `gamma_row`.  Each row is read once per build, so a table per shape would
-  be filled once and read once.  `check_axioms` keeps the tables, because
-  its sections read one shape's rows again;
+  (g, arity tuple) block of the plan in one fused pass, calling `gamma_id`
+  on argument keys built once per arity tuple and comparing theta-row ids;
+  only a block it cannot settle is replayed through `gamma_row`.  A table
+  per shape would be filled once and read once; `check_axioms` keeps the
+  tables, because its sections read one shape's rows again;
 - rows are interned by value for the whole run through one interner:
   `row(table, pools)` is the id of the tuple of table's values over the
   product of the pools, read back as `rows[id]`, so two row ids are equal
@@ -1427,15 +1426,16 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
     (composite, xs), and the right side the id of theta(g, c, ·) over the
     product of the argument rows, read from `over[g, c]`, which is cleared
     after each g.  Both sides list (fs, xs) in plan order, and a block holds
-    len(lhs) · |carrier|^total instances.  Each argument arity's pool, as
-    (f, element) pairs and as theta-row ids, is built once per run, and
-    gamma is called on the pairs directly, with no table per shape."""
+    len(lhs) · |carrier|^total instances.  The argument keys that gamma and
+    `over[g, c]` read depend on the arity tuple only, so reusing them is
+    exact: `_argument_keys` builds each once per run, one k at a time."""
     row, at = thetas.row, thetas.at
-    pools = _Table(partial(_argument_pools, view, thetas))
+    keys = _Table(partial(_argument_keys, view, thetas), 0)
     for g, blocks in itertools.groupby(_composition_blocks(cap), key=operator.itemgetter(0)):
+        keys = keys if keys.shape == g.arity else _Table(keys.row, g.arity)
         for _, shapes in blocks:
             arities = tuple(f.arity for f in shapes[0][0])
-            built = _whole_sides(_algebra_sides, view, g, shapes, thetas, pools, arities)
+            built = _whole_sides(_algebra_sides, view, g, shapes, thetas, keys, arities)
             if built is not None and built[0] == built[1]:
                 yield len(built[0]) * len(algebra.carrier) ** sum(arities)
                 continue
@@ -1443,10 +1443,7 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
                 gamma = partial(view.gamma_row, (g, fs))
                 for c, xs, composed in _composites(view, g, fs, report, gamma):
                     lhs = row(composite, composed)
-                    outer = at[g, c]
-                    rhs = tuple(map(outer.__getitem__, itertools.product(
-                        *[row(f, x) for f, x in zip(fs, xs)]
-                    )))
+                    rhs = tuple(map(at[g, c].__getitem__, itertools.product(*map(row, fs, xs))))
                     yield from _block_verdicts(lhs, rhs, lambda i: (
                         f"g={g}, args={[str(f) for f in fs]}, xs={_nth_tuple(algebra, composite, i)!r}: "
                         f"{lhs[i]!r} != {rhs[i]!r}"
@@ -1454,32 +1451,34 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
         thetas.over.clear()
 
 
-def _argument_pools(view, thetas, _, arity):
-    """The argument pool of one arity, one tuple per f of `enumerate_R`:
-    f's (f, element) pairs, and the theta-row ids of f's elements."""
-    polys = enumerate_R(arity)
-    pairs = [tuple((f, view.elements[x]) for x in view.component[f]) for f in polys]
-    rids = [tuple(map(thetas.ids[f].__getitem__, view.component[f])) for f in polys]
-    return pairs, rids
+def _argument_keys(view, thetas, _, arities):
+    """The argument keys of one arity tuple, flat over its shapes in plan
+    order: each shape's count of element tuples, the tuples of (f, element)
+    pairs gamma is called on, and the tuples of theta-row ids `over` reads."""
+    polys = [enumerate_R(j) for j in arities]
+    pairs = [[tuple((f, view.elements[x]) for x in view.component[f]) for f in fs] for fs in polys]
+    rids = [[tuple(map(thetas.ids[f].__getitem__, view.component[f])) for f in fs] for fs in polys]
+    counts = [math.prod(map(len, shape)) for shape in itertools.product(*rids)]
+    return counts, *(list(itertools.chain.from_iterable(
+        itertools.starmap(itertools.product, itertools.product(*pools))
+    )) for pools in (pairs, rids))
 
 
-def _algebra_sides(view, g, shapes, thetas, pools, arities):
+def _algebra_sides(view, g, shapes, thetas, keys, arities):
     """Both sides of one block as lists of theta-row ids, c outermost; None
-    at a `_SKIP`.  The argument blocks are contiguous, so the product of
-    the argument rows runs in the order of product(carrier, repeat=total)."""
-    ids = thetas.ids
-    pair_pools, rid_pools = zip(*map(pools.__getitem__, arities))
+    at a `_SKIP`.  The keys depend on the arity tuple only, so every g and c
+    reuses them exactly.  The argument blocks are contiguous, so the product
+    of the argument rows runs in the order of product(carrier, repeat=total)."""
+    counts, pairs, rids = keys[arities]
+    tables = [thetas.ids[composite] for _, composite in shapes]
+    tables = list(itertools.chain.from_iterable(map(itertools.repeat, tables, counts)))
     lhs, rhs = [], []
     for c in view.component[g]:
-        gamma = partial(view.gamma_id, g, view.elements[c])
-        for (_, composite), arg_pools in zip(shapes, itertools.product(*pair_pools)):
-            composed = list(map(gamma, itertools.product(*arg_pools)))
-            if _SKIP in composed:
-                return None
-            lhs += map(ids[composite].__getitem__, composed)
-        rhs += map(thetas.over[g, c].__getitem__, itertools.chain.from_iterable(
-            itertools.starmap(itertools.product, itertools.product(*rid_pools))
-        ))
+        composed = list(map(partial(view.gamma_id, g, view.elements[c]), pairs))
+        if _SKIP in composed:
+            return None
+        lhs += map(operator.getitem, tables, composed)
+        rhs += map(thetas.over[g, c].__getitem__, rids)
     return lhs, rhs
 
 
@@ -1494,19 +1493,19 @@ def _algebra_equivariance(view, algebra, cap, thetas):
     and many morphisms share one (11,806 morphisms over 296 maps at cap 3)."""
     row, at = thetas.row, thetas.at
     fillers = {0: algebra.zero, E: algebra.e}
-    pulled_by_map = {}
+    pulled_by_map = _Table(lambda _, phi: [
+        tuple(fillers[v] if v in fillers else xs[v - 1] for v in phi.images)
+        for xs in itertools.product(algebra.carrier, repeat=phi.target_size)
+    ])
     for mor in _all_morphisms(cap):
         act = view.act_table(mor)
-        key = mor.map.images, mor.map.target_size
-        if key not in pulled_by_map:
-            pulled_by_map[key] = [
-                tuple(fillers[v] if v in fillers else xs[v - 1] for v in mor.map.images)
-                for xs in itertools.product(algebra.carrier, repeat=mor.map.target_size)
-            ]
-        pulled = pulled_by_map[key]
+        pulled = pulled_by_map[mor.map]
         for c in view.component[mor.source]:
             lhs = row(mor.target, act[c])
             rhs = tuple(map(at[mor.source, c].__getitem__, pulled))
+            if lhs == rhs:
+                yield len(lhs)
+                continue
             yield from _block_verdicts(lhs, rhs, lambda i: (
                 f"map {mor.map} from {mor.source}: {lhs[i]!r} != {rhs[i]!r}"
             ))

@@ -150,6 +150,9 @@ class RPoly(tuple):
     arity = property(itemgetter(0))
     masks = property(itemgetter(1))
 
+    def __getnewargs__(self):
+        return tuple(self)
+
     @property
     def monomials(self) -> frozenset[Monomial]:
         return frozenset(lambda_of(self))

@@ -1,8 +1,10 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
-from ringops.errors import NotAMorphism, NotSpecial, PreconditionViolation, SearchBudgetExceeded
+from ringops.errors import ArityMismatch, NotAMorphism, NotSpecial, PreconditionViolation, SearchBudgetExceeded
 from ringops.indexcat import (
     E,
     ExtMap,
@@ -79,6 +81,64 @@ class TestValidate:
         f = rpoly(2, [(1,), (2,)])
         with pytest.raises(NotAMorphism):
             validate(f, ExtMap(2, 1, (1, 1)), unit_poly())
+
+
+class TestTupleValues:
+    """ExtMap and RMorphism are tuples of their fields: the hash, equality,
+    repr, pickling and the constructor checks are those of the frozen
+    dataclasses they replace."""
+
+    MOR = validate(F535, PHI535, G535)
+
+    @pytest.mark.parametrize("value", [PHI535, ExtMap(0, 3, ()), MOR])
+    def test_hash_is_the_hash_of_the_fields(self, value):
+        fields = (
+            (value.source_size, value.target_size, value.images)
+            if isinstance(value, ExtMap) else (value.source, value.map, value.target)
+        )
+        assert tuple(value) == fields
+        assert hash(value) == hash(tuple(value)) == hash(fields)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(ExtMap(1, 1, (1,))) == "ExtMap(source_size=1, target_size=1, images=(1,))"
+        mor = validate(unit_poly(), ExtMap(1, 1, (1,)), unit_poly())
+        assert repr(mor) == (
+            "RMorphism(source=RPoly('R(1): x1'), "
+            "map=ExtMap(source_size=1, target_size=1, images=(1,)), "
+            "target=RPoly('R(1): x1'))"
+        )
+        assert str(mor) == "R(1): x1 |{1->1}| R(1): x1"
+
+    @pytest.mark.parametrize("value", [PHI535, MOR])
+    def test_pickle_and_copy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+            assert hash(twin) == hash(value)
+
+    def test_keyword_construction(self):
+        assert ExtMap(source_size=2, target_size=1, images=(1, E)) == ExtMap(2, 1, (1, E))
+
+    def test_constructor_checks_keep_their_messages(self):
+        with pytest.raises(ArityMismatch, match="^images length differs from source size$"):
+            ExtMap(2, 1, (1,))
+        with pytest.raises(ArityMismatch, match=r"^image 3 out of range 0\.\.2$"):
+            ExtMap(1, 2, (3,))
+        with pytest.raises(ArityMismatch, match=r"^image -2 out of range 0\.\.2$"):
+            ExtMap(1, 2, (-2,))
+
+    @pytest.mark.parametrize("value, field", [
+        (PHI535, "images"), (PHI535, "source_size"), (MOR, "map"), (MOR, "source"),
+    ])
+    def test_fields_are_read_only(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_a_map_never_equals_a_morphism(self):
+        for mor in _all_morphisms(1):
+            assert mor != mor.map and mor.map != mor
+        assert len({mor.map for mor in _all_morphisms(1)} & set(_all_morphisms(1))) == 0
 
 
 class TestHomEnumeration:

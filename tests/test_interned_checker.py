@@ -11,7 +11,8 @@ import gc
 import itertools
 import math
 import random
-from functools import lru_cache
+import weakref
+from functools import lru_cache, partial
 
 import pytest
 
@@ -42,6 +43,7 @@ from ringops.operads import (
     StrictRingOperad,
     TableRingOperad,
     _OUTER_DIAGRAMS,
+    _SKIP,
     _Interned,
     _algebra_equivariance as _interned_algebra_equivariance,
     _all_morphisms,
@@ -638,6 +640,84 @@ def test_the_theta_row_memo_holds_one_g_at_a_time(name, monkeypatch):
     assert sum(verdicts) == _fields(validate_algebra(operad, algebra, 2))[3]["associativity"]
 
 
+def _reference_sides(view, g, shapes, thetas):
+    """Both sides of an associativity block built one shape at a time: the
+    argument pairs and theta-row ids of each shape come from its own fs."""
+    ids = thetas.ids
+    lhs, rhs = [], []
+    for c in view.component[g]:
+        gamma = partial(view.gamma_id, g, view.elements[c])
+        for fs, composite in shapes:
+            pairs = [[(f, view.elements[x]) for x in view.component[f]] for f in fs]
+            composed = [gamma(args) for args in itertools.product(*pairs)]
+            if _SKIP in composed:
+                return None
+            lhs += [ids[composite][x] for x in composed]
+        for fs, _ in shapes:
+            rids = [[ids[f][x] for x in view.component[f]] for f in fs]
+            rhs += [thetas.over[g, c][key] for key in itertools.product(*rids)]
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("name, algebra, cap", [
+    ("strict", boolean_rig_algebra, 2),
+    ("strict", one_point_algebra, 2),
+    ("pset", boolean_rig_algebra, 2),
+    ("pset", one_point_algebra, 2),
+    ("sset", boolean_rig_algebra, 2),
+    ("sset", one_point_algebra, 2),
+    ("strict", boolean_rig_algebra, 3),
+])
+def test_every_block_has_the_sides_of_the_per_shape_reference(name, algebra, cap, monkeypatch):
+    # The argument keys are shared by every block of an arity tuple; each
+    # block's sides still equal those built from its own shapes.  Both
+    # builders share one view and one theta-row interner, so equal rows
+    # have equal ids.  sset components reach 40 elements, so the shapes of
+    # a block hold different counts of argument tuples.
+    operad = ALGEBRA_OPERADS[name]()
+    view, algebra = _Interned(operad), algebra()
+    thetas = _Thetas(view, algebra)
+    sides, compared = operads._algebra_sides, []
+
+    def checked_sides(view, g, shapes, thetas, keys, arities):
+        built = sides(view, g, shapes, thetas, keys, arities)
+        compared.append((built, _reference_sides(view, g, shapes, thetas), len(shapes)))
+        return built
+
+    monkeypatch.setattr(operads, "_algebra_sides", checked_sides)
+    report = CheckReport("", True, 0, 0, None)
+    verdicts = list(operads._algebra_associativity(view, algebra, cap, report, thetas))
+    assert len(compared) == len(verdicts) == sum(1 for _ in _composition_blocks(cap))
+    assert sum(count for *_, count in compared) == sum(1 for _ in _composition_shapes(cap))
+    for built, reference, _ in compared:
+        assert built is not None and built == reference and built[0] == built[1]
+    if name == "sset":
+        assert len({len(operad.component(f)) for f in enumerate_R(2)}) > 1
+
+
+def test_the_argument_keys_are_built_once_per_arity_tuple(monkeypatch):
+    # 34 arity tuples at cap 3, each built once for the whole run; when one
+    # is built, every key still held is of its k.
+    class Keys(list):
+        pass
+
+    argument_keys, built, held = operads._argument_keys, [], []
+
+    def counted_keys(view, thetas, k, arities):
+        held.append((len(arities), {len(a) for a, ref in built if ref() is not None}))
+        keys = Keys(argument_keys(view, thetas, k, arities))
+        built.append((arities, weakref.ref(keys)))
+        return keys
+
+    monkeypatch.setattr(operads, "_argument_keys", counted_keys)
+    report = validate_algebra(strict_operad(), boolean_rig_algebra(), 3)
+    assert (report.ok, report.checked) == (True, 612400)
+    assert [a for a, _ in built] == [a for k in (1, 2, 3) for a in _arity_tuples(k, 3)]
+    assert len(built) == 34
+    assert all(live <= {k} for k, live in held)
+    assert {len(a) for a, ref in built if ref() is not None} == set()
+
+
 def test_the_algebra_check_keeps_no_gamma_table(monkeypatch):
     # Each gamma row of the algebra check is read once, so it is fetched
     # through the view's row function, never through a per-shape table.
@@ -765,7 +845,11 @@ def test_corrupted_pset_thetas_fail_alike(seed):
     assert _fields(report) == _fields(reference_validate_algebra(operad, algebra, 2))
 
 
-@pytest.mark.parametrize("poly", [rpoly(2, [(1,), (2,)]), rpoly(2, [(1,), (2,), (1, 2)])])
+# Each sum, with the instances its cap-3 check counts up to the failing one.
+_DIAGONAL_FLIPS = {rpoly(2, [(1,), (2,)]): 5634, rpoly(2, [(1,), (2,), (1, 2)]): 5658}
+
+
+@pytest.mark.parametrize("poly", list(_DIAGONAL_FLIPS))
 def test_a_theta_flip_on_a_sum_diagonal_passes_cap2_and_fails_cap3(poly):
     # A known gap in the algebra check's power: theta flipped at the diagonal
     # tuple (1, 1) of these sums holds every cap-2 diagram, and the first
@@ -776,6 +860,7 @@ def test_a_theta_flip_on_a_sum_diagonal_passes_cap2_and_fails_cap3(poly):
     )
     report = validate_algebra(strict_operad(), algebra, 3)
     assert not report.ok
+    assert (report.checked, report.skipped) == (_DIAGONAL_FLIPS[poly], 0)
     assert report.failure == (
         f"associativity: g=R(2): x2, args=['R(1): 0', '{poly}'], xs=(0, 1, 1): 1 != 0"
     )
