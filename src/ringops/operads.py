@@ -22,13 +22,14 @@ a raise, do not depend on which blocks were settled whole.
 
 Checker state has two lifetimes:
 - what depends only on the cap lives in the check plan, `_check_plan(cap)`,
-  shared by every run at that cap in the process: the functoriality
-  composites, associativity's inner composite targets, the outer re-indexing
-  morphisms and the block-sum morphisms.  An entry holds the canonical
-  `RMorphism` objects of `_all_morphisms(cap)`, or the violation message of a
-  map that is not a morphism, which every run yields again at the same
-  instance.  Each of its memos is filled one block at a time and bounded like
-  the view's tables (`_Tables`), so a cap-3 run keeps a bounded part of it;
+  shared by every run at that cap in the process: every composite, read
+  off per-arity-tuple product bitsets, and the morphisms the axiom checks
+  read, listed on their first use.  An entry holds the canonical
+  `RMorphism` objects of `_all_morphisms(cap)`, or the violation message
+  of a map that is not a morphism, which every run yields again at the
+  same instance.  Each of its memos is filled one block at a time and
+  bounded like the view's tables (`_Tables`), so a cap-3 run keeps a
+  bounded part of it;
 - what depends on the operad lives only in the view of one run, below.  No
   operad-dependent cache outlives a run.
 
@@ -84,7 +85,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -117,7 +118,6 @@ from .polynomials import (
     _products,
     _slot,
     _substitute,
-    compose,
     enumerate_R,
     is_nondegenerate,
     is_special,
@@ -308,32 +308,28 @@ def operad_to_table(
             f"cap must be at least 1 to hold the unit, which lives in R(1), got {cap}"
         )
     _check_cap(cap)
-    polys = [f for n in range(cap + 1) for f in enumerate_R(n)]
-    naming: dict[tuple[RPoly, object], str] = {}
-    components: dict[RPoly, list[str]] = {}
-    for f in polys:
-        elts = operad.component(f)
-        components[f] = []
-        for idx, elt in enumerate(elts):
-            label = f"e{len(naming)}"
-            naming[(f, elt)] = label
-            components[f].append(label)
-    unit = naming[(unit_poly(), operad.unit_element())]
+    labels = map("e{}".format, itertools.count())
+    naming = {
+        f: dict(zip(operad.component(f), labels)) for n in range(cap + 1) for f in enumerate_R(n)
+    }
+    unit = naming[unit_poly()][operad.unit_element()]
     action_rows = {}
     for mor in _all_morphisms(cap):
-        for elt in operad.component(mor.source):
-            key = (mor.source, mor.map.images, mor.target, naming[(mor.source, elt)])
-            action_rows[key] = naming[(mor.target, operad.act(mor, elt))]
+        target = naming[mor.target]
+        for elt, label in naming[mor.source].items():
+            action_rows[mor.source, mor.map.images, mor.target, label] = target[operad.act(mor, elt)]
     gamma_rows = {}
-    for g, arg_polys, target in _composition_shapes(cap):
-        for g_elt in operad.component(g):
-            pools = [operad.component(f) for f in arg_polys]
-            for xs in itertools.product(*pools):
-                result = operad.gamma(g, g_elt, list(zip(arg_polys, xs)))
-                key = (naming[(g, g_elt)], tuple(naming[(f, x)] for f, x in zip(arg_polys, xs)))
-                gamma_rows[key] = naming[(target, result)]
+    for g, _, shapes in _check_plan(cap).blocks():
+        for fs, composite in shapes:
+            pools = [naming[f].items() for f in fs]
+            for g_elt, g_label in naming[g].items():
+                for pairs in itertools.product(*pools):
+                    result = operad.gamma(g, g_elt, [(f, x) for f, (x, _) in zip(fs, pairs)])
+                    key = g_label, tuple(label for _, label in pairs)
+                    gamma_rows[key] = naming[composite][result]
     return TableRingOperad(
-        components, unit, gamma_rows, action_rows, name=name or f"table[{operad.name}]"
+        {f: list(names.values()) for f, names in naming.items()},
+        unit, gamma_rows, action_rows, name=name or f"table[{operad.name}]",
     )
 
 
@@ -342,66 +338,9 @@ def operad_to_table(
 
 
 def _arity_tuples(k: int, total_cap: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of non-negative arities with sum <= total_cap."""
-    if k == 0:
-        yield ()
-        return
-    for head in range(total_cap + 1):
-        for rest in _arity_tuples(k - 1, total_cap - head):
-            yield (head,) + rest
-
-
-def _poly_tuples(k: int, total_cap: int) -> Iterator[tuple[RPoly, ...]]:
-    for arities in _arity_tuples(k, total_cap):
-        pools = [enumerate_R(j) for j in arities]
-        yield from itertools.product(*pools)
-
-
-def _composition_shapes(cap: int) -> Iterator[tuple[RPoly, tuple[RPoly, ...], RPoly]]:
-    """The composition-shape plan: triples (g, args, g(args)) with |g| in
-    1..cap and total argument arity <= cap; g in `enumerate_R` order, then
-    the arity tuples in `_arity_tuples` order, then the argument tuples in
-    product order, as `_poly_tuples` lists them."""
-    for g, shapes in _composition_blocks(cap):
-        for args, composite in shapes:
-            yield g, args, composite
-
-
-def _composition_blocks(cap: int) -> Iterator[tuple[RPoly, list]]:
-    """The plan as one block per (g, arity tuple): g and its list of
-    (args, g(args)) pairs, built on bitsets of masks (bit m for mask m).
-
-    When its first g is reached, each k lists, once per arity tuple, the
-    argument tuples and, for each monomial u in 1..2^k - 1, the bitset of
-    the products of u's slots (`_products`) at every argument tuple.  A
-    block's composites are then the elementwise OR of the bitsets of g's
-    monomials.  The OR drops no product: by the "no repeat" argument of the
-    `polynomials` docstring, the products of one shape are pairwise
-    distinct, so the set bits are exactly the composite's masks.  One table
-    per total arity maps a bitset to its RPoly, so each distinct composite
-    is one object: 139 at cap 3, for 70,750 shapes.  Composites never go
-    through `compose`, whose cache would keep one entry per shape."""
-    composites = _Table(lambda _, total: _Table(_poly_of_bits, total))
-    for k in range(1, cap + 1):
-        blocks = []
-        for arities in _arity_tuples(k, cap):
-            offsets, total = _block_offsets(arities)
-            pools = [enumerate_R(j) for j in arities]
-            slot_pools = [[_slot(f, o) for f in pool] for pool, o in zip(pools, offsets)]
-            slots = list(itertools.product(*slot_pools))
-            bitsets = {
-                u: [sum(1 << m for m in _products((u,), s)) for s in slots]
-                for u in range(1, 1 << k)
-            }
-            blocks.append((list(itertools.product(*pools)), bitsets, composites[total]))
-        for g in enumerate_R(k):
-            for args, bitsets, table in blocks:
-                bits = reduce(
-                    partial(map, operator.or_),
-                    map(bitsets.__getitem__, g.masks),
-                    itertools.repeat(0, len(args)),
-                )
-                yield g, list(zip(args, map(table.__getitem__, bits)))
+    """All k-tuples of non-negative arities with sum <= total_cap, in
+    lexicographic order."""
+    return (t for t in itertools.product(range(total_cap + 1), repeat=k) if sum(t) <= total_cap)
 
 
 def _poly_of_bits(arity: int, bits: int) -> RPoly:
@@ -488,10 +427,11 @@ class _Table(dict):
 
 class _Tables(dict):
     """One value `make(key)` per shape, morphism or other key, made on first
-    fetch: an empty `_Table` of the view, or a block (a tuple) of the check
-    plan.  All are dropped once `_TABLES_KEPT` are held, or once the values
-    held had `_PLAN_ENTRIES_KEPT` entries when made, and another is needed;
-    a dropped value is made again alike, since it depends only on its key."""
+    fetch: an empty `_Table` of the view, or a block (a tuple or `_Shapes`)
+    of the check plan.  All are dropped once `_TABLES_KEPT` are held, or
+    once the values held had `_PLAN_ENTRIES_KEPT` entries when made, and
+    another is needed; a dropped value is made again alike, since it
+    depends only on its key."""
 
     __slots__ = ("make", "entries")
 
@@ -589,124 +529,182 @@ class _Interned:
 
 
 # ---------------------------------------------------------------------------
-# The check plan every axiom run at a cap shares
+# The check plan every run at a cap shares
+
+class _Shapes(list):
+    """The argument tuples of one arity tuple, in product order over
+    `enumerate_R`.  For each monomial u over the k slots, `rows[args][u]` is
+    the bitset (bit m for mask m) of the products of u's slots
+    (`_products`) at args, and `bitsets[u]` lists it at every position.
+
+    g(args) is the OR of the bitsets of g's monomials at args, mapped to
+    its RPoly by `composites`, the plan's one table per total arity, so
+    each distinct composite is one object: 139 at cap 3, for 70,750 shapes.
+    The OR drops no product: by the "no repeat" argument of the
+    `polynomials` docstring, the products of one shape are pairwise
+    distinct, so the set bits are exactly the composite's masks."""
+
+    __slots__ = ("rows", "bitsets", "composites")
+
+    def __init__(self, composites: _Table, arities: tuple[int, ...]):
+        offsets, total = _block_offsets(arities)
+        pools = [enumerate_R(j) for j in arities]
+        super().__init__(itertools.product(*pools))
+        slots = itertools.product(*([_slot(f, o) for f in p] for p, o in zip(pools, offsets)))
+        self.rows = {
+            args: tuple(sum(1 << m for m in _products((u,), s)) for u in range(1 << len(arities)))
+            for args, s in zip(self, slots)
+        }
+        self.bitsets = tuple(zip(*self.rows.values()))
+        self.composites = composites[total]
+
+    def block(self, g: RPoly) -> list[tuple[tuple[RPoly, ...], RPoly]]:
+        """(args, g(args)) at every position."""
+        bits = reduce(
+            partial(map, operator.or_),
+            map(self.bitsets.__getitem__, g.masks),
+            itertools.repeat(0, len(self)),
+        )
+        return list(zip(self, map(self.composites.__getitem__, bits)))
+
+    def composite(self, g: RPoly, args: tuple[RPoly, ...]) -> RPoly:
+        return self.composites[reduce(operator.or_, map(self.rows[args].__getitem__, g.masks), 0)]
+
 
 class _CheckPlan:
-    """The operad-independent data `check_axioms` reads at one cap.
+    """The operad-independent data the checkers read at one cap.
 
+    - `shapes[arities]`: the `_Shapes` of an arity tuple.  Every composite
+      is read off them: `blocks()` lists (g, arities, (args, g(args)) pairs)
+      for g of arity 1..cap in `enumerate_R` order, then arities in order,
+      and `shapes[arities].composite(g, args)` gives one;
+    - `argument_tuples(k)`: every k-tuple of polynomials of total arity at
+      most the cap, arity tuple by arity tuple; [()] for k = 0;
+    - `inner[fs]`: for each hs of `argument_tuples` over fs's total arity,
+      the targets f_s(hs_s) of the inner composites, the product of the
+      f_s blocks over the slices of hs, interned per plan; they do not
+      depend on g, so every g over fs reads one block;
     - `by_source[f]`: the morphisms out of f, in `_all_morphisms` order;
       `identities`: (f, identity of f) for each source f;
     - `combined[first]`: first.then(second) for each second out of
       first.target, aligned with `by_source`;
-    - `inner[fs]`: for each hs of `_poly_tuples` over fs's total arity, the
-      targets f_s(hs_s) of the inner composites, a tuple interned per plan;
-      they do not depend on g, so every g over fs reads one block;
-    - `covered[basepoint]`: the morphisms an outer diagram covers, and
-      `outer[basepoint, mor]`: for each fs of `_poly_tuples`, None when the
-      slots exceed the cap, else the re-indexing morphism or the message
+    - `outer[basepoint, mor]`: for each fs of `argument_tuples`, None when
+      the slots exceed the cap, else the re-indexing morphism or the message
       saying it is not one;
-    - `argument_pools[src, tgt]`: the morphism pools of the block sums, and
+    - `argument_pools(src, tgt)`: the morphism pools of the block sums, and
       `arguments[g, src, tgt]`: for each mors of their product, the block
       sum as a morphism g(fs) -> g(hs), or the message saying it is not one.
 
-    Every morphism is the canonical object of `_all_morphisms(cap)`."""
+    Every morphism is the canonical object of `_all_morphisms(cap)`.  Every
+    memo is a `_Tables`, and the morphisms are listed on first use, so a
+    run that reads only composites never lists them."""
 
     def __init__(self, cap: int):
-        morphisms = _all_morphisms(cap)
-        canonical = {(m.source, m.map.images, m.target): m for m in morphisms}
+        self.cap = cap
+        self.shapes = _Tables(partial(_Shapes, _Table(lambda _, total: _Table(_poly_of_bits, total))))
+        self.inner = _Tables(self._inner)
+        self.combined = _Tables(self._combined)
+        self.outer = _Tables(self._outer)
+        self.arguments = _Tables(self._arguments)
+        self._targets: dict = {}
+
+    def argument_tuples(self, k: int) -> Iterator[tuple[RPoly, ...]]:
+        return itertools.chain.from_iterable(map(self.shapes.__getitem__, _arity_tuples(k, self.cap)))
+
+    def blocks(self) -> Iterator[tuple[RPoly, tuple[int, ...], list]]:
+        for k in range(1, self.cap + 1):
+            for g in enumerate_R(k):
+                for arities in _arity_tuples(k, self.cap):
+                    yield g, arities, self.shapes[arities].block(g)
+
+    def _inner(self, fs):
+        blocks, total = _blocks(fs)
+        out = []
+        for arities in _arity_tuples(total, self.cap):
+            slots = [self.shapes[arities[a:b]].block(f) for f, (a, b) in zip(fs, blocks)]
+            keys = list(itertools.product(*([target for _, target in slot] for slot in slots)))
+            out += map(self._targets.setdefault, keys, keys)
+        return tuple(out)
+
+    @cached_property
+    def by_source(self) -> dict[RPoly, list[RMorphism]]:
         by_source: dict[RPoly, list[RMorphism]] = {}
-        by_shape: dict[tuple[int, int], list[RMorphism]] = {}
-        for mor in morphisms:
+        for mor in _all_morphisms(self.cap):
             by_source.setdefault(mor.source, []).append(mor)
-            by_shape.setdefault((mor.source.arity, mor.target.arity), []).append(mor)
+        return by_source
 
-        def canon(mor):
-            return canonical.get((mor.source, mor.map.images, mor.target), mor)
+    @cached_property
+    def _canonical(self) -> dict:
+        return {(m.source, m.map.images, m.target): m for m in _all_morphisms(self.cap)}
 
-        def combined(first):
-            # second's map as a tuple indexed by 0, 1..n and -1 (e), read at
-            # first's images: the images of first.then(second), without
-            # building the morphism
-            out = []
-            for second in by_source.get(first.target, ()):
-                after = (0, *second.map.images, E)
-                key = first.source, tuple(map(after.__getitem__, first.map.images)), second.target
-                out.append(canonical.get(key) or first.then(second))
-            return tuple(out)
+    def _canon(self, mor):
+        return self._canonical.get((mor.source, mor.map.images, mor.target), mor)
 
-        targets: dict = {}
+    @cached_property
+    def identities(self) -> tuple:
+        return tuple((f, self._canon(validate(f, ExtMap.identity(f.arity), f))) for f in self.by_source)
 
-        def inner(fs):
-            blocks, total = _blocks(fs)
-            out = []
-            for hs in _poly_tuples(total, cap):
-                key = tuple(
-                    compose(fs[s], hs[a:b]) if b > a else fs[s]
-                    for s, (a, b) in enumerate(blocks)
-                )
-                out.append(targets.setdefault(key, key))
-            return tuple(out)
+    def _combined(self, first):
+        # second's map as a tuple indexed by 0, 1..n and -1 (e), read at
+        # first's images: the images of first.then(second), without
+        # building the morphism
+        out = []
+        for second in self.by_source.get(first.target, ()):
+            after = (0, *second.map.images, E)
+            key = first.source, tuple(map(after.__getitem__, first.map.images)), second.target
+            out.append(self._canonical.get(key) or first.then(second))
+        return tuple(out)
 
-        def outer(key):
-            basepoint, mor = key
-            _, map_name, _, filler_poly, _, reindex = _OUTER_DIAGRAMS[basepoint]
-            psi = mor.map
-            out = []
-            for fs in _poly_tuples(mor.target.arity, cap):
-                slot_polys = [filler_poly if v == basepoint else fs[v - 1] for v in psi.images]
-                if sum(p.arity for p in slot_polys) > cap:
-                    out.append(None)
-                    continue
-                chi = reindex(psi, [f.arity for f in fs])
-                source_comp = compose(mor.source, slot_polys)
-                target_comp = compose(mor.target, fs)
+    def _outer(self, key):
+        basepoint, mor = key
+        _, map_name, _, filler_poly, _, reindex = _OUTER_DIAGRAMS[basepoint]
+        psi = mor.map
+        out = []
+        for arities in _arity_tuples(mor.target.arity, self.cap):
+            targets = self.shapes[arities]
+            slots = tuple(filler_poly.arity if v == basepoint else arities[v - 1] for v in psi.images)
+            if sum(slots) > self.cap:
+                out += [None] * len(targets)
+                continue
+            sources, chi = self.shapes[slots], reindex(psi, arities)
+            for fs, target_comp in targets.block(mor.target):
+                slot_polys = tuple(filler_poly if v == basepoint else fs[v - 1] for v in psi.images)
+                source_comp = sources.composite(mor.source, slot_polys)
                 try:
-                    out.append(canon(validate(source_comp, chi, target_comp)))
+                    out.append(self._canon(validate(source_comp, chi, target_comp)))
                 except (NotAMorphism, ArityMismatch):
                     out.append(f"{map_name} map invalid for {psi} with args {[str(f) for f in fs]}")
-            return tuple(out)
+        return tuple(out)
 
-        argument_pools = {
-            (src, tgt): [by_shape.get(shape, ()) for shape in zip(src, tgt)]
-            for k in range(1, cap + 1)
-            for src in _arity_tuples(k, cap)
-            for tgt in _arity_tuples(k, cap)
-        }
+    @cached_property
+    def _by_shape(self) -> dict[tuple[int, int], list[RMorphism]]:
+        by_shape: dict[tuple[int, int], list[RMorphism]] = {}
+        for mor in _all_morphisms(self.cap):
+            by_shape.setdefault((mor.source.arity, mor.target.arity), []).append(mor)
+        return by_shape
 
-        def arguments(key):
-            g, src, tgt = key
-            out = []
-            for mors in itertools.product(*argument_pools[src, tgt]):
-                bsum = block_sum([m.map for m in mors])
-                comp_f = compose(g, [m.source for m in mors])
-                comp_h = compose(g, [m.target for m in mors])
-                try:
-                    out.append(canon(validate(comp_f, bsum, comp_h)))
-                except (NotAMorphism, ArityMismatch):
-                    out.append(
-                        f"block sum of {[str(m.map) for m in mors]} is not a "
-                        f"morphism {comp_f} -> {comp_h}"
-                    )
-            return tuple(out)
+    def argument_pools(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> list:
+        return [self._by_shape.get(shape, ()) for shape in zip(src, tgt)]
 
-        self.by_source = by_source
-        self.identities = tuple(
-            (f, canon(validate(f, ExtMap.identity(f.arity), f))) for f in by_source
-        )
-        self.combined = _Tables(combined)
-        self.inner = _Tables(inner)
-        self.covered = {
-            basepoint: tuple(mor for mor in _morphisms_within(cap) if covers(mor.map))
-            for basepoint, (_, _, covers, *_) in _OUTER_DIAGRAMS.items()
-        }
-        self.outer = _Tables(outer)
-        self.argument_pools = argument_pools
-        self.arguments = _Tables(arguments)
+    def _arguments(self, key):
+        g, src, tgt = key
+        sources, targets = self.shapes[src], self.shapes[tgt]
+        out = []
+        for mors in itertools.product(*self.argument_pools(src, tgt)):
+            bsum = block_sum([m.map for m in mors])
+            comp_f = sources.composite(g, tuple(m.source for m in mors))
+            comp_h = targets.composite(g, tuple(m.target for m in mors))
+            try:
+                out.append(self._canon(validate(comp_f, bsum, comp_h)))
+            except (NotAMorphism, ArityMismatch):
+                out.append(
+                    f"block sum of {[str(m.map) for m in mors]} is not a "
+                    f"morphism {comp_f} -> {comp_h}"
+                )
+        return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _check_plan(cap: int) -> _CheckPlan:
-    return _CheckPlan(cap)
+_check_plan = lru_cache(maxsize=None)(_CheckPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -902,25 +900,26 @@ def _check_associativity(view, cap, report):
     holds; a block whose id lists are equal and hold no None (a row that
     reads a `_SKIP`) holds whole.  The top ids and the c and x columns of a
     (g, fs) are read off its tops once, and the inner targets off the plan."""
-    inner = _check_plan(cap).inner
-    for g, fs, composite in _composition_shapes(cap):
-        blocks, total = _blocks(fs)
-        tops = list(_composites(view, g, fs, report, view.gamma_table(g, fs).__getitem__))
-        columns = list(zip(*[(top, c, *xs) for c, xs, top in tops]))
-        for hs, inner_targets in zip(_poly_tuples(total, cap), inner[fs]):
-            h_pools = [view.component[h] for h in hs]
-            size = len(tops) * math.prod(map(len, h_pools))
-            shape = g, fs, hs
-            sides = view, shape, composite, blocks, inner_targets, columns
-            if _holds_whole(size, _associativity_ids, *sides):
-                yield size
-                continue
-            tables = (
-                view.gamma_table(composite, hs),
-                [(view.gamma_table(fs[s], hs[a:b]), a, b) for s, (a, b) in enumerate(blocks)],
-                view.gamma_table(g, inner_targets),
-            )
-            yield from _associativity_instances(view, report, shape, tops, h_pools, *tables)
+    plan = _check_plan(cap)
+    for g, _, shapes in plan.blocks():
+        for fs, composite in shapes:
+            blocks, total = _blocks(fs)
+            tops = list(_composites(view, g, fs, report, view.gamma_table(g, fs).__getitem__))
+            columns = list(zip(*[(top, c, *xs) for c, xs, top in tops]))
+            for hs, inner_targets in zip(plan.argument_tuples(total), plan.inner[fs]):
+                h_pools = [view.component[h] for h in hs]
+                size = len(tops) * math.prod(map(len, h_pools))
+                shape = g, fs, hs
+                sides = view, shape, composite, blocks, inner_targets, columns
+                if _holds_whole(size, _associativity_ids, *sides):
+                    yield size
+                    continue
+                tables = (
+                    view.gamma_table(composite, hs),
+                    [(view.gamma_table(fs[s], hs[a:b]), a, b) for s, (a, b) in enumerate(blocks)],
+                    view.gamma_table(g, inner_targets),
+                )
+                yield from _associativity_instances(view, report, shape, tops, h_pools, *tables)
 
 
 def _associativity_ids(view, shape, composite, blocks, inner_targets, columns):
@@ -994,10 +993,12 @@ _OUTER_DIAGRAMS = {
 def _check_outer_equivariance(view, cap, report, basepoint):
     """Outer action by psi; slots psi sends to the basepoint take its filler.
     One block per (mor, fs): every c over the source, then every xs."""
-    name, _, _, filler_poly, filler, _ = _OUTER_DIAGRAMS[basepoint]
+    name, _, covers, filler_poly, filler, _ = _OUTER_DIAGRAMS[basepoint]
     filler_id = view.intern(filler(view.operad))
     plan = _check_plan(cap)
-    for mor in plan.covered[basepoint]:
+    for mor in _morphisms_within(cap):
+        if not covers(mor.map):
+            continue
         psi = mor.map
         moved_table = view.act_table(mor)
         source = view.component[mor.source]
@@ -1007,7 +1008,7 @@ def _check_outer_equivariance(view, cap, report, basepoint):
         slot_key = operator.itemgetter(
             0, *[mor.target.arity + 1 if i is None else i + 1 for i in picks]
         )
-        for fs, chi_mor in zip(_poly_tuples(mor.target.arity, cap), plan.outer[basepoint, mor]):
+        for fs, chi_mor in zip(plan.argument_tuples(mor.target.arity), plan.outer[basepoint, mor]):
             if chi_mor is None:
                 continue
             if isinstance(chi_mor, str):
@@ -1073,30 +1074,28 @@ def _check_equivariance_arguments(view, cap, report):
     for k in range(1, cap + 1):
         for g in enumerate_R(k):
             g_elts = view.component[g]
-            for src_arities in _arity_tuples(k, cap):
-                for tgt_arities in _arity_tuples(k, cap):
-                    pools = plan.argument_pools[src_arities, tgt_arities]
-                    block = plan.arguments[g, src_arities, tgt_arities]
-                    for mors, bmor in zip(itertools.product(*pools), block):
-                        if isinstance(bmor, str):
-                            yield bmor
-                            continue
-                        fs = [m.source for m in mors]
-                        hs = [m.target for m in mors]
-                        tables = (
-                            view.gamma_table(g, fs),
-                            view.act_table(bmor),
-                            view.gamma_table(g, hs),
-                            [view.act_table(m) for m in mors],
+            for src, tgt in itertools.product(_arity_tuples(k, cap), repeat=2):
+                pools = plan.argument_pools(src, tgt)
+                for mors, bmor in zip(itertools.product(*pools), plan.arguments[g, src, tgt]):
+                    if isinstance(bmor, str):
+                        yield bmor
+                        continue
+                    fs = [m.source for m in mors]
+                    hs = [m.target for m in mors]
+                    tables = (
+                        view.gamma_table(g, fs),
+                        view.act_table(bmor),
+                        view.gamma_table(g, hs),
+                        [view.act_table(m) for m in mors],
+                    )
+                    elt_pools = [view.component[f] for f in fs]
+                    size = len(g_elts) * math.prod(map(len, elt_pools))
+                    if _holds_whole(size, _argument_sides, g_elts, elt_pools, *tables):
+                        yield size
+                    else:
+                        yield from _argument_instances(
+                            view, report, (g, mors), g_elts, elt_pools, *tables
                         )
-                        elt_pools = [view.component[f] for f in fs]
-                        size = len(g_elts) * math.prod(map(len, elt_pools))
-                        if _holds_whole(size, _argument_sides, g_elts, elt_pools, *tables):
-                            yield size
-                        else:
-                            yield from _argument_instances(
-                                view, report, (g, mors), g_elts, elt_pools, *tables
-                            )
 
 
 def _argument_sides(g_elts, elt_pools, source_table, block_act, target_table, arg_acts):
@@ -1431,10 +1430,9 @@ def _algebra_associativity(view, algebra, cap, report, thetas):
     exact: `_argument_keys` builds each once per run, one k at a time."""
     row, at = thetas.row, thetas.at
     keys = _Table(partial(_argument_keys, view, thetas), 0)
-    for g, blocks in itertools.groupby(_composition_blocks(cap), key=operator.itemgetter(0)):
+    for g, blocks in itertools.groupby(_check_plan(cap).blocks(), key=operator.itemgetter(0)):
         keys = keys if keys.shape == g.arity else _Table(keys.row, g.arity)
-        for _, shapes in blocks:
-            arities = tuple(f.arity for f in shapes[0][0])
+        for _, arities, shapes in blocks:
             built = _whole_sides(_algebra_sides, view, g, shapes, thetas, keys, arities)
             if built is not None and built[0] == built[1]:
                 yield len(built[0]) * len(algebra.carrier) ** sum(arities)

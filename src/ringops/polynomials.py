@@ -485,16 +485,17 @@ def compose(g: RPoly, args: Sequence[RPoly]) -> RPoly:
 def _compose_intpoly(g: RPoly, args: tuple[Union[RPoly, _UnitMarker], ...]) -> RPoly:
     """g(args); a UNIT argument is the constant 1.
 
-    The lru cache keeps up to 200,000 (g, args) pairs.  The composition-shape
-    plan, `operads._composition_blocks`, ORs each composite from bitsets of
-    the products of g's monomials, built once per arity tuple, and leaves
-    this cache alone.
+    The lru cache keeps up to 200,000 (g, args) pairs.  The checkers leave
+    it alone: the check plan, `operads._check_plan(cap)`, looks every
+    composite up on bitsets of the products of g's monomials, built once
+    per arity tuple (`operads._Shapes`).
 
     With RPoly arguments the products are the composite's masks (see the
     module docstring) and are only sorted.  With a UNIT slot they can repeat
     or be constant, so they go through IntPoly and `to_rpoly` names the
-    failure.  The name is older than the mask kernel; it stays because the
-    benchmark's tracer (perfbench/tracer.py) reads this cache's cache_info().
+    failure.  The name is older than the mask kernel; the name and the cache
+    stay only because the benchmark's tracer (perfbench/tracer.py) reads
+    this cache's cache_info().
     """
     offsets, total = _block_offsets(0 if a is UNIT else a.arity for a in args)
     products = _products(g.masks, [_slot(a, offset) for a, offset in zip(args, offsets)])

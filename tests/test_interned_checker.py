@@ -51,11 +51,8 @@ from ringops.operads import (
     _blocks,
     _check_cap,
     _check_sections,
-    _composition_blocks,
-    _composition_shapes,
     _morphisms_within,
     _nondegenerate_objects,
-    _poly_tuples,
     _run,
     _Thetas,
     boolean_rig_algebra,
@@ -67,12 +64,36 @@ from ringops.operads import (
     validate_algebra,
 )
 from ringops.parsing import parse_fixture, serialize_fixture
-from ringops.polynomials import compose, enumerate_R, rpoly, type_of, unit_poly, zero_poly
+from ringops.polynomials import (
+    _compose_intpoly,
+    compose,
+    enumerate_R,
+    rpoly,
+    type_of,
+    unit_poly,
+    zero_poly,
+)
 from ringops.terms import sset_operad
 
 
 # ---------------------------------------------------------------------------
-# The reference: every section calls the operad on elements.
+# The reference: every section calls the operad on elements, and lists its
+# shapes from `enumerate_R` and its composites through `compose`.
+
+
+def _poly_tuples(k, cap):
+    """Every k-tuple of polynomials of total arity at most cap, arity tuple
+    by arity tuple, then in product order; () alone for k = 0."""
+    for arities in _arity_tuples(k, cap):
+        yield from itertools.product(*map(enumerate_R, arities))
+
+
+def _shapes(cap):
+    """Every (g, args) with g of arity 1..cap, g in `enumerate_R` order."""
+    for k in range(1, cap + 1):
+        for g in enumerate_R(k):
+            for args in _poly_tuples(k, cap):
+                yield g, args
 
 
 def _check_zero_components(operad, cap):
@@ -157,7 +178,7 @@ def _check_associativity(operad, cap, report):
             component_cache[f] = elements
         return elements
 
-    for g, fs, _ in _composition_shapes(cap):
+    for g, fs in _shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
         tops = list(_composites(operad, g, fs, pool, report))
@@ -392,7 +413,7 @@ def _algebra_unit(operad, algebra):
 
 
 def _algebra_associativity(operad, algebra, cap, report):
-    for g, fs, _ in _composition_shapes(cap):
+    for g, fs in _shapes(cap):
         composite = compose(g, fs)
         blocks, total = _blocks(fs)
         for g_elt, f_elts, composed in _composites(operad, g, fs, operad.component, report):
@@ -601,7 +622,7 @@ def test_a_failing_row_raises_alike_anywhere_in_a_block(place):
     # composite from its start.
     table = _table("pset", 2)
     g, shapes = next(
-        (g, shapes) for g, shapes in _composition_blocks(2)
+        (g, shapes) for g, _, shapes in operads._check_plan(2).blocks()
         if len(shapes) > 2 and len(table.component(g)) > 1
     )
     rows = [
@@ -623,12 +644,12 @@ def test_the_theta_row_memo_holds_one_g_at_a_time(name, monkeypatch):
     thetas = _Thetas(view, algebra)
     handed = []
 
-    def blocks(cap):
-        for g, shapes in _composition_blocks(cap):
-            handed.append(g)
-            yield g, shapes
+    def blocks(plan, blocks=operads._CheckPlan.blocks):
+        for block in blocks(plan):
+            handed.append(block[0])
+            yield block
 
-    monkeypatch.setattr(operads, "_composition_blocks", blocks)
+    monkeypatch.setattr(operads._CheckPlan, "blocks", blocks)
     report = CheckReport("", True, 0, 0, None)
     verdicts = []
     for verdict in operads._algebra_associativity(view, algebra, 2, report, thetas):
@@ -687,8 +708,9 @@ def test_every_block_has_the_sides_of_the_per_shape_reference(name, algebra, cap
     monkeypatch.setattr(operads, "_algebra_sides", checked_sides)
     report = CheckReport("", True, 0, 0, None)
     verdicts = list(operads._algebra_associativity(view, algebra, cap, report, thetas))
-    assert len(compared) == len(verdicts) == sum(1 for _ in _composition_blocks(cap))
-    assert sum(count for *_, count in compared) == sum(1 for _ in _composition_shapes(cap))
+    blocks = {(g, tuple(f.arity for f in fs)) for g, fs in _shapes(cap)}
+    assert len(compared) == len(verdicts) == len(blocks)
+    assert sum(count for *_, count in compared) == sum(1 for _ in _shapes(cap))
     for built, reference, _ in compared:
         assert built is not None and built == reference and built[0] == built[1]
     if name == "sset":
@@ -794,7 +816,7 @@ def test_single_point_corruptions_fail_alike():
     # known, and the flips land at the first, a middle and the last tuple of
     # associativity blocks and at the last tuple of equivariance blocks.
     sizes = {
-        "associativity": [2 ** composite.arity for _, _, composite in _composition_shapes(2)],
+        "associativity": [2 ** sum(f.arity for f in fs) for _, fs in _shapes(2)],
         "equivariance": [2 ** mor.target.arity for mor in _all_morphisms(2)],
     }
     places = set()
@@ -870,10 +892,12 @@ def _composite_place(operad, cap, index):
     """(position, count) of the composite holding associativity instance
     `index` among the composites of its (g, arity tuple) block."""
     start = 0
-    for g, shapes in _composition_blocks(cap):
+    for (g, arities), shapes in itertools.groupby(
+        _shapes(cap), key=lambda shape: (shape[0], tuple(f.arity for f in shape[1]))
+    ):
         sizes = [
-            2 ** composite.arity
-            for fs, composite in shapes
+            2 ** sum(arities)
+            for _, fs in shapes
             for _ in range(len(operad.component(g)) * math.prod(len(operad.component(f)) for f in fs))
         ]
         for position, size in enumerate(sizes):
@@ -1151,7 +1175,8 @@ def _shared_row(table):
     p(hs) have components of several elements, and the units section reads
     none of its entries."""
     left, nested = {}, set()
-    for g, fs, composite in _composition_shapes(2):
+    for g, fs in _shapes(2):
+        composite = compose(g, fs)
         blocks, total = _blocks(fs)
         tops = {
             table.gamma(g, c, list(zip(fs, xs)))
@@ -1311,6 +1336,62 @@ def test_plan_entries_are_the_canonical_morphisms(cold_plan):
     assert all(id(first) in canonical for first in plan.combined)
 
 
+def test_the_plans_composites_equal_compose(cold_plan):
+    # Every inner, outer and block-sum composite of a cap-2 check as the
+    # plan's memos hold it, against the reference's listing through compose.
+    plan, compared = operads._check_plan(2), 0
+    for fs in dict.fromkeys(fs for _, fs in _shapes(2)):
+        blocks, total = _blocks(fs)
+        expected = [
+            tuple(compose(f, hs[a:b]) if b > a else f for f, (a, b) in zip(fs, blocks))
+            for hs in _poly_tuples(total, 2)
+        ]
+        assert list(plan.inner[fs]) == expected
+        compared += len(expected)
+    for basepoint, (_, _, covers, filler_poly, *_) in _OUTER_DIAGRAMS.items():
+        for mor in filter(lambda mor: covers(mor.map), _morphisms_within(2)):
+            fss = list(_poly_tuples(mor.target.arity, 2))
+            for fs, chi_mor in zip(fss, plan.outer[basepoint, mor], strict=True):
+                slots = [filler_poly if v == basepoint else fs[v - 1] for v in mor.map.images]
+                if chi_mor is not None:
+                    assert chi_mor[::2] == (compose(mor.source, slots), compose(mor.target, fs))
+                    compared += 1
+    for g, src in _shapes(2):
+        arities = tuple(f.arity for f in src)
+        for tgt in _arity_tuples(len(src), 2):
+            pools = plan.argument_pools(arities, tgt)
+            for mors, bmor in zip(itertools.product(*pools), plan.arguments[g, arities, tgt]):
+                if tuple(m.source for m in mors) == src:
+                    assert bmor[::2] == (compose(g, src), compose(g, [m.target for m in mors]))
+                    compared += 1
+    # strict's 1,969 + 240 outer and 5,120 block-sum instances, and the
+    # inner targets of 768 (fs, hs) pairs
+    assert compared == 1_969 + 240 + 5_120 + 768
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_the_plans_single_lookups_equal_compose(cap, cold_plan):
+    # every cap-2 shape, and a seeded sample of 2,000 cap-3 shapes
+    shapes = list(_shapes(cap))
+    plan = operads._check_plan(cap)
+    for g, args in shapes if cap == 2 else random.Random(28).sample(shapes, 2000):
+        assert plan.shapes[tuple(f.arity for f in args)].composite(g, args) == compose(g, args)
+
+
+@pytest.mark.parametrize("name", ["strict", "pset"])
+def test_a_cold_axiom_check_makes_no_compose_call(name, cold_plan):
+    _compose_intpoly.cache_clear()
+    assert check_axioms(OPERADS[name](), 2).ok
+    assert _compose_intpoly.cache_info()[:2] == (0, 0)
+
+
+def test_the_algebra_check_builds_no_morphism_side_of_the_plan(cold_plan):
+    assert validate_algebra(strict_operad(), boolean_rig_algebra(), 3).ok
+    plan = operads._check_plan(3)
+    assert not {"by_source", "identities", "_canonical", "_by_shape"} & set(vars(plan))
+    assert plan.shapes and not (plan.inner or plan.combined or plan.outer or plan.arguments)
+
+
 def _not_a_morphism(real, width):
     """`real`, except that each map onto `width` variables sends every
     position to e, so that no composite with a monomial maps onto a target."""
@@ -1343,7 +1424,7 @@ def test_a_plan_map_that_is_no_morphism_fails_alike_cold_and_warm(section, cold_
 
 def _plan_memos(plan):
     return {
-        "functoriality": plan.combined, "associativity": plan.inner,
+        "shapes": plan.shapes, "functoriality": plan.combined, "associativity": plan.inner,
         "outer": plan.outer, "arguments": plan.arguments,
     }
 

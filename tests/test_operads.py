@@ -147,10 +147,20 @@ class TestTableOperads:
         assert captured.err.startswith("error: listing the morphisms at cap 4 would try 74,571,517")
 
     def test_a_budgeted_cap4_algebra_check_ends_in_associativity(self, no_map_listed):
-        # the plan builds k's bitsets only when its first g is reached, and
+        # the plan builds an arity tuple's bitsets only when a block first
+        # reads them and lists no morphism for the associativity, and
         # equivariance, which lists the morphisms, is never reached
         with pytest.raises(SearchBudgetExceeded):
             validate_algebra(strict_operad(), boolean_rig_algebra(), 4, Budget(200000))
+
+    def test_a_table_reads_each_component_once(self):
+        operad = sset_operad("biperm")
+        calls, component = [], operad.component
+        operad.component = lambda f: calls.append(f) or component(f)
+        operad_to_table(operad, 2)
+        assert sorted(calls) == sorted(set(calls)) == sorted(
+            f for n in range(3) for f in enumerate_R(n)
+        )
 
     def test_corrupted_gamma_fails_with_named_instance(self):
         source = operad_to_table(sset_operad("sym"), cap=2)

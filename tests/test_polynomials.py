@@ -10,7 +10,7 @@ from ringops.errors import (
     NotInR,
     PreconditionViolation,
 )
-from ringops.operads import _arity_tuples, _composition_blocks, _composition_shapes
+from ringops.operads import _arity_tuples, _CheckPlan
 from ringops.polynomials import (
     IntPoly,
     Monomial,
@@ -289,6 +289,18 @@ def _reference_substitute(images, target_arity, f):
     return IntPoly.make(target_arity, out)
 
 
+def _nested_shapes(cap):
+    """Every (g, args) with g of arity 1..cap and args of total arity at most
+    cap: g in `enumerate_R` order, then arity tuple, then product order."""
+    return [
+        (g, args)
+        for k in range(1, cap + 1)
+        for g in enumerate_R(k)
+        for arities in _arity_tuples(k, cap)
+        for args in itertools.product(*map(enumerate_R, arities))
+    ]
+
+
 def _arg_tuples(k, pool, cap):
     for args in itertools.product(pool, repeat=k):
         if sum(0 if a is UNIT else a.arity for a in args) <= cap:
@@ -308,46 +320,51 @@ class TestKernelDifferential:
         assert shapes == 222
 
     def test_compose_matches_reference_on_a_cap3_sample(self):
-        shapes = random.Random(3).sample(list(_composition_shapes(3)), 2000)
-        for g, args, _ in shapes:
+        for g, args in random.Random(3).sample(_nested_shapes(3), 2000):
             assert compose(g, list(args)) == to_rpoly(_reference_expansion(g, args))
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_plan_composites_match_reference(self, cap):
-        for g, args, composite in _composition_shapes(cap):
-            assert composite == to_rpoly(_reference_expansion(g, args))
+        for g, _, shapes in _CheckPlan(cap).blocks():
+            for args, composite in shapes:
+                assert composite == to_rpoly(_reference_expansion(g, args))
 
     def test_plan_composites_match_compose_at_cap3(self):
         before = _compose_intpoly.cache_info()
-        shapes = list(_composition_shapes(3))
+        plan = _CheckPlan(3)
+        shapes = [(g, args, composite) for g, _, block in plan.blocks() for args, composite in block]
+        singles = [plan.shapes[tuple(f.arity for f in args)].composite(g, args) for g, args, _ in shapes]
         assert _compose_intpoly.cache_info() == before
         assert len(shapes) == 70750
-        composites = [composite for _, _, composite in shapes]
+        composites = [composite for _, _, composite in shapes] + singles
         assert len({id(c) for c in composites}) == len(set(composites)) == 139
-        for g, args, composite in shapes:
-            assert composite == compose(g, args)
+        for (g, args, composite), single in zip(shapes, singles):
+            assert composite == single == compose(g, args)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_plan_lists_shapes_in_the_nested_order(self, cap):
-        nested = [
-            (g, args)
-            for k in range(1, cap + 1)
-            for g in enumerate_R(k)
-            for arities in _arity_tuples(k, cap)
-            for args in itertools.product(*map(enumerate_R, arities))
-        ]
-        assert [(g, args) for g, args, _ in _composition_shapes(cap)] == nested
+        plan = _CheckPlan(cap)
+        assert [(g, args) for g, _, block in plan.blocks() for args, _ in block] == _nested_shapes(cap)
 
     @pytest.mark.parametrize("cap, count", [(1, 4), (2, 54), (3, 2648)])
     def test_plan_blocks_are_its_shapes_grouped_by_g_and_arity_tuple(self, cap, count):
-        blocks = list(_composition_blocks(cap))
+        blocks = list(_CheckPlan(cap).blocks())
         assert len(blocks) == count
-        keys = [(g, tuple(f.arity for f in shapes[0][0])) for g, shapes in blocks]
-        assert len(set(keys)) == count
-        for (g, arities), (_, shapes) in zip(keys, blocks):
+        assert len({(g, arities) for g, arities, _ in blocks}) == count
+        for g, arities, shapes in blocks:
             assert all(tuple(f.arity for f in args) == arities for args, _ in shapes)
-        flat = [(g, args, composite) for g, shapes in blocks for args, composite in shapes]
-        assert flat == list(_composition_shapes(cap))
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_plan_argument_tuples_are_the_nested_ones(self, cap):
+        plan = _CheckPlan(cap)
+        assert list(plan.argument_tuples(0)) == [()]
+        for k in range(1, cap + 1):
+            nested = [
+                args
+                for arities in _arity_tuples(k, cap)
+                for args in itertools.product(*map(enumerate_R, arities))
+            ]
+            assert list(plan.argument_tuples(k)) == nested
 
     def test_extended_compose_matches_reference(self):
         pool = [UNIT] + enumerate_R(0) + enumerate_R(1)

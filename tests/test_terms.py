@@ -1064,16 +1064,17 @@ class TestDemandDrivenFiber:
 def test_structure_maps_build_terms_that_pass_the_arity_check(mode):
     # act_map, compose_terms, normalize_biperm and reduce_A skip Term's arity
     # walk; every term they build over R(0..2) must pass it all the same.
-    from ringops.operads import _all_morphisms, _composition_shapes
+    from ringops.operads import _all_morphisms, _check_plan
 
     operad = sset_operad(mode)
     built = []
     for mor in _all_morphisms(2):
         built += [act_map(mor.map, x) for x in operad.component(mor.source)]
-    for g, fs, _ in _composition_shapes(2):
-        for c in operad.component(g):
-            for xs in itertools.product(*map(operad.component, fs)):
-                built.append(compose_terms(c, xs))
+    for g, _, shapes in _check_plan(2).blocks():
+        for fs, _ in shapes:
+            for c in operad.component(g):
+                for xs in itertools.product(*map(operad.component, fs)):
+                    built.append(compose_terms(c, xs))
     built += [normalize_biperm(x) for x in built] + [reduce_A(x) for x in built]
     assert len(built) > 1000
     for term in built:
