@@ -33,26 +33,31 @@ trees have equal ids.  `_bounded_fiber` decodes the ids into bare tuples in
 one forward pass; nodes stay bare tuples until `enumerate_fiber` or a term
 operad's `component` returns them as `Term`s.
 
-Zig-zag connectivity never builds a tree: `connectivity_check` reads the
-sym table through a cons dict {entry: id} made for that call alone.  A
-complete table is built whole: every key `_reach` reaches has nodes at each
-of its counts, since a key's count plus the fewest leaves beside it on a
-path of splits is a count of f.  So each split class (operation, left key,
-right key) is the Cartesian product of its parts' rewrite graphs, and one
-union-find walks the keys bottom up, f's last, joining each sum or product
-to its root rewrites (root rules instantiated once per root shape by
-`_root_templates`) and to one representative of its split class; a key's
-walk stops once it is one component.  No `Term` is built per move, and
-none needs to be: a rewrite only moves, copies or drops subtrees of its
-node, and `reduce_node` only drops them, so no new variable leaf appears
-and the arity check of `Term` cannot fail; at a fixed arity, `Term`
-equality is node equality.
+Zig-zag connectivity never lists a fiber: `connectivity_check` runs its
+union-find over split classes, a key at a time, parts before wholes.  A
+class of a key K is a leaf, or (operation, K1, K2, c1, c2) for a split
+(K1, K2) of K and components c1 of K1 and c2 of K2; its members are the
+nodes (operation, a, b) with a in c1 and b in c2.  Three lemmas, proved in
+the `connectivity_check` docstring, make that exact.  Completeness: in a
+complete fiber, every member of every class, and every root rewrite of
+one, is a fiber node.  Class product: each class is the product of its
+parts' rewrite graphs, so it is connected, and the rest of K's graph is
+the root rewrites.  Root rules: all members (operation, a, b) with a in
+one class of K1 and b in one class of K2 have root rewrites into the same
+classes, so one witness per such pair stands for them all; its rules are
+replayed on class ids (`_root_moves`, one template per root shape from
+`_root_templates`).  The fiber size is read off the DP's counts
+(`_fiber_size`); a node table is built only to list the unreachable terms
+of a fiber that is not connected.  No `Term` is built per move, and none
+needs to be: a rewrite only moves, copies or drops subterms of its node,
+and `reduce_node` only drops them, so no new variable leaf appears and the
+arity check of `Term` cannot fail; at a fixed arity, `Term` equality is
+node equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import (
@@ -578,12 +583,7 @@ def _build_cells(leaves: dict, mode: str, keys: dict, last: int) -> tuple[list, 
     (or the leaf) in biperm mode."""
     table: list = list(leaves.values())
     cells = {(key, 1): (range(i, i + 1), 1) for i, key in enumerate(leaves)}
-    levels: list[list] = [[] for _ in range(last + 1)]
-    for key, (counts, *_) in keys.items():
-        for s in counts:
-            if 1 < s <= last:
-                levels[s].append(key)
-    for s, level in enumerate(levels):
+    for s, level in enumerate(_key_levels(keys, last)):
         for key in level:
             start = len(table)
             for tag, splits in (("*", keys[key][2]), ("+", keys[key][3])):
@@ -597,6 +597,38 @@ def _build_cells(leaves: dict, mode: str, keys: dict, last: int) -> tuple[list, 
             ids = range(start, len(table))
             cells[key, s] = (ids, len(ids) if mode == "sym" else n_products)
     return table, cells
+
+
+def _key_levels(keys: dict, last: int) -> list[list]:
+    """The reached keys with nodes at each leaf count 1 < s <= last, in walk
+    order, listed at index s."""
+    levels: list[list] = [[] for _ in range(last + 1)]
+    for key, (counts, *_) in keys.items():
+        for s in counts:
+            if 1 < s <= last:
+                levels[s].append(key)
+    return levels
+
+
+def _fiber_size(walk: tuple) -> int:
+    """The number of sym nodes of a complete fiber, read off f's walk
+    (`_reached`) by `_build_cells`'s split loop with each cell counted
+    instead of listed: a cell's size is the sum over its splits and left
+    counts s1 of |left cell (K1, s1)| x |right cell (K2, s - s1)|."""
+    target, leaves, keys, _ = walk
+    if not target:
+        return 1
+    sizes = dict.fromkeys(((key, 1) for key in leaves), 1)
+    for s, level in enumerate(_key_levels(keys, max(keys[target][0]))):
+        for key in level:
+            sizes[key, s] = sum(
+                sizes[k1, s1] * sizes[k2, s - s1]
+                for splits in keys[key][2:]
+                for k1, k2 in splits
+                for s1 in keys[k1][1]
+                if (k2, s - s1) in sizes
+            )
+    return sum(sizes[target, s] for s in keys[target][0])
 
 
 # ---------------------------------------------------------------------------
@@ -654,91 +686,143 @@ class ConnectivityReport:
 def connectivity_check(f: RPoly, bound: Union[int, None] = None) -> ConnectivityReport:
     """Zig-zag reachability of the whole fiber from the terminal representative.
 
-    The ids are those of the sym DP's table (`_fiber_table`): a leaf's entry
-    is its tuple, a sum's or product's is (tag, left id, right id), children
-    have smaller ids, and equal trees have equal ids, since the DP builds no
-    node twice.  The table is read through a cons dict {entry: id} made for
-    this call alone and dropped with it.  The graph is that of the
-    single-position `_MOVE_RULES` rewrites, each followed by `reduce_node`,
-    taken undirected.  A rewrite keeps its node's projection, so the graph
-    falls apart by key, and one path-halving union-find over the ids gives
-    every reached key's components, a key at a time in `_reach`'s order:
-    parts before wholes, f's key last.
+    The graph is that of the single-position `_MOVE_RULES` rewrites, each
+    followed by `reduce_node`, taken undirected.  A rewrite keeps its node's
+    projection, so the graph falls apart by key, and `_class_components`
+    gives the components of every key the walk reaches on its split
+    classes, f's key last.  An incomplete fiber is refused first.  Three
+    lemmas make the class walk exact.
 
-    Each sum or product (tag, l, r) of a key is joined to its root rewrites,
-    `_root_moves`, and to its class representative (tag, root(l), root(r));
-    the rewrites inside l and r are never lifted.  That is exact at every
-    key, since a complete table is built whole: a reached key K has nodes at
-    each of its counts s.  Put a node of K with s leaves on a path of splits
-    from f's key down to K, and beside it each sibling with its fewest
-    leaves: that is a node of f, so its count is at most f's largest, which
-    the bound covers (an incomplete fiber is refused first), and
-    `_build_cells` builds the cell (K, s).  So for a split (K1, K2) of K,
-    (tag, a, b) is built for every a of K1 and b of K2: it is canonical, its
-    key is K, and its count, one of K1's plus one of K2's, is one of K's.  A
-    rewrite inside l needs no unit step (it keeps l's projection, which is 0
-    or 1 only at a leaf, and a factor's sibling is never 1 in the DP), so it
-    gives (tag, l', r) with l' in l's component, and alike inside r.  Each
-    split class (tag, K1, K2) is thus the Cartesian product of its parts'
-    rewrite graphs, done before K, whose components are the nodes that share
-    a representative.  A representative with no id would break that argument
-    and is an error, never skipped.
+    Completeness.  `_reach`'s counts are exact, and every count of a
+    reached key is at most f's largest, which the bound covers: put a node
+    of K with s leaves on a path of splits from f's key down to K, and
+    beside it each sibling with its fewest leaves; that is a node of f.  So
+    every node of a reached key is in the fiber or a subterm of one, for a
+    split (K1, K2) of K every (tag, a, b) with a of K1 and b of K2 is a
+    node of K, and a root rewrite, which keeps its node's key, lands on a
+    node.  Every witness and every move result is thus a fiber node.
 
-    A key's components are counted down from its node count, one per join
-    of two roots.  At one, the key's other nodes can join nothing new, so
-    its walk stops, and at f's key the fiber is connected and the call
-    returns.  Otherwise it walks every node of f's key, and the unreachable
-    terms are those whose root is not the terminal representative's; only
-    they are decoded into `Term`s.  A rewrite followed by `reduce_node` adds
-    no variable leaf, so the arity check a `Term` would make cannot fail,
-    and at one arity two terms are equal exactly when their nodes are.
+    Class product.  A rewrite inside a part l of (tag, l, r) keeps l's
+    projection, which is 0 or 1 only at a leaf, and a factor's key always
+    holds a variable, so it needs no unit step at the top: it gives
+    (tag, l', r) with l' a neighbour of l in K1's graph, and alike inside
+    r.  With completeness, each class (tag, K1, K2, c1, c2) is the product
+    of the graphs of c1 and c2, so it is connected, and every other edge of
+    K's graph is a root rewrite.
+
+    Root rules.  A rule reads only its node's tag, children and
+    grandchildren, and builds its result from them with + and x, each step
+    reduced by `_reduce_top`.  Which rules fire is read off the children's
+    entries; a built step's class is its tag and its parts' components; and
+    a part is 1 exactly when its key is the unit's.  So all members
+    (tag, a, b) with a in one class of K1 and b in one class of K2 have
+    root rewrites, rule by rule, into the same classes, and one witness per
+    such pair gives every root edge of K between classes.
+
+    The fiber size is read off the DP's counts (`_fiber_size`).  When f's
+    key is one component, the fiber is connected and no node is built.
+    Otherwise the sym table (`_fiber_table`) is built and each node, parts
+    first, is mapped to its class by its tag and its parts' components; a
+    node with no class would break the argument and is an error, never
+    skipped.  The unreachable terms are the nodes of f's key outside the
+    terminal representative's component; only they are decoded into
+    `Term`s.  A rewrite followed by `reduce_node` adds no variable leaf, so
+    the arity check a `Term` would make cannot fail, and at one arity two
+    terms are equal exactly when their nodes are.
     """
     bound = _fiber_bound(f, "sym", bound)
     walk = _whole_fiber(f, "sym", bound)
-    table, levels, cells = _fiber_table(walk, "sym", bound)
-    target, _, keys, _ = walk
+    target = walk[0]
     start = terminal_representative(f)
-    cons = {entry: i for i, entry in enumerate(table)}
-    first = _encode(start.node, cons)
-    if first is None or not any(first in ids for ids in levels):
+    size = _fiber_size(walk)
+    if not target:
+        return ConnectivityReport(True, size, start, frozenset())
+    cons, components = _class_components(walk)
+    top = _encode(start.node, cons)
+    if top not in components[target]:
         raise PreconditionViolation(f"terminal representative {start} missing from fiber")
-    size = sum(map(len, levels))
+    if len(components[target]) == 1:
+        return ConnectivityReport(True, size, start, frozenset())
+    table, levels, _ = _fiber_table(walk, "sym", bound)
+    component: list[int] = []
+    for entry in table:
+        if len(entry) == 3:
+            entry = (entry[0], component[entry[1]], component[entry[2]])
+        c = cons.get(entry)
+        if c is None:
+            node = node_str(_decode(table)[len(component)])
+            raise RingopsError(f"the split class of {node} has no representative")
+        component.append(c)
+    nodes = _decode(table)
+    unreachable = frozenset(
+        _fiber_term(f.arity, nodes[i]) for ids in levels for i in ids if component[i] != top
+    )
+    return ConnectivityReport(not unreachable, size, start, unreachable)
+
+
+def _class_components(walk: tuple) -> tuple[dict, dict]:
+    """The split classes of every key of f's walk (`_reached`), joined by
+    their witnesses' root rewrites: the cons dict {entry: class id} and each
+    key's components, as lists of root class ids.
+
+    A class's entry is a leaf, or (tag, c1, c2) with c1 and c2 components of
+    its parts; ids are positions in one table of entries.  The keys are
+    walked in `_reach`'s order, parts before wholes, f's key last, so a
+    key's parts have their final components when its classes are made.
+    Then for each split (tag, K1, K2), each class a of K1 and each class b
+    of K2, one witness replays its root rules (`_root_moves`) on the slots
+    root(a), root(b) and the parts of a's and b's entries, and each result
+    is joined to (tag, root(a), root(b)).  By the root-rules lemma that
+    stands for every member (tag, x, y) with x in a and y in b.  A key's
+    walk stops once it is one component.  When a key is done, its entries
+    in the cons dict are mapped to their roots, so a lookup of a lower key's
+    class gives its component.  A rewrite with no class would break the
+    completeness lemma and is an error, never dropped.
+    """
+    _, leaves, keys, _ = walk
+    table: list = list(leaves.values())
+    cons = {entry: i for i, entry in enumerate(table)}
     parent = list(range(len(table)))
+    classes = {key: range(i, i + 1) for i, key in enumerate(leaves)}
+    components = {key: [i] for i, key in enumerate(leaves)}
+    moves = _root_moves(cons)
 
     def root(i: int) -> int:
         while (up := parent[i]) != i:
             parent[i] = i = parent[up]
         return i
 
-    moves = _root_moves(table, cons)
-    for key, (counts, *_) in keys.items():
-        ranges = [cells[key, s][0] for s in counts if s > 1]
-        components = sum(map(len, ranges))
-        for i in chain.from_iterable(ranges):
-            tag, l, r = table[i]
-            targets = moves(i)
-            rep = cons.get((tag, root(l), root(r)))
-            if rep is None:
-                node = node_str(_decode(table)[i])
-                raise RingopsError(f"the split class of {node} has no representative")
-            targets.append(rep)
-            i = root(i)
-            for j in targets:
-                while (up := parent[j]) != j:  # root(j), inlined: most of the calls
-                    parent[j] = j = parent[up]
+    for key, (_, _, products, sums) in keys.items():
+        if key in classes:
+            continue
+        splits = [("*", *split) for split in products] + [("+", *split) for split in sums]
+        first = len(table)
+        table += [(tag, c1, c2) for tag, k1, k2 in splits
+                  for c1 in components[k1] for c2 in components[k2]]
+        classes[key] = range(first, len(table))
+        cons.update((entry, i) for i, entry in enumerate(table[first:], first))
+        parent += classes[key]
+        count = len(classes[key])
+        for tag, a, b in (
+            (tag, a, b) for tag, k1, k2 in splits for a in classes[k1] for b in classes[k2]
+        ):
+            if count == 1:
+                break
+            l, r = cons[table[a]], cons[table[b]]
+            i = root(cons[tag, l, r])
+            for j in moves(tag, l, r, table[a], table[b]):
+                if j is None:
+                    nodes = _decode(table)
+                    node = node_str((tag, nodes[a], nodes[b]))
+                    raise RingopsError(f"a root rewrite of {node} has no split class")
+                j = root(j)
                 if j != i:
                     parent[j] = i
-                    components -= 1
-            if components == 1:
-                if key == target:
-                    return ConnectivityReport(True, size, start, frozenset())
-                break
-    top = root(first)
-    unreachable = [i for ids in levels for i in ids if root(i) != top]
-    if unreachable:
-        nodes = _decode(table)
-        unreachable = [_fiber_term(f.arity, nodes[i]) for i in unreachable]
-    return ConnectivityReport(not unreachable, size, start, frozenset(unreachable))
+                    count -= 1
+        for c in classes[key]:
+            cons[table[c]] = root(c)
+        components[key] = [c for c in classes[key] if parent[c] == c]
+    return cons, components
 
 
 def _encode(node: Node, cons: dict) -> Union[int, None]:
@@ -752,22 +836,24 @@ def _encode(node: Node, cons: dict) -> Union[int, None]:
     )
 
 
-def _root_moves(table: list, cons: dict) -> Callable[[int], list[int]]:
-    """The function from a sum's or product's id to the ids of its reduced
-    root rewrites: the rules of `_MOVE_RULES` that fire at its root, each
-    replayed from `_root_templates` on the ids of its parts and their parts,
-    with each step's result looked up in `cons` ({entry: id}).  A step that
-    misses drops its rule; in a complete table none does, since the rule's
-    result is a canonical node of the same key, so it is built, and every
-    step's result is one of its parts."""
+def _root_moves(cons: dict) -> Callable[..., list]:
+    """The function from a sum or product (tag, l, r), given with the entries
+    left and right whose parts stand below l and r, to the ids of its
+    reduced root rewrites: the rules of `_MOVE_RULES` that fire at its root,
+    each replayed from `_root_templates` on l, r and their parts, with each
+    step's result looked up in `cons` ({entry: id}).  On a node table, left
+    and right are l's and r's entries; in `_class_components`, l and r are
+    components, and left and right the entries of the classes a witness
+    stands for.  A step that misses gives
+    None in place of its rule's result; in a complete table none does, since
+    the rule's result is a canonical node of the same key, so it is built,
+    and every step's result is one of its parts."""
     get = cons.get
     one = get(ONE)
     templates: dict = {}
-    slots: list = []  # l, r, their children, then step results
+    slots: list = []  # l, r, their parts, then step results
 
-    def moves(i: int) -> list[int]:
-        tag, l, r = table[i]
-        left, right = table[l], table[r]
+    def moves(tag: str, l: int, r: int, left: tuple, right: tuple) -> list:
         shape = (tag, left[0] if len(left) == 3 else left, right[0] if len(right) == 3 else right)
         plans = templates.get(shape)
         if plans is None:
@@ -789,6 +875,7 @@ def _root_moves(table: list, cons: dict) -> Callable[[int], list[int]]:
                 else:
                     v = get((op, x, y))
                     if v is None:
+                        out.append(None)
                         break
                 slots[dest] = v
             else:

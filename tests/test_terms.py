@@ -608,11 +608,10 @@ def test_is_canonical_needs_no_zero_scan(node):
         assert is_canonical(candidate) == expected
 
 
-def _adjacency_connectivity(f, bound=None):
-    """`connectivity_check` as an adjacency graph of nodes built from
-    `position_moves` and searched from the terminal representative: the
-    reference for the union-find over interned ids, sharing no code with
-    the id walker it checks."""
+def _adjacency_graph(f, bound=None):
+    """The terminal representative and the fiber as an adjacency graph of
+    nodes built from `position_moves`, sharing no code with the class walk
+    it is the reference for."""
     result = enumerate_fiber(f, "sym", bound)
     if not result.stable:
         raise FiberNotStable(f"fiber of {f} is not complete at bound {result.bound}")
@@ -626,16 +625,39 @@ def _adjacency_connectivity(f, bound=None):
             if target in adjacency:
                 adjacency[node].add(target)
                 adjacency[target].add(node)
-    seen = {start.node}
-    frontier = [start.node]
+    return start, adjacency
+
+
+def _search(adjacency, node):
+    """The nodes of the graph reachable from the node."""
+    seen = {node}
+    frontier = [node]
     while frontier:
         current = frontier.pop()
         for nxt in adjacency[current]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    unreachable = frozenset(Term(f.arity, node) for node in fiber - seen)
+    return seen
+
+
+def _adjacency_connectivity(f, bound=None):
+    """`connectivity_check` as the adjacency graph searched from the
+    terminal representative."""
+    start, adjacency = _adjacency_graph(f, bound)
+    fiber = set(adjacency)
+    unreachable = frozenset(Term(f.arity, node) for node in fiber - _search(adjacency, start.node))
     return ConnectivityReport(not unreachable, len(fiber), start, unreachable)
+
+
+def _adjacency_components(f):
+    """The number of components of the adjacency graph."""
+    _, adjacency = _adjacency_graph(f)
+    left, count = set(adjacency), 0
+    while left:
+        left -= _search(adjacency, next(iter(left)))
+        count += 1
+    return count
 
 
 R3_FOUR_ORBITS = list(_up_to_relabelling([f for f in enumerate_R(3) if len(f) == 4]))
@@ -675,6 +697,22 @@ class TestConnectivityReference:
         for report in reports:
             assert report.connected == (not report.unreachable)
             assert report.terminal not in report.unreachable
+
+    @pytest.mark.parametrize("kept", [MOVE_NAMES] + RULE_SUBSETS)
+    def test_class_components_count_the_adjacency_components(self, kept, monkeypatch):
+        """More than the verdict: at f's key, the class walk has as many
+        components as the adjacency graph, under the full rules and under
+        every subset."""
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        counts = []
+        for f in CONNECT_POLYS:
+            if f.is_zero:
+                continue
+            walk = terms._whole_fiber(f, "sym", default_bound(f))
+            components = len(terms._class_components(walk)[1][walk[0]])
+            assert components == _adjacency_components(f), str(f)
+            counts.append(components)
+        assert (max(counts) == 1) == (kept == MOVE_NAMES)
 
     def test_no_moves_leave_only_the_terminal_reachable(self, monkeypatch):
         monkeypatch.setattr(terms, "_MOVE_RULES", ())
@@ -766,7 +804,7 @@ R4_SAMPLE = random.Random(4).sample([f for f in enumerate_R(4) if 0 < len(f) <= 
 
 def _sym_table(f):
     """The stable sym table of f, its fiber's ids per leaf count and the
-    cons dict {entry: id}, as `connectivity_check` reads them."""
+    cons dict {entry: id}."""
     bound = default_bound(f)
     table, by_leaves, _ = _fiber_table(f, "sym", bound + 2)
     assert not any(by_leaves[bound + 1 :]), str(f)
@@ -796,6 +834,13 @@ def _keys_of(table):
     return keys
 
 
+def _node_moves(table, cons):
+    """`terms._root_moves` on a node table, as a function of a node's id:
+    the slots are its parts' ids, and their entries give the parts' parts."""
+    moves = terms._root_moves(cons)
+    return lambda i: moves(*table[i], table[table[i][1]], table[table[i][2]])
+
+
 class TestIdWalker:
     def test_matches_the_position_walk(self):
         """Every sum's or product's `_root_moves`, fiber node or proper
@@ -804,7 +849,7 @@ class TestIdWalker:
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
             table, _levels, cons = _sym_table(f)
             nodes = terms._decode(table)
-            moves = terms._root_moves(table, cons)
+            moves = _node_moves(table, cons)
             for i, entry in enumerate(table):
                 if len(entry) == 3:
                     expected = {
@@ -850,12 +895,11 @@ class TestIdWalker:
 
     @pytest.mark.parametrize("kept", [MOVE_NAMES] + RULE_SUBSETS)
     def test_each_split_class_is_the_product_of_its_parts(self, kept, monkeypatch):
-        """The lemma behind the class representatives, at every reached
+        """The class-product lemma of the class walk, at every reached
         key: for a sum or product (tag, l, r), every (tag, a, b) with a and
         b built nodes of l's and r's keys is built, with the key of
         (tag, l, r).  The root rewrites stay within their key under any
-        rules, so each representative (tag, root(l), root(r)) is one of
-        these."""
+        rules."""
         monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
         for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS:
             table, _levels, cons = _sym_table(f)
@@ -863,7 +907,7 @@ class TestIdWalker:
             built: dict = {}
             for i, key in enumerate(keys):
                 built.setdefault(key, []).append(i)
-            moves = terms._root_moves(table, cons)
+            moves = _node_moves(table, cons)
             classes = {}
             for i, entry in enumerate(table):
                 if len(entry) == 3:
@@ -875,35 +919,93 @@ class TestIdWalker:
                         j = cons.get((tag, a, b))
                         assert j is not None and keys[j] == key, (str(f), tag, a, b)
 
-    def test_a_connected_fiber_stops_at_the_spanning_union(self, monkeypatch):
-        """Each key's walk stops once the key is one component: f's, and
-        its proper subterms' too."""
+    @pytest.mark.parametrize("kept", [MOVE_NAMES] + RULE_SUBSETS)
+    def test_members_of_a_pair_of_classes_rewrite_into_the_same_classes(self, kept, monkeypatch):
+        """The root-rules lemma of the class walk, on every node of the
+        table: the sums or products (tag, a, b) with a in one class and b in
+        one class have root rewrites, rule by rule, into the same classes.
+        A node's class is its entry with its parts' components, as the
+        class walk gives them."""
+        monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
+        pairs = members = 0
+        for f in [f for f in enumerate_R(2) + R3_SMALL + R3_FOUR_ORBITS if not f.is_zero]:
+            table, _levels, cons = _sym_table(f)
+            components = terms._class_components(terms._whole_fiber(f, "sym", default_bound(f)))[0]
+            component, classes = [], []
+            for entry in table:
+                if len(entry) == 3:
+                    entry = (entry[0], component[entry[1]], component[entry[2]])
+                classes.append(entry)
+                component.append(components[entry])
+            moves = _node_moves(table, cons)
+            seen: dict = {}
+            for i, entry in enumerate(table):
+                if len(entry) == 3:
+                    tag, l, r = entry
+                    rewrites = [classes[j] for j in moves(i)]
+                    assert seen.setdefault((tag, classes[l], classes[r]), rewrites) == rewrites, (
+                        str(f), i
+                    )
+                    members += 1
+            pairs += len(seen)
+        # with no rule, every node is its own component, and every pair has one member
+        assert pairs < members or not kept
+
+    def test_a_rewrite_with_no_class_is_an_error(self, monkeypatch):
+        """A rule whose result the walk never reaches (x + y to x * x, which
+        squares a variable) breaks the completeness lemma: the class walk
+        names the witness, and drops nothing."""
+        square = ("square", lambda n: times(n[1], n[1]) if n[0] == "+" else None)
+        monkeypatch.setattr(terms, "_MOVE_RULES", _MOVE_RULES + (square,))
+        with pytest.raises(RingopsError, match=r"^a root rewrite of \(x1 \+ x2\) has no split class$"):
+            connectivity_check(parse_poly("R(2): x2 + x1"))
+
+    def test_a_connected_fiber_builds_no_node_table(self, monkeypatch):
+        """A connected fiber is answered on split classes alone: no node
+        table is built, and the root rules are replayed once per witness, a
+        (split, class of the left key, class of the right key) triple, never
+        twice and far fewer times than the fiber has nodes.  Every key of a
+        connected fiber is one component, so a key has one class per split;
+        a key's walk stops once it is one component, so some triples are
+        never replayed."""
         f = parse_poly("R(3): x3 + x2*x3 + x1*x3 + x1*x2")
-        table, levels, cons = _sym_table(f)
-        fiber = _fiber_ids(levels)
-        below = {i for i, entry in enumerate(table) if len(entry) == 3} - fiber
-        walked = []
+        expected = _adjacency_connectivity(f)
+        keys = terms._reached(f, "sym", default_bound(f))[2]
+        classes = {key: len(products) + len(sums) or 1 for key, (*_, products, sums) in keys.items()}
+        triples = sum(
+            classes[k1] * classes[k2] for *_, products, sums in keys.values()
+            for k1, k2 in products + sums
+        )
+
+        def refuse(*_args):
+            raise AssertionError("a node table was built")
+
+        replays = []
         root_moves = terms._root_moves
 
-        def counted(table, cons):
-            moves = root_moves(table, cons)
-            return lambda i: walked.append(i) or moves(i)
+        def counted(cons):
+            moves = root_moves(cons)
+            return lambda *witness: replays.append(witness) or moves(*witness)
 
+        monkeypatch.setattr(terms, "_fiber_table", refuse)
+        monkeypatch.setattr(terms, "_build_cells", refuse)
         monkeypatch.setattr(terms, "_root_moves", counted)
-        assert connectivity_check(f) == _adjacency_connectivity(f)
-        assert 0 < len(fiber.intersection(walked)) < len(fiber)
-        assert 0 < len(below.intersection(walked)) < len(below)
+        assert connectivity_check(f) == expected
+        assert 0 < len(set(replays)) == len(replays) < triples < expected.fiber_size
+        assert len(replays) * 10 < expected.fiber_size
 
     @pytest.mark.parametrize("text", ["R(3): x1 + x2*x3", "R(3): x1 + x2*x3 + x1*x2*x3"])
     def test_a_missing_representative_is_an_error(self, text, monkeypatch):
-        """Both members of the split class of `x2*x3 + x1`, each dropped
-        from the table in turn: at f's key, and at a proper subterm's key.
-        Dropping the class representative leaves the other member with
-        none, which must be an error naming it, not a skipped join.  The
-        sums are kept apart (no comm-plus), so every member is walked."""
+        """A fiber that is not connected (no comm-plus keeps the sums
+        apart) maps its node table to classes.  Each member of the split
+        class of `x2*x3 + x1` is given in turn parts no split of the walk
+        has, so no class represents it: at f's key, and at a proper
+        subterm's key.  That must be an error naming the node, never a
+        skipped node."""
         kept = MOVE_NAMES - {"comm-plus"}
         monkeypatch.setattr(terms, "_MOVE_RULES", tuple(r for r in _MOVE_RULES if r[0] in kept))
         f = parse_poly(text)
+        assert not connectivity_check(f).connected
         table, levels, cells = _fiber_table(f, "sym", default_bound(f))
         nodes = terms._decode(table)
         members = {
@@ -912,23 +1014,15 @@ class TestIdWalker:
         }
         assert len(members) == 2
         assert (set(members.values()) <= _fiber_ids(levels)) == (text == "R(3): x1 + x2*x3")
-        errors = []
-        for dropped, i in members.items():
+        for i in members.values():
             broken = list(table)
-            broken[i] = ("dropped",)
-            without = {
-                cell: ([j for j in ids if j != i], k) for cell, (ids, k) in cells.items()
-            }
-            kept_levels = tuple([j for j in ids if j != i] for ids in levels)
-            monkeypatch.setattr(terms, "_fiber_table", lambda *_: (broken, kept_levels, without))
-            try:
+            left = table[i][1]
+            broken[i] = ("+", left, left)
+            monkeypatch.setattr(terms, "_fiber_table", lambda *_: (broken, levels, cells))
+            with pytest.raises(RingopsError) as caught:
                 connectivity_check(f)
-            except RingopsError as err:
-                errors.append((dropped, str(err)))
-        assert len(errors) == 1
-        (dropped, message), = errors
-        (other,) = set(members) - {dropped}
-        assert message == f"the split class of {other} has no representative"
+            node = node_str(("+", nodes[left], nodes[left]))
+            assert str(caught.value) == f"the split class of {node} has no representative"
 
 
 def test_an_unknown_mode_is_a_precondition_violation():
@@ -1058,6 +1152,63 @@ class TestDemandDrivenFiber:
             report = connectivity_check(parse_poly(text))
             assert report.connected, text
             assert report.fiber_size == size, text
+
+
+class TestFiberSizeFromCounts:
+    """`connectivity_check` reads the fiber size off the DP's counts
+    (`_fiber_size`) and builds no node table unless the fiber is not
+    connected: the counts must give the built table's level sizes."""
+
+    def test_the_counts_give_the_recorded_golden(self):
+        assert len(FIBER_SIZES) == 107
+        for text, (sym, _) in FIBER_SIZES.items():
+            f = parse_poly(text)
+            walk = terms._whole_fiber(f, "sym", default_bound(f))
+            levels = terms._fiber_table(walk, "sym", default_bound(f))[1]
+            assert terms._fiber_size(walk) == sum(map(len, levels)) == sym, text
+
+    def test_the_counts_give_the_built_sizes_at_the_default_and_tight_bounds(self, monkeypatch):
+        """Over every polynomial of R(0..3) with at most four monomials.
+        One below the tight bound, f's largest leaf count, the fiber is
+        refused before anything is counted."""
+        checked = 0
+        for f in [f for n in range(4) for f in enumerate_R(n) if len(f) <= 4]:
+            tight = max(sum(max(m.bit_count(), 1) for m in f.masks), 1)
+            for bound in (tight, default_bound(f)):
+                walk = terms._whole_fiber(f, "sym", bound)
+                levels = terms._fiber_table(walk, "sym", bound)[1]
+                assert terms._fiber_size(walk) == sum(map(len, levels)), (str(f), bound)
+                checked += 1
+            if tight > 1:
+                with monkeypatch.context() as patched:
+                    patched.setattr(terms, "_fiber_size", None)
+                    with pytest.raises(FiberNotStable):
+                        connectivity_check(f, tight - 1)
+        assert checked == 2 * 110
+
+    def test_the_largest_r3_fibers_by_monomial_count(self):
+        largest: dict = {}
+        for f in enumerate_R(3):
+            size = terms._fiber_size(terms._whole_fiber(f, "sym", default_bound(f)))
+            largest[len(f)] = max(largest.get(len(f), 0), size)
+        assert [largest[k] for k in range(4, 8)] == [22656, 361280, 6930976, 157963200]
+
+
+class TestConnectivityReach:
+    def test_every_nonzero_r3_fiber_is_connected(self):
+        start = time.perf_counter()
+        reports = [connectivity_check(f) for f in enumerate_R(3) if not f.is_zero]
+        assert time.perf_counter() - start < 10
+        assert len(reports) == 127
+        assert all(report.connected and not report.unreachable for report in reports)
+        assert max(report.fiber_size for report in reports) == 157963200
+
+    def test_the_largest_five_monomial_r3_fiber_connects_in_a_fifth_of_a_second(self):
+        f = parse_poly("R(3): x3 + x2*x3 + x1*x3 + x1*x2 + x1*x2*x3")
+        start = time.perf_counter()
+        report = connectivity_check(f)
+        assert time.perf_counter() - start < 0.2
+        assert report.connected and report.fiber_size == 361280
 
 
 @pytest.mark.parametrize("mode", ["sym", "biperm"])
